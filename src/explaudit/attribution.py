@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from . import textmodel
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 
 METHODS = ("GRAD", "GXI", "IG", "IGXI", "LIME", "SHAP")
 
@@ -88,10 +87,8 @@ def _ig_per_dim(model, X, target, steps):
     Zero baseline, right Riemann sum with ``steps`` points on the straight
     path from the baseline to X.
     """
-    total = np.zeros_like(X)
-    for k in range(1, steps + 1):
-        total += textmodel.grad_wrt_embeddings_matrix(
-            model, (k / steps) * X, target)
+    scales = np.arange(1, steps + 1) / steps
+    total = textmodel.path_grad_sum(model, X, scales, target)
     return X * total / steps
 
 
@@ -109,12 +106,20 @@ def ig_x_input(model, seq, target, cfg=None):
     return Attribution("IGXI", tokens, (per_dim * X).sum(axis=1), target)
 
 
+#: ridge doublings tried before a surrogate fit is declared failed
+MAX_RIDGE_DOUBLINGS = 64
+
+
 def _weighted_ridge(Z, y, w, ridge):
     """Weighted ridge regression with unpenalized intercept.
 
     Returns the coefficient vector (without the intercept). Doubles the
-    ridge strength until the normal equations are well conditioned.
+    ridge strength until the normal equations are well conditioned, at
+    most ``MAX_RIDGE_DOUBLINGS`` times. Raises NumericalError on
+    non-finite targets or when no ridge strength gives a finite solution.
     """
+    if not np.all(np.isfinite(y)):
+        raise NumericalError("non-finite model output in surrogate fit")
     n = Z.shape[1]
     A = np.column_stack([np.ones(len(Z)), Z])
     AtW = A.T * w
@@ -122,7 +127,7 @@ def _weighted_ridge(Z, y, w, ridge):
     rhs = AtW @ y
     penalty = np.eye(n + 1)
     penalty[0, 0] = 0.0
-    while True:
+    for _ in range(MAX_RIDGE_DOUBLINGS + 1):
         try:
             coef = np.linalg.solve(gram + ridge * penalty, rhs)
             if np.all(np.isfinite(coef)):
@@ -130,6 +135,9 @@ def _weighted_ridge(Z, y, w, ridge):
         except np.linalg.LinAlgError:
             pass
         ridge *= 2.0
+    raise NumericalError(
+        f"surrogate fit still singular after {MAX_RIDGE_DOUBLINGS} "
+        "ridge doublings")
 
 
 def lime(model, seq, target, cfg=None):
@@ -155,14 +163,47 @@ def _shap_kernel_weight(n, k):
     return (n - 1) / (math.comb(n, k) * k * (n - k))
 
 
+def _exact_coalitions(n):
+    """All 2^n - 2 proper coalitions as 0/1 rows with their kernel weights.
+
+    Rows are ordered by size, and within a size as ``combinations(range(n),
+    k)`` lists them: by descending bit code with token 0 as the top bit.
+    """
+    codes = np.arange(2**n - 2, 0, -1)
+    bits = (codes[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    size = bits.sum(axis=1)
+    order = np.argsort(size, kind="stable")
+    size_w = np.array([np.nan] + [_shap_kernel_weight(n, k)
+                                  for k in range(1, n)])
+    return bits[order].astype(float), size_w[size[order]]
+
+
+def _sampled_coalitions(n, samples, rng):
+    """``samples`` coalitions: sizes drawn from the Shapley kernel's size
+    distribution, then a uniform subset of each size (the row's k tokens
+    with the smallest uniform keys)."""
+    sizes = np.arange(1, n)
+    size_p = np.array([_shap_kernel_weight(n, k) * math.comb(n, k)
+                       for k in sizes])
+    size_p /= size_p.sum()
+    drawn = rng.choice(sizes, size=samples, p=size_p)
+    order = rng.random((samples, n)).argsort(axis=1)
+    Z = np.zeros((samples, n))
+    np.put_along_axis(Z, order, np.arange(n) < drawn[:, None], axis=1)
+    return Z
+
+
 def kernel_shap(model, seq, target, cfg=None):
     """KernelSHAP with the efficiency constraint enforced exactly.
 
     Proper coalitions are enumerated exhaustively when the sampling budget
-    covers all 2^n - 2 of them (then the result equals exact Shapley
-    values); otherwise coalition sizes are drawn from the Shapley kernel
-    distribution. The constrained weighted least squares is solved via its
-    KKT system so that sum(scores) = f(x) - f(empty) holds exactly.
+    covers all 2^n - 2 of them, each weighted by the Shapley kernel (then
+    the result equals exact Shapley values). Otherwise ``shap_samples``
+    coalitions are drawn with unit weight: each size k from the kernel's
+    size distribution, proportional to (n - 1) / (k (n - k)), then a
+    subset uniform among those of size k, seeded by ``cfg.seed``. The
+    constrained weighted least squares is solved via its KKT system so
+    that sum(scores) = f(x) - f(empty) holds exactly.
     """
     cfg = cfg or AttributionConfig()
     X, tokens = _resolve_input(model, seq)
@@ -174,20 +215,10 @@ def kernel_shap(model, seq, target, cfg=None):
         return Attribution("SHAP", tokens, np.array([delta]), target)
 
     if 2**n - 2 <= cfg.shap_samples:
-        Z = np.array([[1.0 if i in c else 0.0 for i in range(n)]
-                      for k in range(1, n)
-                      for c in combinations(range(n), k)])
-        w = np.array([_shap_kernel_weight(n, int(z.sum())) for z in Z])
+        Z, w = _exact_coalitions(n)
     else:
-        rng = np.random.default_rng(cfg.seed)
-        sizes = np.arange(1, n)
-        size_p = np.array([_shap_kernel_weight(n, k) * math.comb(n, k)
-                           for k in sizes])
-        size_p /= size_p.sum()
-        drawn = rng.choice(sizes, size=cfg.shap_samples, p=size_p)
-        Z = np.zeros((cfg.shap_samples, n))
-        for row, k in enumerate(drawn):
-            Z[row, rng.choice(n, size=k, replace=False)] = 1.0
+        Z = _sampled_coalitions(n, cfg.shap_samples,
+                                np.random.default_rng(cfg.seed))
         w = np.ones(cfg.shap_samples)
 
     y = _masked_probs(model, X, Z, target) - empty

@@ -11,3 +11,7 @@ class ConfigError(ExplauditError):
 
 class DataError(ExplauditError):
     """Invalid or missing input data (CLI exit code 2)."""
+
+
+class NumericalError(ExplauditError):
+    """Numerical failure during a computation (CLI exit code 3)."""

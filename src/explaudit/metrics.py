@@ -25,9 +25,6 @@ from .errors import ConfigError
 METRICS = ("comprehensiveness", "sufficiency", "soft_comprehensiveness",
            "soft_sufficiency", "sparsity", "gini", "sensitivity")
 
-#: metrics that need a PGD search (expensive; off by default in sweeps)
-EXPENSIVE_METRICS = ("sensitivity",)
-
 
 @dataclass
 class PGDConfig:

@@ -17,8 +17,7 @@ import math
 import os
 import shutil
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -173,7 +172,7 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
     vocab = tm.build_vocab([t for _, _, t, _ in train_items], aliases=aliases)
     train_data = [(tm.tokenize(vocab, text), label_idx[lab])
                   for _, _, text, lab in train_items]
-    train_cfg = tm.TrainConfig(**{**asdict(cfg.train_cfg), "seed": run_seed})
+    train_cfg = replace(cfg.train_cfg, seed=run_seed)
     model = tm.init_model(len(vocab), cfg.model_cfg, seed=run_seed)
     model, train_log = tm.train(model, train_data, train_cfg)
 
@@ -195,40 +194,27 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
         positive_class=_subgroup_class(sub_a, labels, label_idx, 0),
         negative_class=_subgroup_class(sub_b, labels, label_idx, 1))
 
-    explain_calls = 0
     use_gold = cfg.metric_cfg.use_gold_label
-
-    def score_item(item):
-        pair_id, sub, text, lab = item
+    samples = []
+    explain_calls = 0
+    for pair_id, sub, text, lab in test_items:
         seq = tm.tokenize(vocab, text)
         X = tm.embed(model, seq)
         pred = tm.forward(model, X)
         target = label_idx[lab] if use_gold else pred.predicted_class
-        out = []
-        calls = 0
         for method in cfg.methods:
-            a_cfg = _with_seed(cfg.attr_cfg,
-                               _derive_seed(run_seed, pair_id, sub, method))
+            a_cfg = replace(cfg.attr_cfg,
+                            seed=_derive_seed(run_seed, pair_id, sub, method))
             attr = attrib.explain(method, model, seq, target, a_cfg)
-            calls += 1
+            explain_calls += 1
             for metric in cfg.metrics:
                 m_cfg = _metric_cfg_with_seed(
                     cfg.metric_cfg,
                     _derive_seed(run_seed, pair_id, sub, method, metric))
                 value = met.evaluate(metric, model, method, X, attr,
                                      m_cfg, target, a_cfg)
-                out.append(met.ScoreSample(pair_id, sub, method, metric,
-                                           float(value)))
-        return out, calls
-
-    n_threads = max(1, int(os.environ.get("AUDIT_THREADS", "1")))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(score_item, test_items))
-    else:
-        results = [score_item(item) for item in test_items]
-    samples = [s for out, _ in results for s in out]
-    explain_calls = sum(calls for _, calls in results)
+                samples.append(met.ScoreSample(pair_id, sub, method, metric,
+                                               float(value)))
 
     disparity = {}
     for method in cfg.methods:
@@ -257,18 +243,9 @@ def _subgroup_class(sub, labels, label_idx, fallback):
     return fallback
 
 
-def _with_seed(attr_cfg, seed):
-    d = asdict(attr_cfg)
-    d["seed"] = seed
-    return attrib.AttributionConfig(**d)
-
-
 def _metric_cfg_with_seed(metric_cfg, seed):
-    d = asdict(metric_cfg)
-    d["soft_seed"] = seed
-    d["pgd"] = met.PGDConfig(**{**d["pgd"], "seed": seed})
-    d["thresholds"] = tuple(d["thresholds"])
-    return met.MetricConfig(**d)
+    return replace(metric_cfg, soft_seed=seed,
+                   pgd=replace(metric_cfg.pgd, seed=seed))
 
 
 def run_audit(records, cfg):

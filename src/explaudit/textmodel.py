@@ -197,6 +197,21 @@ def forward(model, embeddings):
                       logits=logits)
 
 
+def pooled_grad(model, pooled, target_class):
+    """d p(target) / d pooled vector, exact reverse mode, batched over rows.
+
+    ``pooled`` has shape (..., d); so does the result. The classifier
+    mean-pools its input, so every token of an (n, d) input X has the
+    gradient ``pooled_grad(model, X.mean(axis=0), target) / n``.
+    """
+    hidden = np.tanh(pooled @ model.w1 + model.b1)
+    probs = _softmax(hidden @ model.w2 + model.b2)
+    # d p_t / d logits = p_t * (onehot_t - p)
+    dlogits = probs[..., target_class, None] * (
+        np.eye(probs.shape[-1])[target_class] - probs)
+    return ((dlogits @ model.w2.T) * (1.0 - hidden**2)) @ model.w1.T
+
+
 def grad_wrt_embeddings_matrix(model, embeddings, target_class):
     """d p(target) / d embeddings, exact reverse mode. Shape (n, d).
 
@@ -207,15 +222,25 @@ def grad_wrt_embeddings_matrix(model, embeddings, target_class):
         return custom(np.asarray(embeddings, dtype=float), target_class)
     embeddings = np.asarray(embeddings, dtype=float)
     n = embeddings.shape[0]
-    pooled = embeddings.mean(axis=0)
-    hidden = np.tanh(pooled @ model.w1 + model.b1)
-    logits = hidden @ model.w2 + model.b2
-    probs = _softmax(logits)
-    # d p_t / d logits = p_t * (onehot_t - p)
-    dlogits = probs[target_class] * (np.eye(len(probs))[target_class] - probs)
-    dhidden = model.w2 @ dlogits
-    dpooled = model.w1 @ (dhidden * (1.0 - hidden**2))
-    return np.tile(dpooled / n, (n, 1))
+    g = pooled_grad(model, embeddings.mean(axis=0), target_class)
+    return np.tile(g / n, (n, 1))
+
+
+def path_grad_sum(model, embeddings, scales, target_class):
+    """Sum of d p(target) / d embeddings over the points s * X, s in
+    ``scales``, of the straight path from zero to X. Shape (n, d).
+
+    All points go through one batched ``pooled_grad`` call. Models with
+    their own ``embedding_grad`` hook are queried once per point.
+    """
+    X = np.asarray(embeddings, dtype=float)
+    custom = getattr(model, "embedding_grad", None)
+    if custom is not None:
+        return sum(custom(s * X, target_class) for s in scales)
+    n = X.shape[0]
+    g = pooled_grad(model, np.multiply.outer(scales, X.mean(axis=0)),
+                    target_class)
+    return np.tile(g.sum(axis=0) / n, (n, 1))
 
 
 def grad_wrt_embeddings(model, seq, target_class):

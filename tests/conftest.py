@@ -108,6 +108,32 @@ def exact_shapley(value_fn, n):
     return phis
 
 
+def shapley_from_values(values, n):
+    """Exact Shapley values from the value of every coalition, where
+    ``values[c]`` belongs to the coalition holding token i iff bit i of c
+    is set. Same formula as ``exact_shapley``, vectorised over coalitions."""
+    codes = np.arange(2**n)
+    sizes = ((codes[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    fact = math.factorial
+    weight = np.array([fact(k) * fact(n - k - 1) / fact(n)
+                       for k in range(n)])
+    phis = np.zeros(n)
+    for i in range(n):
+        without = codes[(codes >> i) & 1 == 0]
+        phis[i] = np.sum(weight[sizes[without]]
+                         * (values[without | (1 << i)] - values[without]))
+    return phis
+
+
+def all_coalition_probs(model, X, target=1):
+    """Target-class probability for every coalition, indexed as in
+    ``shapley_from_values``."""
+    n = X.shape[0]
+    masks = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    probs, _ = tm.forward_pooled(model, (masks @ X) / n)
+    return probs[:, target]
+
+
 def masked_prob(model, X, kept, target=1):
     """Target-class probability with only `kept` token rows retained."""
     n = X.shape[0]

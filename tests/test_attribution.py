@@ -1,13 +1,16 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (LinearPooledModel, ConstantModel, exact_shapley,
                       indicator_embeddings, masked_prob, planted_token_model,
-                      finite_diff_embedding_grad, random_tiny_model)
+                      finite_diff_embedding_grad, random_tiny_model,
+                      all_coalition_probs, shapley_from_values)
 from explaudit import attribution as attrib
 from explaudit import textmodel as tm
-from explaudit.errors import ConfigError
+from explaudit.errors import ConfigError, NumericalError
 
 
 class TestConfig:
@@ -105,6 +108,23 @@ class TestIntegratedGradients:
             f_base = tm.forward(model, np.zeros_like(X)).probs[1]
             assert a.scores.sum() == pytest.approx(f_x - f_base, abs=1e-2)
 
+    def test_batched_path_matches_per_step_loop(self, rng):
+        # reference: one embedding-gradient call per path point
+        for _ in range(20):
+            d, h = int(rng.integers(1, 17)), int(rng.integers(1, 33))
+            model = random_tiny_model(rng, d=d, h=h)
+            X = rng.uniform(-1, 1, (int(rng.integers(1, 19)), d))
+            target = int(rng.integers(0, 2))
+            steps = int(rng.integers(1, 65))
+            total = np.zeros_like(X)
+            for k in range(1, steps + 1):
+                total += tm.grad_wrt_embeddings_matrix(
+                    model, (k / steps) * X, target)
+            expected = X * total / steps
+            got = attrib._ig_per_dim(model, X, target, steps)
+            assert np.linalg.norm(got - expected) <= \
+                1e-12 * np.linalg.norm(expected)
+
     def test_linear_model_exact_path_integral(self):
         # Constant gradient => IG is exact for any step count.
         w = np.array([0.3, -0.1])
@@ -200,6 +220,50 @@ class TestKernelShap:
         a = attrib.kernel_shap(model, X, 1)
         assert a.scores == pytest.approx([0.25], abs=1e-9)
 
+    def test_exact_coalitions_match_combinations(self):
+        # reference: the itertools construction, row by row
+        for n in range(2, 12):
+            Z_ref = np.array([[1.0 if i in c else 0.0 for i in range(n)]
+                              for k in range(1, n)
+                              for c in combinations(range(n), k)])
+            w_ref = np.array([attrib._shap_kernel_weight(n, int(z.sum()))
+                              for z in Z_ref])
+            Z, w = attrib._exact_coalitions(n)
+            assert np.array_equal(Z, Z_ref)
+            assert np.array_equal(w, w_ref)
+
+    def test_sampled_rows_have_drawn_size(self):
+        for n in (3, 12, 14, 18):
+            Z = attrib._sampled_coalitions(n, 2048,
+                                           np.random.default_rng(n))
+            sizes = np.arange(1, n)
+            p = (n - 1) / (sizes * (n - sizes))
+            drawn = np.random.default_rng(n).choice(
+                sizes, size=2048, p=p / p.sum())
+            assert set(np.unique(Z)) <= {0.0, 1.0}
+            assert np.array_equal(Z.sum(axis=1), drawn)
+            # every token is equally likely to be in a coalition
+            assert np.allclose(Z.mean(axis=0), drawn.mean() / n, atol=0.05)
+
+    def test_sampled_accuracy_against_exact_shapley(self, rng):
+        model = random_tiny_model(rng)
+        X = rng.uniform(-1, 1, (6, 3))
+        assert np.allclose(
+            shapley_from_values(all_coalition_probs(model, X), 6),
+            exact_shapley(lambda s: masked_prob(model, X, s), 6),
+            atol=1e-12)
+        cfg = attrib.AttributionConfig(shap_samples=2048)
+        errors = []
+        for trial in range(20):
+            n = 12 + trial % 3
+            model = random_tiny_model(rng)
+            X = rng.uniform(-1, 1, (n, 3))
+            exact = shapley_from_values(all_coalition_probs(model, X), n)
+            a = attrib.kernel_shap(model, X, 1, cfg)
+            errors.append(np.linalg.norm(a.scores - exact)
+                          / np.linalg.norm(exact))
+        assert np.median(errors) <= 0.02
+
     def test_deterministic_sampled(self, rng):
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (14, 3))
@@ -207,6 +271,18 @@ class TestKernelShap:
         a = attrib.kernel_shap(model, X, 1, cfg)
         b = attrib.kernel_shap(model, X, 1, cfg)
         assert np.array_equal(a.scores, b.scores)
+
+
+class TestWeightedRidge:
+    def test_non_finite_target_rejected(self):
+        y = np.array([0.2, np.nan, 0.4, 0.1])
+        with pytest.raises(NumericalError, match="non-finite"):
+            attrib._weighted_ridge(np.eye(4), y, np.ones(4), 1e-3)
+
+    def test_unsolvable_system_gives_up(self):
+        # zero weights leave the intercept unidentified for any ridge
+        with pytest.raises(NumericalError, match="ridge doublings"):
+            attrib._weighted_ridge(np.eye(4), np.ones(4), np.zeros(4), 1e-3)
 
 
 class TestNormalize:

@@ -1,9 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from explaudit import cli
+from explaudit import attribution as attrib
+from explaudit import cli, pipeline
 
 
 def run_cli(args, capsys):
@@ -173,3 +175,15 @@ class TestErrorMapping:
                                 "--out", str(tmp_path / "rep"),
                                 "--methods", "ANCHOR"], capsys)
         assert code == 1
+
+    def test_numerical_failure_exit_3(self, none_dataset, tmp_path, capsys,
+                                      monkeypatch):
+        def failing_audit(records, cfg):
+            attrib._weighted_ridge(np.eye(2), np.array([np.nan, 0.0]),
+                                   np.ones(2), 1e-3)
+
+        monkeypatch.setattr(pipeline, "run_audit", failing_audit)
+        code, _, err = run_cli(["audit", "--dataset", none_dataset,
+                                "--out", str(tmp_path / "rep")], capsys)
+        assert code == 3
+        assert "non-finite" in err

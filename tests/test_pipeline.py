@@ -86,17 +86,6 @@ class TestRunSingleAudit:
         with pytest.raises(DataError, match="labels"):
             pipeline.run_single_audit(records, _fast_cfg(), run_seed=0)
 
-    def test_threaded_matches_serial(self, monkeypatch):
-        records = ds.generate_synthetic_paired(8, seed=5)
-        cfg = _fast_cfg()
-        serial = pipeline.run_single_audit(records, cfg, run_seed=6)
-        monkeypatch.setenv("AUDIT_THREADS", "3")
-        threaded = pipeline.run_single_audit(records, cfg, run_seed=6)
-        assert [(s.pair_id, s.subgroup, s.method, s.metric, s.value)
-                for s in serial.samples] == \
-            [(s.pair_id, s.subgroup, s.method, s.metric, s.value)
-             for s in threaded.samples]
-
 
 class TestRunAudit:
     def test_run_seeds_increment(self):
