@@ -9,7 +9,6 @@ that robustness search can re-explain perturbed inputs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,12 +26,6 @@ class Attribution:
     tokens: list
     scores: np.ndarray
     target_class: int
-
-    def to_record(self, pair_id=None, subgroup=None):
-        return {"pair_id": pair_id, "subgroup": subgroup,
-                "method": self.method, "tokens": list(self.tokens),
-                "scores": [float(s) for s in self.scores],
-                "target_class": int(self.target_class)}
 
 
 @dataclass
@@ -258,23 +251,3 @@ def explain(method, model, seq, target, cfg=None):
     except KeyError:
         raise ConfigError(f"unknown attribution method: {method}") from None
     return fn(model, seq, target, cfg)
-
-
-def write_jsonl(attributions, path):
-    """One JSON object per (input, method): pair_id, subgroup, method,
-    tokens, scores, target_class."""
-    with open(path, "w", encoding="utf-8") as f:
-        for pair_id, subgroup, attr in attributions:
-            f.write(json.dumps(attr.to_record(pair_id, subgroup)) + "\n")
-
-
-def read_jsonl(path):
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            rec = json.loads(line)
-            out.append((rec["pair_id"], rec["subgroup"],
-                        Attribution(rec["method"], rec["tokens"],
-                                    np.array(rec["scores"]),
-                                    rec["target_class"])))
-    return out

@@ -112,25 +112,15 @@ def cmd_validate(args):
 
 
 def cmd_train(args):
-    records = _load(args)
-    part = ds.split(records, seed=args.seed)
-    items, _ = pipeline._expand_items(part.train)
-    test_items, _ = pipeline._expand_items(part.test)
-    labels = sorted({lab for _, _, _, lab in items + test_items})
-    if len(labels) != 2:
-        raise DataError(f"need exactly 2 labels, found {labels}")
-    label_idx = {lab: i for i, lab in enumerate(labels)}
-    vocab = tm.build_vocab([t for _, _, t, _ in items])
-    data = [(tm.tokenize(vocab, t), label_idx[lab])
-            for _, _, t, lab in items]
+    prep = pipeline.prepare_run(_load(args), args.seed)
     cfg = tm.TrainConfig(epochs=args.epochs, seed=args.seed)
-    model = tm.init_model(len(vocab), seed=args.seed)
-    model, log = tm.train(model, data, cfg)
-    correct = sum(tm.predict(model, vocab, t).predicted_class
-                  == label_idx[lab] for _, _, t, lab in test_items)
-    tm.save_model(model, vocab, args.out)
+    model = tm.init_model(len(prep.vocab), seed=args.seed)
+    model, log = tm.train(model, prep.train_data, cfg)
+    correct = sum(tm.predict(model, prep.vocab, t).predicted_class
+                  == prep.label_idx[lab] for _, _, t, lab in prep.test_items)
+    tm.save_model(model, prep.vocab, args.out)
     print(f"final train loss {log[-1]['loss']:.4f}, "
-          f"test accuracy {correct / len(test_items):.3f}; "
+          f"test accuracy {correct / len(prep.test_items):.3f}; "
           f"model saved to {args.out}")
     return 0
 

@@ -3,9 +3,8 @@
 Canonical record schema (CSV header or JSONL keys):
 ``pair_id, subgroup, text, label``. Paired datasets hold two subgroup
 variants per pair id; unpaired data (COMPAS-style) uses one row per
-record with an empty pair id. Also provides the tabular-row-to-text
-converter for COMPAS-style data and a synthetic paired-corpus generator
-for desk-scale experiments.
+record with an empty pair id. Also provides a synthetic paired-corpus
+generator for desk-scale experiments.
 """
 
 from __future__ import annotations
@@ -192,41 +191,6 @@ def save_paired(records, path, fmt="csv"):
                 f.write(json.dumps(row) + "\n")
     else:
         raise ConfigError(f"unknown format: {fmt}")
-
-
-# ---------------------------------------------------------------------------
-# COMPAS conversion
-
-_COMPAS_REQUIRED = ("priors", "score_factor", "under_45", "under_25",
-                    "race", "sex")
-
-
-def compas_row_to_text(row):
-    """Convert one COMPAS-style field map to its comma-separated string.
-
-    Required fields: priors, score_factor, under_45, under_25, race, sex.
-    Optional: misdemeanor. Age and charge clauses appear only when true.
-    """
-    missing = [k for k in _COMPAS_REQUIRED if k not in row]
-    if missing:
-        raise DataError(f"missing COMPAS fields: {missing}")
-    parts = [f"{int(row['priors'])} priors",
-             f"score factor {int(row['score_factor'])}"]
-    if _truthy(row["under_45"]):
-        parts.append("under 45")
-    if _truthy(row["under_25"]):
-        parts.append("under 25")
-    parts.append(str(row["race"]))
-    parts.append(str(row["sex"]))
-    if _truthy(row.get("misdemeanor", False)):
-        parts.append("misdemeanor")
-    return ", ".join(parts)
-
-
-def _truthy(v):
-    if isinstance(v, str):
-        return v.strip().lower() in ("1", "true", "yes", "y")
-    return bool(v)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ projected-gradient search in embedding space.
 
 Token "removal" is zero-embedding throughout, keeping sequence length
 fixed and matching the masking semantics of the surrogate explainers.
+``score_input`` scores all attributions of one input with every metric
+but sensitivity in one batched forward call; the per-metric functions
+are its one-attribution calls.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from .errors import ConfigError
 
 METRICS = ("comprehensiveness", "sufficiency", "soft_comprehensiveness",
            "soft_sufficiency", "sparsity", "gini", "sensitivity")
+BATCHED_METRICS = METRICS[:-1]  # all but the PGD search
+SOFT_METRICS = ("soft_comprehensiveness", "soft_sufficiency")
 
 
 @dataclass
@@ -83,63 +88,29 @@ def _target_class(model, X, target):
     return int(np.argmax(probs))
 
 
-def _prob_for_masks(model, X, token_masks, j):
-    pooled = (token_masks @ X) / X.shape[0]
-    probs, _ = textmodel.forward_pooled(model, pooled)
-    return probs[:, j]
-
-
 def aopc_comprehensiveness(model, seq, attr, cfg=None, target=None):
     """Mean clamped probability drop after removing top-scored tokens,
     over the threshold grid."""
-    cfg = cfg or MetricConfig()
-    X = _input_matrix(model, seq)
-    j = _target_class(model, X, target)
-    norm = attrib.normalize_scores(attr)
-    keep = np.array([(norm < t).astype(float) for t in cfg.thresholds])
-    p_full = _prob_for_masks(model, X, np.ones((1, X.shape[0])), j)[0]
-    p_removed = _prob_for_masks(model, X, keep, j)
-    return float(np.mean(np.maximum(0.0, p_full - p_removed)))
+    return score_input(model, seq, [attr], ("comprehensiveness",), cfg,
+                       target)[0][0]
 
 
 def aopc_sufficiency(model, seq, attr, cfg=None, target=None):
     """Mean clamped probability drop when only top-scored tokens are kept."""
-    cfg = cfg or MetricConfig()
-    X = _input_matrix(model, seq)
-    j = _target_class(model, X, target)
-    norm = attrib.normalize_scores(attr)
-    keep = np.array([(norm >= t).astype(float) for t in cfg.thresholds])
-    p_full = _prob_for_masks(model, X, np.ones((1, X.shape[0])), j)[0]
-    p_kept = _prob_for_masks(model, X, keep, j)
-    return float(np.mean(np.maximum(0.0, p_full - p_kept)))
-
-
-def _soft_drop(model, X, retain_q, cfg, j):
-    """Mean over Monte-Carlo draws of max(0, p(X) - p(X')) where X' keeps
-    each embedding element with its token's retain probability."""
-    n, d = X.shape
-    rng = np.random.default_rng(cfg.soft_seed)
-    e = rng.random((cfg.soft_samples, n, d)) < retain_q[None, :, None]
-    pooled = (X[None] * e).mean(axis=1)
-    probs, _ = textmodel.forward_pooled(model, pooled)
-    p_full, _ = textmodel.forward_pooled(model, X.mean(axis=0))
-    return float(np.mean(np.maximum(0.0, p_full[j] - probs[:, j])))
+    return score_input(model, seq, [attr], ("sufficiency",), cfg,
+                       target)[0][0]
 
 
 def soft_sufficiency(model, seq, attr, cfg=None, target=None):
     """1 - mean clamped drop, retaining elements with prob = normalized score."""
-    cfg = cfg or MetricConfig()
-    X = _input_matrix(model, seq)
-    j = _target_class(model, X, target)
-    return 1.0 - _soft_drop(model, X, attrib.normalize_scores(attr), cfg, j)
+    return score_input(model, seq, [attr], ("soft_sufficiency",), cfg,
+                       target)[0][0]
 
 
 def soft_comprehensiveness(model, seq, attr, cfg=None, target=None):
     """Mean clamped drop, removing elements with prob = normalized score."""
-    cfg = cfg or MetricConfig()
-    X = _input_matrix(model, seq)
-    j = _target_class(model, X, target)
-    return _soft_drop(model, X, 1.0 - attrib.normalize_scores(attr), cfg, j)
+    return score_input(model, seq, [attr], ("soft_comprehensiveness",), cfg,
+                       target)[0][0]
 
 
 def sparsity(attr, cfg=None):
@@ -214,25 +185,80 @@ def sensitivity(model, method, seq, attr, cfg=None, target=None,
     return float(worst)
 
 
+def score_input(model, seq, attrs, metrics, cfg=None, target=None,
+                seeds=None):
+    """Every metric in ``metrics`` (any but ``sensitivity``) of every
+    attribution in ``attrs`` of one input; returns ``values[k][i]`` for
+    attribution k and metric i.
+
+    The masked model queries of all cells go into one batched forward
+    call: each attribution's AOPC threshold masks, pooled as
+    ``mask @ X / n``, then its soft-metric rows, where X' keeps each
+    embedding element with its token's retain probability
+    (comprehensiveness: 1 - normalized score; sufficiency: the normalized
+    score). ``seeds[k][i]`` seeds the draw of a soft cell; it defaults to
+    ``cfg.soft_seed``. Each family compares against p(X) from one 1-row
+    call.
+    """
+    cfg = cfg or MetricConfig()
+    unknown = set(metrics) - set(BATCHED_METRICS)
+    if unknown:
+        raise ConfigError(f"not a batched metric: {sorted(unknown)}")
+    values = [[sparsity(attr, cfg) if metric == "sparsity"
+               else gini_index(attr) if metric == "gini" else None
+               for metric in metrics] for attr in attrs]
+    cells = [(k, i, metric) for k in range(len(attrs))
+             for i, metric in enumerate(metrics) if values[k][i] is None]
+    if not cells:
+        return values
+
+    X = _input_matrix(model, seq)
+    n, d = X.shape
+    j = _target_class(model, X, target)
+    thresholds = np.asarray(cfg.thresholds)[:, None]
+    norms = [attrib.normalize_scores(attr) for attr in attrs]
+    aopc, soft = [], []  # (k, i, rows) per cell
+    for k, i, metric in cells:
+        if metric == "comprehensiveness":
+            aopc.append((k, i, (norms[k] < thresholds).astype(float)))
+        elif metric == "sufficiency":
+            aopc.append((k, i, (norms[k] >= thresholds).astype(float)))
+        else:
+            retain = norms[k] if metric == "soft_sufficiency" \
+                else 1.0 - norms[k]
+            seed = cfg.soft_seed if seeds is None else seeds[k][i]
+            e = np.random.default_rng(seed).random(
+                (cfg.soft_samples, n, d)) < retain[:, None]
+            soft.append((k, i, (X[None] * e).mean(axis=1)))
+
+    pooled = [np.concatenate([r for *_, r in aopc]) @ X / n] if aopc else []
+    probs = textmodel.forward_pooled(
+        model, np.concatenate(pooled + [r for *_, r in soft]))[0][:, j]
+    # p(X) stays a 1-row call per family, pooled as each always was: BLAS
+    # takes another kernel for a 1-row product than for a row of a batch,
+    # so batching it would move its last bits
+    start = 0
+    for family, full in ((aopc, np.ones((1, n)) @ X / n),
+                         (soft, X.mean(axis=0))):
+        if family:
+            p_full = textmodel.forward_pooled(model, full)[0][..., j]
+        for k, i, rows in family:
+            drop = np.maximum(0.0, p_full - probs[start:start + len(rows)])
+            start += len(rows)
+            values[k][i] = float(np.mean(drop))
+            if metrics[i] == "soft_sufficiency":
+                values[k][i] = 1.0 - values[k][i]
+    return values
+
+
 def evaluate(metric, model, method, seq, attr, cfg=None, target=None,
              attr_cfg=None):
     """Dispatch a metric by name."""
-    cfg = cfg or MetricConfig()
-    if metric == "comprehensiveness":
-        return aopc_comprehensiveness(model, seq, attr, cfg, target)
-    if metric == "sufficiency":
-        return aopc_sufficiency(model, seq, attr, cfg, target)
-    if metric == "soft_comprehensiveness":
-        return soft_comprehensiveness(model, seq, attr, cfg, target)
-    if metric == "soft_sufficiency":
-        return soft_sufficiency(model, seq, attr, cfg, target)
-    if metric == "sparsity":
-        return sparsity(attr, cfg)
-    if metric == "gini":
-        return gini_index(attr)
     if metric == "sensitivity":
         return sensitivity(model, method, seq, attr, cfg, target, attr_cfg)
-    raise ConfigError(f"unknown metric: {metric}")
+    if metric not in BATCHED_METRICS:
+        raise ConfigError(f"unknown metric: {metric}")
+    return score_input(model, seq, [attr], (metric,), cfg, target)[0][0]
 
 
 def write_scores_csv(samples, path):

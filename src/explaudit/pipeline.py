@@ -62,6 +62,11 @@ class AuditConfig:
             raise ConfigError(f"unknown metrics: {sorted(unknown)}")
         self.methods = tuple(m.upper() for m in self.methods)
         self.metrics = tuple(self.metrics)
+        for name, items in (("methods", self.methods),
+                            ("metrics", self.metrics)):
+            dup = sorted({x for x in items if items.count(x) > 1})
+            if dup:
+                raise ConfigError(f"duplicate {name}: {dup}")
 
     def to_dict(self):
         d = asdict(self)
@@ -156,77 +161,113 @@ def _subgroups_of(items):
     return subs
 
 
-def run_single_audit(records, cfg, run_seed, run_index=0):
-    """One repetition: split, train, explain, score, test disparity."""
-    part = ds.split(records, cfg.split_ratio, seed=run_seed)
+@dataclass
+class PreparedRun:
+    train_items: list  # (pair_id, subgroup, text, label)
+    test_items: list
+    paired: bool
+    labels: list  # sorted; a label's index is its class
+    label_idx: dict
+    vocab: tm.Vocabulary
+    train_data: list  # (TokenSeq, class index)
+
+
+def prepare_run(records, seed, ratio=0.8, aliases=None):
+    """Split, index the two labels, build the vocabulary from the
+    training side and tokenize it."""
+    part = ds.split(records, ratio, seed=seed)
     train_items, _ = _expand_items(part.train)
     test_items, paired = _expand_items(part.test)
-    sub_a, sub_b = _subgroups_of(train_items + test_items)
-
     labels = sorted({lab for _, _, _, lab in train_items + test_items})
     if len(labels) != 2:
         raise DataError(f"need exactly 2 labels, found {labels}")
     label_idx = {lab: i for i, lab in enumerate(labels)}
-
-    aliases = ds.tied_alias_map() if cfg.tied_embeddings else None
     vocab = tm.build_vocab([t for _, _, t, _ in train_items], aliases=aliases)
     train_data = [(tm.tokenize(vocab, text), label_idx[lab])
                   for _, _, text, lab in train_items]
+    return PreparedRun(train_items, test_items, paired, labels, label_idx,
+                       vocab, train_data)
+
+
+def run_single_audit(records, cfg, run_seed, run_index=0):
+    """One repetition: split, train, explain, score, test disparity."""
+    aliases = ds.tied_alias_map() if cfg.tied_embeddings else None
+    prep = prepare_run(records, run_seed, cfg.split_ratio, aliases)
+    test_items, label_idx = prep.test_items, prep.label_idx
+    sub_a, sub_b = _subgroups_of(prep.train_items + test_items)
+
     train_cfg = replace(cfg.train_cfg, seed=run_seed)
-    model = tm.init_model(len(vocab), cfg.model_cfg, seed=run_seed)
-    model, train_log = tm.train(model, train_data, train_cfg)
+    model = tm.init_model(len(prep.vocab), cfg.model_cfg, seed=run_seed)
+    model, train_log = tm.train(model, prep.train_data, train_cfg)
 
     predictions = []
     correct = 0
     for pair_id, sub, text, lab in test_items:
-        pred = tm.predict(model, vocab, text)
+        pred = tm.predict(model, prep.vocab, text)
         correct += int(pred.predicted_class == label_idx[lab])
         predictions.append(stats.LabeledPrediction(
             subgroup=sub, true_label=label_idx[lab],
             predicted_label=pred.predicted_class, probs=pred.probs,
-            pair_id=pair_id if paired else None))
+            pair_id=pair_id if prep.paired else None))
     test_accuracy = correct / len(test_items)
 
     # label convention for TPR/TNR: subgroup A's own label when the task is
     # gender classification, else fall back to class indices 0/1
     bias = stats.bias_analysis(
         predictions, sub_a, sub_b,
-        positive_class=_subgroup_class(sub_a, labels, label_idx, 0),
-        negative_class=_subgroup_class(sub_b, labels, label_idx, 1))
+        positive_class=_subgroup_class(sub_a, prep.labels, label_idx, 0),
+        negative_class=_subgroup_class(sub_b, prep.labels, label_idx, 1))
 
     use_gold = cfg.metric_cfg.use_gold_label
+    batched = tuple(m for m in cfg.metrics if m in met.BATCHED_METRICS)
     samples = []
     explain_calls = 0
     for pair_id, sub, text, lab in test_items:
-        seq = tm.tokenize(vocab, text)
+        seq = tm.tokenize(prep.vocab, text)
         X = tm.embed(model, seq)
         pred = tm.forward(model, X)
         target = label_idx[lab] if use_gold else pred.predicted_class
+        attrs, a_cfgs = [], []
         for method in cfg.methods:
-            a_cfg = replace(cfg.attr_cfg,
-                            seed=_derive_seed(run_seed, pair_id, sub, method))
-            attr = attrib.explain(method, model, seq, target, a_cfg)
+            a_cfgs.append(replace(cfg.attr_cfg, seed=_derive_seed(
+                run_seed, pair_id, sub, method)))
+            attrs.append(attrib.explain(method, model, seq, target,
+                                        a_cfgs[-1]))
             explain_calls += 1
+        # a per-cell seed only where the metric draws random numbers
+        values = met.score_input(
+            model, X, attrs, batched, cfg.metric_cfg, target,
+            [[_derive_seed(run_seed, pair_id, sub, method, metric)
+              if metric in met.SOFT_METRICS else None for metric in batched]
+             for method in cfg.methods])
+        for method, attr, a_cfg, row in zip(cfg.methods, attrs, a_cfgs,
+                                            values):
+            row = iter(row)
             for metric in cfg.metrics:
-                m_cfg = _metric_cfg_with_seed(
-                    cfg.metric_cfg,
-                    _derive_seed(run_seed, pair_id, sub, method, metric))
-                value = met.evaluate(metric, model, method, X, attr,
-                                     m_cfg, target, a_cfg)
+                if metric == "sensitivity":
+                    pgd = replace(cfg.metric_cfg.pgd, seed=_derive_seed(
+                        run_seed, pair_id, sub, method, metric))
+                    value = met.evaluate(metric, model, method, X, attr,
+                                         replace(cfg.metric_cfg, pgd=pgd),
+                                         target, a_cfg)
+                else:
+                    value = next(row)
                 samples.append(met.ScoreSample(pair_id, sub, method, metric,
                                                float(value)))
 
+    # one pass groups the scores per cell and subgroup, in sample order
+    scores = {}
+    for s in samples:
+        if not math.isnan(s.value):
+            scores.setdefault((s.method, s.metric, s.subgroup),
+                              []).append(s.value)
     disparity = {}
     for method in cfg.methods:
         for metric in cfg.metrics:
-            scores_a = [s.value for s in samples
-                        if s.method == method and s.metric == metric
-                        and s.subgroup == sub_a and not math.isnan(s.value)]
-            scores_b = [s.value for s in samples
-                        if s.method == method and s.metric == metric
-                        and s.subgroup == sub_b and not math.isnan(s.value)]
             disparity[(method, metric)] = stats.disparity_test(
-                stats.SubgroupScores(metric, method, scores_a, scores_b,
+                stats.SubgroupScores(metric, method,
+                                     scores.get((method, metric, sub_a), []),
+                                     scores.get((method, metric, sub_b), []),
                                      sub_a, sub_b),
                 alpha=cfg.alpha, d_threshold=cfg.d_threshold)
 
@@ -241,11 +282,6 @@ def _subgroup_class(sub, labels, label_idx, fallback):
         if lab.upper() == sub.upper():
             return label_idx[lab]
     return fallback
-
-
-def _metric_cfg_with_seed(metric_cfg, seed):
-    return replace(metric_cfg, soft_seed=seed,
-                   pgd=replace(metric_cfg.pgd, seed=seed))
 
 
 def run_audit(records, cfg):

@@ -321,19 +321,3 @@ class TestDispatchAndIO:
             assert a.method == method
             assert len(a.scores) == seq.n
             assert a.tokens == seq.tokens
-
-    def test_jsonl_roundtrip(self, tmp_path, rng):
-        model = random_tiny_model(rng)
-        v = tm.build_vocab(["she runs fast"])
-        seq = tm.tokenize(v, "she runs fast")
-        rows = [("p1", "FEMALE", attrib.explain("GRAD", model, seq, 1)),
-                ("p1", "MALE", attrib.explain("SHAP", model, seq, 0))]
-        path = tmp_path / "attr.jsonl"
-        attrib.write_jsonl(rows, path)
-        back = attrib.read_jsonl(path)
-        assert len(back) == 2
-        for (pid, sub, a), (pid2, sub2, b) in zip(rows, back):
-            assert (pid, sub) == (pid2, sub2)
-            assert a.method == b.method and a.tokens == b.tokens
-            assert a.target_class == b.target_class
-            assert np.allclose(a.scores, b.scores, atol=1e-12)

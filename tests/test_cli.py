@@ -176,6 +176,13 @@ class TestErrorMapping:
                                 "--methods", "ANCHOR"], capsys)
         assert code == 1
 
+    def test_duplicate_method_exit_1(self, none_dataset, tmp_path, capsys):
+        code, _, err = run_cli(["audit", "--dataset", none_dataset,
+                                "--out", str(tmp_path / "rep"),
+                                "--methods", "GXI,gxi"], capsys)
+        assert code == 1
+        assert "duplicate methods" in err
+
     def test_numerical_failure_exit_3(self, none_dataset, tmp_path, capsys,
                                       monkeypatch):
         def failing_audit(records, cfg):

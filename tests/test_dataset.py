@@ -89,29 +89,6 @@ class TestLoadUnpaired:
             ds.load_unpaired(path)
 
 
-class TestCompasRowToText:
-    def test_full_row(self):
-        row = {"priors": 3, "score_factor": 1, "under_45": True,
-               "under_25": False, "race": "African-American",
-               "sex": "Female", "misdemeanor": True}
-        assert ds.compas_row_to_text(row) == \
-            "3 priors, score factor 1, under 45, African-American, " \
-            "Female, misdemeanor"
-
-    def test_string_booleans(self):
-        row = {"priors": "0", "score_factor": "0", "under_45": "1",
-               "under_25": "1", "race": "Caucasian", "sex": "Male",
-               "misdemeanor": "0"}
-        assert ds.compas_row_to_text(row) == \
-            "0 priors, score factor 0, under 45, under 25, Caucasian, Male"
-
-    def test_missing_sex(self):
-        row = {"priors": 1, "score_factor": 0, "under_45": 0,
-               "under_25": 0, "race": "Other"}
-        with pytest.raises(DataError, match="sex"):
-            ds.compas_row_to_text(row)
-
-
 class TestSplit:
     def test_balanced_unpaired_counts(self):
         records = [ds.UnpairedRecord(f"text {i}", "MALE", "high")

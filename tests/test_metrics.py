@@ -131,6 +131,31 @@ class TestSoftMetrics:
         assert c == pytest.approx(1.0 - s, abs=1e-12)
 
 
+class TestScoreInput:
+    @pytest.mark.parametrize("model", [
+        LinearPooledModel([0.2, -0.1, 0.05], base=0.5), ConstantModel(0.7)])
+    @pytest.mark.parametrize("metrics", [
+        met.BATCHED_METRICS, ("soft_sufficiency", "gini", "sufficiency")])
+    def test_batch_matches_one_attribution_calls(self, model, metrics, rng):
+        X = indicator_embeddings(3)
+        attrs = [_attr(rng.uniform(-1, 1, 3)) for _ in range(4)]
+        cfg = met.MetricConfig(soft_samples=8)
+        seeds = [[10 * k + i for i in range(len(metrics))]
+                 for k in range(len(attrs))]
+        got = met.score_input(model, X, attrs, metrics, cfg, 1, seeds)
+        assert len(got) == len(attrs)
+        for k, attr in enumerate(attrs):
+            for i, metric in enumerate(metrics):
+                one = met.MetricConfig(soft_samples=8, soft_seed=seeds[k][i])
+                want = met.evaluate(metric, model, "GXI", X, attr, one, 1)
+                assert got[k][i] == pytest.approx(want, abs=1e-12)
+
+    def test_sensitivity_not_batched(self, rng):
+        with pytest.raises(ConfigError, match="sensitivity"):
+            met.score_input(random_tiny_model(rng), np.ones((2, 3)),
+                            [_attr([1, 0])], ("sensitivity",))
+
+
 class TestSparsity:
     def test_direct_count(self):
         assert met.sparsity(_attr([0.5, 0.05, -0.2, 0.0])) == 0.5

@@ -2,11 +2,14 @@ import filecmp
 import json
 import math
 import os
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
+from explaudit import attribution as attrib
 from explaudit import dataset as ds
+from explaudit import metrics as met
 from explaudit import pipeline
 from explaudit import stats
 from explaudit import textmodel as tm
@@ -33,6 +36,7 @@ class TestAuditConfig:
     @pytest.mark.parametrize("kwargs", [
         {"runs": 0}, {"methods": ()}, {"metrics": ()},
         {"methods": ("GRAD", "ANCHOR")}, {"metrics": ("gini", "auc")},
+        {"methods": ("GXI", "gxi")}, {"metrics": ("sparsity", "sparsity")},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -62,6 +66,44 @@ class TestRunSingleAudit:
         n_test_inputs = len({(s.pair_id, s.subgroup) for s in run.samples})
         assert run.explain_calls == 2 * n_test_inputs
         assert len(run.samples) == 4 * n_test_inputs
+
+    def test_batched_scores_match_single_cell_evaluate(self):
+        # every cell of the batched per-input scoring equals a one-cell
+        # met.evaluate with that cell's derived seed as its soft seed
+        records = ds.generate_synthetic_paired(10, "LENGTH", seed=5)
+        attr_cfg = attrib.AttributionConfig(ig_steps=4, lime_samples=32,
+                                            shap_samples=64)
+        cfg = _fast_cfg(methods=attrib.METHODS,
+                        metrics=pipeline.DEFAULT_METRICS, attr_cfg=attr_cfg)
+        run = pipeline.run_single_audit(records, cfg, run_seed=6)
+
+        prep = pipeline.prepare_run(records, 6, cfg.split_ratio)
+        model = tm.init_model(len(prep.vocab), cfg.model_cfg, seed=6)
+        model, _ = tm.train(model, prep.train_data,
+                            replace(cfg.train_cfg, seed=6))
+        expected = []
+        for pair_id, sub, text, _ in prep.test_items:
+            seq = tm.tokenize(prep.vocab, text)
+            X = tm.embed(model, seq)
+            target = tm.forward(model, X).predicted_class
+            for method in cfg.methods:
+                a_cfg = replace(attr_cfg, seed=pipeline._derive_seed(
+                    6, pair_id, sub, method))
+                attr = attrib.explain(method, model, seq, target, a_cfg)
+                for metric in cfg.metrics:
+                    m_cfg = met.MetricConfig(soft_seed=pipeline._derive_seed(
+                        6, pair_id, sub, method, metric))
+                    expected.append((pair_id, sub, method, metric,
+                                     met.evaluate(metric, model, method, X,
+                                                  attr, m_cfg, target)))
+        assert len({tm.tokenize(prep.vocab, text).n
+                    for _, _, text, _ in prep.test_items}) > 1
+        assert len(run.samples) == len(expected) == 36 * len(prep.test_items)
+        for s, (pair_id, sub, method, metric, value) in zip(run.samples,
+                                                            expected):
+            assert (s.pair_id, s.subgroup, s.method, s.metric) == \
+                (pair_id, sub, method, metric)
+            assert s.value == pytest.approx(value, abs=1e-12)
 
     def test_tied_embeddings_null(self):
         # weight tying makes paired variants tokenize identically, so all
