@@ -9,6 +9,7 @@ that robustness search can re-explain perturbed inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,8 +57,8 @@ def _resolve_input(model, seq):
 
 def _masked_probs(model, X, masks, target):
     """Model probability of target for each binary token mask (rows)."""
-    n = X.shape[0]
-    pooled = (masks @ X) / n
+    pooled = masks @ X
+    pooled /= X.shape[0]
     probs, _ = textmodel.forward_pooled(model, pooled)
     return probs[:, target]
 
@@ -156,11 +157,14 @@ def _shap_kernel_weight(n, k):
     return (n - 1) / (math.comb(n, k) * k * (n - k))
 
 
+@functools.lru_cache(maxsize=None)
 def _exact_coalitions(n):
     """All 2^n - 2 proper coalitions as 0/1 rows with their kernel weights.
 
     Rows are ordered by size, and within a size as ``combinations(range(n),
     k)`` lists them: by descending bit code with token 0 as the top bit.
+    Built once per n (n is at most log2 of the sample budget) and shared,
+    so both arrays are read-only.
     """
     codes = np.arange(2**n - 2, 0, -1)
     bits = (codes[:, None] >> np.arange(n - 1, -1, -1)) & 1
@@ -168,7 +172,9 @@ def _exact_coalitions(n):
     order = np.argsort(size, kind="stable")
     size_w = np.array([np.nan] + [_shap_kernel_weight(n, k)
                                   for k in range(1, n)])
-    return bits[order].astype(float), size_w[size[order]]
+    Z, w = bits[order].astype(float), size_w[size[order]]
+    Z.flags.writeable = w.flags.writeable = False
+    return Z, w
 
 
 def _sampled_coalitions(n, samples, rng):

@@ -200,32 +200,21 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
     model = tm.init_model(len(prep.vocab), cfg.model_cfg, seed=run_seed)
     model, train_log = tm.train(model, prep.train_data, train_cfg)
 
-    predictions = []
-    correct = 0
-    for pair_id, sub, text, lab in test_items:
-        pred = tm.predict(model, prep.vocab, text)
-        correct += int(pred.predicted_class == label_idx[lab])
-        predictions.append(stats.LabeledPrediction(
-            subgroup=sub, true_label=label_idx[lab],
-            predicted_label=pred.predicted_class, probs=pred.probs,
-            pair_id=pair_id if prep.paired else None))
-    test_accuracy = correct / len(test_items)
-
-    # label convention for TPR/TNR: subgroup A's own label when the task is
-    # gender classification, else fall back to class indices 0/1
-    bias = stats.bias_analysis(
-        predictions, sub_a, sub_b,
-        positive_class=_subgroup_class(sub_a, prep.labels, label_idx, 0),
-        negative_class=_subgroup_class(sub_b, prep.labels, label_idx, 1))
-
     use_gold = cfg.metric_cfg.use_gold_label
     batched = tuple(m for m in cfg.metrics if m in met.BATCHED_METRICS)
+    predictions = []
+    correct = 0
     samples = []
     explain_calls = 0
     for pair_id, sub, text, lab in test_items:
         seq = tm.tokenize(prep.vocab, text)
         X = tm.embed(model, seq)
         pred = tm.forward(model, X)
+        correct += int(pred.predicted_class == label_idx[lab])
+        predictions.append(stats.LabeledPrediction(
+            subgroup=sub, true_label=label_idx[lab],
+            predicted_label=pred.predicted_class, probs=pred.probs,
+            pair_id=pair_id if prep.paired else None))
         target = label_idx[lab] if use_gold else pred.predicted_class
         attrs, a_cfgs = [], []
         for method in cfg.methods:
@@ -254,6 +243,14 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
                     value = next(row)
                 samples.append(met.ScoreSample(pair_id, sub, method, metric,
                                                float(value)))
+    test_accuracy = correct / len(test_items)
+
+    # label convention for TPR/TNR: subgroup A's own label when the task is
+    # gender classification, else fall back to class indices 0/1
+    bias = stats.bias_analysis(
+        predictions, sub_a, sub_b,
+        positive_class=_subgroup_class(sub_a, prep.labels, label_idx, 0),
+        negative_class=_subgroup_class(sub_b, prep.labels, label_idx, 1))
 
     # one pass groups the scores per cell and subgroup, in sample order
     scores = {}

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -163,9 +163,38 @@ def embed(model, seq):
 
 
 def _softmax(logits):
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, into a new array.
+
+    The row max and row sum run over the class columns one at a time,
+    which is cheaper than a numpy reduction over a short axis. For fewer
+    than 8 classes numpy adds in that same order, so the bits equal
+    ``e / e.sum(axis=-1)``.
+    """
+    classes = range(1, logits.shape[-1])
+    top = logits[..., 0].copy()
+    for j in classes:
+        np.maximum(top, logits[..., j], out=top)
+    e = logits - top[..., None]
+    np.exp(e, out=e)
+    total = e[..., 0].copy()
+    for j in classes:
+        total += e[..., j]
+    e /= total[..., None]
+    return e
+
+
+def _hidden_logits(pooled, w1, b1, w2, b2):
+    """tanh hidden layer and logits, computed in one (rows, h) buffer.
+
+    A second live (rows, h) temporary would land on fresh pages on large
+    batches and cost page faults; in place, the bits are the same.
+    """
+    hidden = pooled @ w1
+    hidden += b1
+    np.tanh(hidden, out=hidden)
+    logits = hidden @ w2
+    logits += b2
+    return hidden, logits
 
 
 def forward_pooled(model, pooled):
@@ -179,8 +208,8 @@ def forward_pooled(model, pooled):
     custom = getattr(model, "pooled_forward", None)
     if custom is not None:
         return custom(pooled)
-    hidden = np.tanh(pooled @ model.w1 + model.b1)
-    logits = hidden @ model.w2 + model.b2
+    _, logits = _hidden_logits(pooled, model.w1, model.b1, model.w2,
+                               model.b2)
     return _softmax(logits), logits
 
 
@@ -204,8 +233,9 @@ def pooled_grad(model, pooled, target_class):
     mean-pools its input, so every token of an (n, d) input X has the
     gradient ``pooled_grad(model, X.mean(axis=0), target) / n``.
     """
-    hidden = np.tanh(pooled @ model.w1 + model.b1)
-    probs = _softmax(hidden @ model.w2 + model.b2)
+    hidden, logits = _hidden_logits(pooled, model.w1, model.b1, model.w2,
+                                    model.b2)
+    probs = _softmax(logits)
     # d p_t / d logits = p_t * (onehot_t - p)
     dlogits = probs[..., target_class, None] * (
         np.eye(probs.shape[-1])[target_class] - probs)
@@ -278,7 +308,8 @@ def train(model, data, cfg):
     """Train on (TokenSeq, label) pairs with AdamW; returns (model, log).
 
     Deterministic given cfg.seed. The input model is not modified; the
-    returned model holds the trained parameters.
+    returned model holds the trained parameters. Raises NumericalError
+    when training leaves a parameter non-finite.
     """
     if cfg.epochs < 1:
         raise ConfigError("epochs must be >= 1")
@@ -289,12 +320,24 @@ def train(model, data, cfg):
     if len(labels_present) < 2:
         raise DataError("training data must contain both classes")
 
-    params = {k: v.copy() for k, v in model.params().items()}
-    m_state = {k: np.zeros_like(v) for k, v in params.items()}
-    v_state = {k: np.zeros_like(v) for k, v in params.items()}
+    # parameters, gradients and both AdamW moments are flat buffers, with
+    # one view per parameter, so one elementwise update covers them all
+    init = model.params()
+    theta = np.concatenate([v.ravel() for v in init.values()])
+    grad, m_state, v_state = (np.zeros_like(theta) for _ in range(3))
+    params, grads, offset = {}, {}, 0
+    for k, v in init.items():
+        params[k] = theta[offset:offset + v.size].reshape(v.shape)
+        grads[k] = grad[offset:offset + v.size].reshape(v.shape)
+        offset += v.size
+    V, d = init["emb"].shape
     rng = np.random.default_rng(cfg.seed)
     b1c, b2c = cfg.betas
 
+    # padded once; a batch's rows, cut to its longest input, are the
+    # arrays _batch_arrays would build for that batch alone
+    all_ids, all_mask, all_lengths, all_y = _batch_arrays(
+        [s for s, _ in data], [l for _, l in data])
     n_batches = (len(data) + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * n_batches
     step = 0
@@ -304,51 +347,60 @@ def train(model, data, cfg):
         epoch_loss = 0.0
         correct = 0
         for start in range(0, len(data), cfg.batch_size):
-            batch = [data[i] for i in order[start:start + cfg.batch_size]]
-            ids, mask, lengths, y = _batch_arrays(
-                [s for s, _ in batch], [l for _, l in batch])
-            B = len(batch)
+            rows = order[start:start + cfg.batch_size]
+            lengths, y = all_lengths[rows], all_y[rows]
+            max_len = lengths.max()
+            ids, mask = all_ids[rows, :max_len], all_mask[rows, :max_len]
+            B = len(rows)
 
             pooled = (params["emb"][ids] * mask[:, :, None]).sum(axis=1)
             pooled /= lengths[:, None]
-            hidden = np.tanh(pooled @ params["w1"] + params["b1"])
-            logits = hidden @ params["w2"] + params["b2"]
+            hidden, logits = _hidden_logits(pooled, params["w1"],
+                                            params["b1"], params["w2"],
+                                            params["b2"])
             probs = _softmax(logits)
             p_true = probs[np.arange(B), y]
             epoch_loss += float(-np.log(np.clip(p_true, 1e-12, None)).sum())
             correct += int((probs.argmax(axis=1) == y).sum())
 
-            dlogits = probs.copy()
+            dlogits = probs  # updated in place from here on
             dlogits[np.arange(B), y] -= 1.0
             dlogits /= B
-            grads = {
-                "w2": hidden.T @ dlogits,
-                "b2": dlogits.sum(axis=0),
-            }
+            grads["w2"][...] = hidden.T @ dlogits
+            grads["b2"][...] = dlogits.sum(axis=0)
             dpre = (dlogits @ params["w2"].T) * (1.0 - hidden**2)
-            grads["w1"] = pooled.T @ dpre
-            grads["b1"] = dpre.sum(axis=0)
+            grads["w1"][...] = pooled.T @ dpre
+            grads["b1"][...] = dpre.sum(axis=0)
             dpooled = (dpre @ params["w1"].T) / lengths[:, None]
-            demb = np.zeros_like(params["emb"])
-            np.add.at(demb, ids.ravel(),
-                      (dpooled[:, None, :] * mask[:, :, None])
-                      .reshape(-1, demb.shape[1]))
-            grads["emb"] = demb
+            # bincount adds each (row, column) bin's terms in input order,
+            # the order of a row-by-row scatter-add
+            grads["emb"][...] = np.bincount(
+                (ids[:, :, None] * d + np.arange(d)).ravel(),
+                weights=(dpooled[:, None, :] * mask[:, :, None]).ravel(),
+                minlength=V * d).reshape(V, d)
 
             step += 1
             lr = _lr_at(step, total_steps, cfg)
-            for k in params:
-                g = grads[k]
-                m_state[k] = b1c * m_state[k] + (1 - b1c) * g
-                v_state[k] = b2c * v_state[k] + (1 - b2c) * g**2
-                m_hat = m_state[k] / (1 - b1c**step)
-                v_hat = v_state[k] / (1 - b2c**step)
-                params[k] -= lr * (m_hat / (np.sqrt(v_hat) + cfg.eps)
-                                   + cfg.weight_decay * params[k])
+            m_state *= b1c
+            m_state += (1 - b1c) * grad
+            v_state *= b2c
+            v_state += (1 - b2c) * grad**2
+            denom = np.sqrt(v_state / (1 - b2c**step))
+            denom += cfg.eps
+            update = m_state / (1 - b1c**step)
+            update /= denom
+            update += cfg.weight_decay * theta
+            update *= lr
+            theta -= update
         log.append({"epoch": epoch, "loss": epoch_loss / len(data),
                     "accuracy": correct / len(data)})
 
-    trained = ClassifierModel(config=model.config, **params)
+    if not np.all(np.isfinite(theta)):
+        raise NumericalError(
+            "training diverged: non-finite model parameters "
+            f"(final epoch loss {log[-1]['loss']})")
+    trained = ClassifierModel(config=model.config,
+                              **{k: v.copy() for k, v in params.items()})
     return trained, log
 
 

@@ -168,6 +168,96 @@ def exact_soft_value(model, X, retain_q, target, kind):
     return expected_drop
 
 
+def reference_softmax(logits):
+    """Softmax as first written: numpy reductions over the class axis."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_forward_pooled(model, pooled):
+    """The MLP forward formula as first written, one temporary per step."""
+    hidden = np.tanh(pooled @ model.w1 + model.b1)
+    logits = hidden @ model.w2 + model.b2
+    return reference_softmax(logits), logits
+
+
+def reference_pooled_grad(model, pooled, target_class):
+    """``tm.pooled_grad`` as first written."""
+    hidden = np.tanh(pooled @ model.w1 + model.b1)
+    probs = reference_softmax(hidden @ model.w2 + model.b2)
+    dlogits = probs[..., target_class, None] * (
+        np.eye(probs.shape[-1])[target_class] - probs)
+    return ((dlogits @ model.w2.T) * (1.0 - hidden**2)) @ model.w1.T
+
+
+def reference_train(model, data, cfg):
+    """The training loop as first written: each batch padded on its own,
+    the embedding gradient by ``np.add.at`` and one AdamW update per
+    parameter. ``tm.train`` must reproduce it bit for bit."""
+    data = list(data)
+    params = {k: v.copy() for k, v in model.params().items()}
+    m_state = {k: np.zeros_like(v) for k, v in params.items()}
+    v_state = {k: np.zeros_like(v) for k, v in params.items()}
+    rng = np.random.default_rng(cfg.seed)
+    b1c, b2c = cfg.betas
+    n_batches = (len(data) + cfg.batch_size - 1) // cfg.batch_size
+    total_steps = cfg.epochs * n_batches
+    step = 0
+    log = []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(data))
+        epoch_loss = 0.0
+        correct = 0
+        for start in range(0, len(data), cfg.batch_size):
+            batch = [data[i] for i in order[start:start + cfg.batch_size]]
+            lengths = np.array([s.n for s, _ in batch])
+            ids = np.zeros((len(batch), lengths.max()), dtype=np.int64)
+            mask = np.zeros((len(batch), lengths.max()))
+            for i, (s, _) in enumerate(batch):
+                ids[i, :s.n] = s.ids
+                mask[i, :s.n] = 1.0
+            y = np.asarray([lbl for _, lbl in batch], dtype=np.int64)
+            B = len(batch)
+
+            pooled = (params["emb"][ids] * mask[:, :, None]).sum(axis=1)
+            pooled /= lengths[:, None]
+            hidden = np.tanh(pooled @ params["w1"] + params["b1"])
+            logits = hidden @ params["w2"] + params["b2"]
+            probs = reference_softmax(logits)
+            p_true = probs[np.arange(B), y]
+            epoch_loss += float(-np.log(np.clip(p_true, 1e-12, None)).sum())
+            correct += int((probs.argmax(axis=1) == y).sum())
+
+            dlogits = probs.copy()
+            dlogits[np.arange(B), y] -= 1.0
+            dlogits /= B
+            grads = {"w2": hidden.T @ dlogits, "b2": dlogits.sum(axis=0)}
+            dpre = (dlogits @ params["w2"].T) * (1.0 - hidden**2)
+            grads["w1"] = pooled.T @ dpre
+            grads["b1"] = dpre.sum(axis=0)
+            dpooled = (dpre @ params["w1"].T) / lengths[:, None]
+            demb = np.zeros_like(params["emb"])
+            np.add.at(demb, ids.ravel(),
+                      (dpooled[:, None, :] * mask[:, :, None])
+                      .reshape(-1, demb.shape[1]))
+            grads["emb"] = demb
+
+            step += 1
+            lr = tm._lr_at(step, total_steps, cfg)
+            for k in params:
+                g = grads[k]
+                m_state[k] = b1c * m_state[k] + (1 - b1c) * g
+                v_state[k] = b2c * v_state[k] + (1 - b2c) * g**2
+                m_hat = m_state[k] / (1 - b1c**step)
+                v_hat = v_state[k] / (1 - b2c**step)
+                params[k] -= lr * (m_hat / (np.sqrt(v_hat) + cfg.eps)
+                                   + cfg.weight_decay * params[k])
+        log.append({"epoch": epoch, "loss": epoch_loss / len(data),
+                    "accuracy": correct / len(data)})
+    return tm.ClassifierModel(config=model.config, **params), log
+
+
 def exact_u_distribution_p(a, b):
     """Two-sided exact Mann-Whitney p via full enumeration of rank
     assignments (tie-free inputs only)."""

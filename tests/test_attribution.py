@@ -232,6 +232,13 @@ class TestKernelShap:
             assert np.array_equal(Z, Z_ref)
             assert np.array_equal(w, w_ref)
 
+    def test_exact_coalitions_cached_read_only(self):
+        Z, w = attrib._exact_coalitions(6)
+        assert attrib._exact_coalitions(6)[0] is Z
+        assert not Z.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            Z[0, 0] = 1.0
+
     def test_sampled_rows_have_drawn_size(self):
         for n in (3, 12, 14, 18):
             Z = attrib._sampled_coalitions(n, 2048,

@@ -13,7 +13,7 @@ from explaudit import metrics as met
 from explaudit import pipeline
 from explaudit import stats
 from explaudit import textmodel as tm
-from explaudit.errors import ConfigError, DataError
+from explaudit.errors import ConfigError, DataError, NumericalError
 
 
 def _fast_cfg(**kwargs):
@@ -119,6 +119,15 @@ class TestRunSingleAudit:
         for values in by_key.values():
             assert values["MALE"] == values["FEMALE"]
         assert not any(r.significant for r in run.disparity.values())
+
+    def test_diverged_training_raises_numerical_error(self):
+        # a diverged model used to stop later, in prediction, with a
+        # DataError about its input embeddings
+        records = ds.generate_synthetic_paired(10, "LENGTH", seed=0)
+        cfg = _fast_cfg(train_cfg=tm.TrainConfig(
+            epochs=5, warmup_steps=1, learning_rate=1e300))
+        with pytest.raises(NumericalError, match="non-finite"):
+            pipeline.run_single_audit(records, cfg, run_seed=0)
 
     def test_single_label_rejected(self):
         records = [ds.UnpairedRecord(f"text number {i}", "MALE", "x")

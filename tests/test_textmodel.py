@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import finite_diff_embedding_grad, random_tiny_model
+from conftest import (finite_diff_embedding_grad, random_tiny_model,
+                      reference_forward_pooled, reference_pooled_grad,
+                      reference_train)
 from explaudit import textmodel as tm
-from explaudit.errors import ConfigError, DataError
+from explaudit.errors import ConfigError, DataError, NumericalError
 
 
 class TestVocab:
@@ -180,6 +182,86 @@ class TestTrain:
         tm.train(m0, data, tm.TrainConfig(epochs=2, warmup_steps=5))
         for k, p in m0.params().items():
             assert np.array_equal(p, before[k])
+
+
+def _mixed_length_task(n_items=50, n_classes=2, seed=0):
+    """Inputs of 1-14 tokens, so batches pad to different lengths."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(30)]
+    v = tm.build_vocab([" ".join(words)])
+    data = [(tm.tokenize(v, " ".join(rng.choice(words, rng.integers(1, 15)))),
+             i % n_classes) for i in range(n_items)]
+    return v, data
+
+
+class TestTrainMatchesReference:
+    """The padded-once, bincount, flat-AdamW loop gives the reference
+    loop's parameters and log bit for bit."""
+
+    @pytest.mark.parametrize("task, n_classes", [
+        ("separable", 2), ("mixed", 2), ("mixed", 3)])
+    def test_bit_identical(self, task, n_classes):
+        if task == "separable":
+            v, data = _separable_task()
+        else:
+            v, data = _mixed_length_task(n_classes=n_classes)
+        # 40 or 50 items in batches of 32: the last batch is short; the
+        # schedule warms up, then decays to zero
+        cfg = tm.TrainConfig(epochs=6, warmup_steps=4, seed=5)
+        model = tm.init_model(len(v), tm.ModelConfig(n_classes=n_classes),
+                              seed=5)
+        trained, log = tm.train(model, data, cfg)
+        ref, ref_log = reference_train(model, data, cfg)
+        assert log == ref_log
+        for k, p in ref.params().items():
+            assert np.array_equal(trained.params()[k], p)
+            assert trained.params()[k].flags.owndata
+
+    def test_diverged_training_raises(self):
+        v, data = _mixed_length_task()
+        cfg = tm.TrainConfig(epochs=3, warmup_steps=1, learning_rate=1e300)
+        with pytest.raises(NumericalError, match="non-finite"):
+            tm.train(tm.init_model(len(v)), data, cfg)
+
+
+def _mlp(rng, d=16, h=32, n_classes=2):
+    return tm.ClassifierModel(
+        emb=rng.normal(size=(4, d)), w1=rng.normal(size=(d, h)),
+        b1=rng.normal(size=h), w2=rng.normal(size=(h, n_classes)),
+        b2=rng.normal(size=n_classes),
+        config=tm.ModelConfig(d, h, n_classes))
+
+
+class TestForwardMatchesReference:
+    """The in-place forward and the column-loop softmax give the reference
+    formula's bits."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 4, 7, 2046, 2048])
+    def test_batched_rows(self, rng, rows):
+        model = _mlp(rng)
+        pooled = rng.normal(size=(rows, 16))
+        probs, logits = tm.forward_pooled(model, pooled)
+        ref_probs, ref_logits = reference_forward_pooled(model, pooled)
+        assert np.array_equal(probs, ref_probs)
+        assert np.array_equal(logits, ref_logits)
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_single_vector_and_classes(self, rng, n_classes):
+        model = _mlp(rng, n_classes=n_classes)
+        for pooled in (rng.normal(size=16), rng.normal(size=(7, 16))):
+            probs, logits = tm.forward_pooled(model, pooled)
+            ref_probs, ref_logits = reference_forward_pooled(model, pooled)
+            assert probs.shape == pooled.shape[:-1] + (n_classes,)
+            assert np.array_equal(probs, ref_probs)
+            assert np.array_equal(logits, ref_logits)
+
+    def test_pooled_grad(self, rng):
+        model = _mlp(rng, n_classes=3)
+        pooled = rng.normal(size=(9, 16))
+        for target in range(3):
+            assert np.array_equal(
+                tm.pooled_grad(model, pooled, target),
+                reference_pooled_grad(model, pooled, target))
 
 
 class TestPredictAndPersistence:
