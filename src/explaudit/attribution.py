@@ -104,8 +104,23 @@ def ig_x_input(model, seq, target, cfg=None):
 MAX_RIDGE_DOUBLINGS = 64
 
 
-def _weighted_ridge(Z, y, w, ridge):
-    """Weighted ridge regression with unpenalized intercept.
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _normal_matrices(Z, w):
+    """``(A.T * w, A.T * w @ A)`` for the design ``A = [1 | Z]`` of a
+    weighted regression with intercept."""
+    A = np.column_stack([np.ones(len(Z)), Z])
+    AtW = A.T * w
+    return AtW, AtW @ A
+
+
+def _weighted_ridge(AtW, gram, y, ridge):
+    """Weighted ridge regression with unpenalized intercept, from the
+    normal matrices of ``_normal_matrices``.
 
     Returns the coefficient vector (without the intercept). Doubles the
     ridge strength until the normal equations are well conditioned, at
@@ -114,12 +129,8 @@ def _weighted_ridge(Z, y, w, ridge):
     """
     if not np.all(np.isfinite(y)):
         raise NumericalError("non-finite model output in surrogate fit")
-    n = Z.shape[1]
-    A = np.column_stack([np.ones(len(Z)), Z])
-    AtW = A.T * w
-    gram = AtW @ A
     rhs = AtW @ y
-    penalty = np.eye(n + 1)
+    penalty = np.eye(len(gram))
     penalty[0, 0] = 0.0
     for _ in range(MAX_RIDGE_DOUBLINGS + 1):
         try:
@@ -134,23 +145,39 @@ def _weighted_ridge(Z, y, w, ridge):
         "ridge doublings")
 
 
-def lime(model, seq, target, cfg=None):
+class LimeDesign:
+    """LIME's input-independent arrays for one (n, cfg), all read-only:
+    masks ``Z`` and kernel weights ``w``, and the ridge normal matrices,
+    built at the first fit (after its masked forward)."""
+
+    method = "LIME"
+
+    def __init__(self, n, cfg):
+        self.n, self.cfg = n, cfg
+        rng = np.random.default_rng(cfg.seed)
+        Z = (rng.random((cfg.lime_samples, n)) < 0.5).astype(float)
+        width = cfg.lime_kernel_width or 0.75 * math.sqrt(n)
+        dist = n - Z.sum(axis=1)
+        self.Z, self.w = _read_only(Z, np.exp(-(dist**2) / width**2))
+        self.normal = None  # (AtW, gram)
+
+    def fit(self, y):
+        """Surrogate coefficients for the masked probabilities ``y``."""
+        if self.normal is None:
+            self.normal = _read_only(*_normal_matrices(self.Z, self.w))
+        return _weighted_ridge(*self.normal, y, self.cfg.ridge)
+
+
+def lime(model, seq, target, cfg=None, design=None):
     """LIME with Bernoulli(0.5) token masks and an exponential kernel.
 
     Mask distance is the Hamming distance to the all-ones mask; masked
     tokens have their embedding rows zeroed.
     """
-    cfg = cfg or AttributionConfig()
     X, tokens = _resolve_input(model, seq)
-    n = X.shape[0]
-    rng = np.random.default_rng(cfg.seed)
-    Z = (rng.random((cfg.lime_samples, n)) < 0.5).astype(float)
-    width = cfg.lime_kernel_width or 0.75 * math.sqrt(n)
-    dist = n - Z.sum(axis=1)
-    w = np.exp(-(dist**2) / width**2)
-    y = _masked_probs(model, X, Z, target)
-    coef = _weighted_ridge(Z, y, w, cfg.ridge)
-    return Attribution("LIME", tokens, coef, target)
+    design = _checked_design("LIME", X.shape[0], cfg, design)
+    y = _masked_probs(model, X, design.Z, target)
+    return Attribution("LIME", tokens, design.fit(y), target)
 
 
 def _shap_kernel_weight(n, k):
@@ -172,9 +199,7 @@ def _exact_coalitions(n):
     order = np.argsort(size, kind="stable")
     size_w = np.array([np.nan] + [_shap_kernel_weight(n, k)
                                   for k in range(1, n)])
-    Z, w = bits[order].astype(float), size_w[size[order]]
-    Z.flags.writeable = w.flags.writeable = False
-    return Z, w
+    return _read_only(bits[order].astype(float), size_w[size[order]])
 
 
 def _sampled_coalitions(n, samples, rng):
@@ -192,7 +217,43 @@ def _sampled_coalitions(n, samples, rng):
     return Z
 
 
-def kernel_shap(model, seq, target, cfg=None):
+class ShapDesign:
+    """KernelSHAP's input-independent arrays for one (n, cfg), all
+    read-only: coalitions ``Z`` and weights ``w`` (see ``kernel_shap``),
+    and ``Z.T * w`` and the KKT matrix, built at the first fit (after its
+    masked forward)."""
+
+    method = "SHAP"
+
+    def __init__(self, n, cfg):
+        self.n, self.cfg = n, cfg
+        if 2**n - 2 <= cfg.shap_samples:
+            self.Z, self.w = _exact_coalitions(n)
+        else:
+            self.Z, self.w = _read_only(
+                _sampled_coalitions(n, cfg.shap_samples,
+                                    np.random.default_rng(cfg.seed)),
+                np.ones(cfg.shap_samples))
+        self.kkt = None  # (Z.T * w, KKT matrix)
+
+    def fit(self, y, delta):
+        """Shapley estimates for coalition values ``y`` (less f(empty))
+        that sum to ``delta`` exactly."""
+        n = self.n
+        if self.kkt is None:
+            ZtW = self.Z.T * self.w
+            gram = ZtW @ self.Z + 1e-10 * np.eye(n)
+            # minimize weighted SSE subject to 1^T phi = delta
+            kkt = np.zeros((n + 1, n + 1))
+            kkt[:n, :n] = gram
+            kkt[:n, n] = 0.5
+            kkt[n, :n] = 1.0
+            self.kkt = _read_only(ZtW, kkt)
+        ZtW, kkt = self.kkt
+        return np.linalg.solve(kkt, np.append(ZtW @ y, delta))[:n]
+
+
+def kernel_shap(model, seq, target, cfg=None, design=None):
     """KernelSHAP with the efficiency constraint enforced exactly.
 
     Proper coalitions are enumerated exhaustively when the sampling budget
@@ -204,7 +265,6 @@ def kernel_shap(model, seq, target, cfg=None):
     constrained weighted least squares is solved via its KKT system so
     that sum(scores) = f(x) - f(empty) holds exactly.
     """
-    cfg = cfg or AttributionConfig()
     X, tokens = _resolve_input(model, seq)
     n = X.shape[0]
     full = _masked_probs(model, X, np.ones((1, n)), target)[0]
@@ -212,25 +272,30 @@ def kernel_shap(model, seq, target, cfg=None):
     delta = full - empty
     if n == 1:
         return Attribution("SHAP", tokens, np.array([delta]), target)
+    design = _checked_design("SHAP", n, cfg, design)
+    y = _masked_probs(model, X, design.Z, target) - empty
+    return Attribution("SHAP", tokens, design.fit(y, delta), target)
 
-    if 2**n - 2 <= cfg.shap_samples:
-        Z, w = _exact_coalitions(n)
-    else:
-        Z = _sampled_coalitions(n, cfg.shap_samples,
-                                np.random.default_rng(cfg.seed))
-        w = np.ones(cfg.shap_samples)
 
-    y = _masked_probs(model, X, Z, target) - empty
-    ZtW = Z.T * w
-    gram = ZtW @ Z + 1e-10 * np.eye(n)
-    rhs = ZtW @ y
-    # KKT system for: minimize weighted SSE subject to 1^T phi = delta
-    kkt = np.zeros((n + 1, n + 1))
-    kkt[:n, :n] = gram
-    kkt[:n, n] = 0.5
-    kkt[n, :n] = 1.0
-    sol = np.linalg.solve(kkt, np.append(rhs, delta))
-    return Attribution("SHAP", tokens, sol[:n], target)
+_DESIGNS = {"LIME": LimeDesign, "SHAP": ShapDesign}
+
+
+def prepare_design(method, n, cfg=None):
+    """The design ``explain`` may reuse for every n-token input of
+    ``method`` under ``cfg``, or None for the gradient methods."""
+    make = _DESIGNS.get(method.upper())
+    return make(n, cfg or AttributionConfig()) if make else None
+
+
+def _checked_design(method, n, cfg, design):
+    if design is None:
+        return prepare_design(method, n, cfg)
+    if (design.method, design.n, design.cfg) \
+            != (method, n, cfg or AttributionConfig()):
+        raise ConfigError(
+            f"{design.method} design for n={design.n} does not fit a "
+            f"{method} explanation of {n} tokens under this config")
+    return design
 
 
 def normalize_scores(attr):
@@ -250,10 +315,18 @@ _EXPLAINERS = {
 }
 
 
-def explain(method, model, seq, target, cfg=None):
-    """Dispatch by method tag (GRAD | GXI | IG | IGXI | LIME | SHAP)."""
+def explain(method, model, seq, target, cfg=None, design=None):
+    """Dispatch by method tag (GRAD | GXI | IG | IGXI | LIME | SHAP).
+
+    An optional ``prepare_design`` result for this method, input length
+    and config saves rebuilding it; it never changes the scores.
+    """
     try:
         fn = _EXPLAINERS[method.upper()]
     except KeyError:
         raise ConfigError(f"unknown attribution method: {method}") from None
-    return fn(model, seq, target, cfg)
+    if design is None:
+        return fn(model, seq, target, cfg)
+    if method.upper() not in _DESIGNS:
+        raise ConfigError(f"{method} takes no prepared design")
+    return fn(model, seq, target, cfg, design)

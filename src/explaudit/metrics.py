@@ -44,6 +44,10 @@ class PGDConfig:
             raise ConfigError("radius must be >= 0")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
+        if self.restarts < 1:
+            raise ConfigError("restarts must be >= 1")
+        if self.step_size is not None and self.step_size <= 0:
+            raise ConfigError("step_size must be > 0")
 
 
 @dataclass
@@ -144,7 +148,10 @@ def sensitivity(model, method, seq, attr, cfg=None, target=None,
     Each gradient step ascends the prediction error (descends the
     probability of the explained class), is projected back onto the radius
     ball, and the perturbed input is re-explained with the same method and
-    seed. Returns NaN when the reference explanation has zero norm.
+    seed. The re-explains share one ``attribution.prepare_design`` result
+    (LIME's masks and normal matrices, KernelSHAP's coalitions and KKT
+    matrix), built once per search; it lives only as long as the search.
+    Returns NaN when the reference explanation has zero norm.
     """
     cfg = cfg or MetricConfig()
     pgd = cfg.pgd
@@ -162,6 +169,7 @@ def sensitivity(model, method, seq, attr, cfg=None, target=None,
         return 0.0
     step_size = pgd.step_size if pgd.step_size is not None else radius / 5
 
+    design = attrib.prepare_design(method, X.shape[0], attr_cfg)
     rng = np.random.default_rng(pgd.seed)
     worst = 0.0
     for restart in range(pgd.restarts):
@@ -178,7 +186,8 @@ def sensitivity(model, method, seq, attr, cfg=None, target=None,
             d_norm = np.linalg.norm(delta)
             if d_norm > radius:
                 delta *= radius / d_norm
-            perturbed = attrib.explain(method, model, X + delta, j, attr_cfg)
+            perturbed = attrib.explain(method, model, X + delta, j, attr_cfg,
+                                       design=design)
             change = np.linalg.norm(
                 np.asarray(perturbed.scores, dtype=float) - base)
             worst = max(worst, change / base_norm)

@@ -8,6 +8,7 @@ the higher scores, and a ``*`` for considerable effect size.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -152,7 +153,8 @@ def boxplot_svg(groups, title=""):
 # Rendering a persisted report directory
 
 
-def load_report_dir(report_dir):
+def _load_summary(report_dir):
+    """Check that every report file exists; return config and aggregate."""
     required = ("config.json", "scores.csv", "aggregate.json",
                 "disparity.json", "bias.json")
     for name in required:
@@ -163,19 +165,44 @@ def load_report_dir(report_dir):
     with open(os.path.join(report_dir, "aggregate.json"),
               encoding="utf-8") as f:
         aggregate = json.load(f)
+    return config, aggregate
+
+
+def load_report_dir(report_dir):
+    config, aggregate = _load_summary(report_dir)
     samples = met.read_scores_csv(os.path.join(report_dir, "scores.csv"))
     return config, aggregate, samples
+
+
+def _scores_subgroups(report_dir):
+    """The distinct subgroup labels of scores.csv, read from that column
+    alone."""
+    with open(os.path.join(report_dir, "scores.csv"), newline="",
+              encoding="utf-8") as f:
+        rows = csv.reader(f)
+        header = next(rows, ["subgroup"])
+        if "subgroup" not in header:
+            raise DataError("malformed scores.csv: no subgroup column")
+        col = header.index("subgroup")
+        return {row[col] for row in rows if len(row) > col}
 
 
 def render(report_dir, fmt="table", out_dir=None):
     """Render a persisted report as a text grid, CSV, or SVG box plots.
 
     Returns the rendered text for 'table', or a list of written paths.
+    The table needs only the subgroup labels of scores.csv; the other
+    formats parse every score.
     """
-    config, aggregate, samples = load_report_dir(report_dir)
+    if fmt == "table":
+        config, aggregate = _load_summary(report_dir)
+        subgroups = _scores_subgroups(report_dir)
+    else:
+        config, aggregate, samples = load_report_dir(report_dir)
+        subgroups = {s.subgroup for s in samples}
     methods = config["config"]["methods"]
     metrics = config["config"]["metrics"]
-    subgroups = sorted({s.subgroup for s in samples},
+    subgroups = sorted(subgroups,
                        key=lambda s: ({dataset.SUBGROUP_A: 0,
                                        dataset.SUBGROUP_B: 1}.get(s, 2), s))
     label_a, label_b = (subgroups + ["A", "B"])[:2]

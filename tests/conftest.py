@@ -6,6 +6,8 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from explaudit import attribution as attrib
+from explaudit import metrics as met
 from explaudit import textmodel as tm
 
 
@@ -256,6 +258,43 @@ def reference_train(model, data, cfg):
         log.append({"epoch": epoch, "loss": epoch_loss / len(data),
                     "accuracy": correct / len(data)})
     return tm.ClassifierModel(config=model.config, **params), log
+
+
+def reference_sensitivity(model, method, X, attr, cfg, target,
+                          attr_cfg=None):
+    """The PGD search of ``met.sensitivity`` as first written: every step
+    re-explains the perturbed input from scratch, with no prepared
+    design. ``met.sensitivity`` must reproduce it bit for bit."""
+    pgd = cfg.pgd
+    X = np.asarray(X, dtype=float)
+    base = np.asarray(attr.scores, dtype=float)
+    base_norm = np.linalg.norm(base)
+    radius = pgd.radius
+    if radius is None:
+        radius = 0.1 * float(np.mean(np.linalg.norm(X, axis=1)))
+    step_size = pgd.step_size if pgd.step_size is not None else radius / 5
+    rng = np.random.default_rng(pgd.seed)
+    worst = 0.0
+    for restart in range(pgd.restarts):
+        if restart == 0:
+            delta = np.zeros_like(X)
+        else:
+            delta = rng.standard_normal(X.shape)
+            delta *= radius / max(np.linalg.norm(delta), 1e-12)
+        for _ in range(pgd.steps):
+            g = tm.grad_wrt_embeddings_matrix(model, X + delta, target)
+            g_norm = np.linalg.norm(g)
+            if g_norm > 0:
+                delta -= step_size * g / g_norm
+            d_norm = np.linalg.norm(delta)
+            if d_norm > radius:
+                delta *= radius / d_norm
+            perturbed = attrib.explain(method, model, X + delta, target,
+                                       attr_cfg)
+            change = np.linalg.norm(
+                np.asarray(perturbed.scores, dtype=float) - base)
+            worst = max(worst, change / base_norm)
+    return float(worst)
 
 
 def exact_u_distribution_p(a, b):

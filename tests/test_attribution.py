@@ -283,13 +283,66 @@ class TestKernelShap:
 class TestWeightedRidge:
     def test_non_finite_target_rejected(self):
         y = np.array([0.2, np.nan, 0.4, 0.1])
+        normal = attrib._normal_matrices(np.eye(4), np.ones(4))
         with pytest.raises(NumericalError, match="non-finite"):
-            attrib._weighted_ridge(np.eye(4), y, np.ones(4), 1e-3)
+            attrib._weighted_ridge(*normal, y, 1e-3)
 
     def test_unsolvable_system_gives_up(self):
         # zero weights leave the intercept unidentified for any ridge
+        normal = attrib._normal_matrices(np.eye(4), np.zeros(4))
         with pytest.raises(NumericalError, match="ridge doublings"):
-            attrib._weighted_ridge(np.eye(4), np.ones(4), np.zeros(4), 1e-3)
+            attrib._weighted_ridge(*normal, np.ones(4), 1e-3)
+
+
+class TestPreparedDesign:
+    # n = 6: KernelSHAP enumerates all coalitions; n = 13: it samples them
+    @pytest.mark.parametrize("n", [6, 13])
+    @pytest.mark.parametrize("method", ["LIME", "SHAP"])
+    def test_same_scores_with_and_without(self, rng, method, n):
+        model = random_tiny_model(rng)
+        cfg = attrib.AttributionConfig(seed=9)
+        design = attrib.prepare_design(method, n, cfg)
+        for _ in range(3):
+            X = rng.uniform(-1, 1, (n, 3))
+            plain = attrib.explain(method, model, X, 1, cfg)
+            reused = attrib.explain(method, model, X, 1, cfg, design=design)
+            assert np.array_equal(plain.scores, reused.scores)
+
+    @pytest.mark.parametrize("n", [6, 13])
+    @pytest.mark.parametrize("method", ["LIME", "SHAP"])
+    def test_arrays_read_only_and_unchanged_by_fits(self, rng, method, n):
+        model = random_tiny_model(rng)
+        design = attrib.prepare_design(method, n)
+        attrib.explain(method, model, rng.uniform(-1, 1, (n, 3)), 1,
+                       design=design)
+        lazy = design.normal if method == "LIME" else design.kkt
+        arrays = (design.Z, design.w, *lazy)
+        before = [a.copy() for a in arrays]
+        for _ in range(20):
+            attrib.explain(method, model, rng.uniform(-1, 1, (n, 3)), 1,
+                           design=design)
+        lazy_after = design.normal if method == "LIME" else design.kkt
+        assert all(a is b for a, b in zip(lazy, lazy_after))
+        for a, b in zip(arrays, before):
+            assert not a.flags.writeable
+            assert np.array_equal(a, b)
+
+    def test_gradient_methods_have_none(self):
+        for method in ("GRAD", "GXI", "IG", "IGXI"):
+            assert attrib.prepare_design(method, 4) is None
+
+    @pytest.mark.parametrize("method, n, cfg, other", [
+        ("LIME", 4, None, "SHAP"),
+        ("LIME", 5, None, "LIME"),
+        ("SHAP", 4, attrib.AttributionConfig(seed=1), "SHAP"),
+        ("SHAP", 4, None, "GRAD"),
+    ])
+    def test_mismatch_rejected(self, rng, method, n, cfg, other):
+        model = random_tiny_model(rng)
+        design = attrib.prepare_design(method, n, cfg)
+        with pytest.raises(ConfigError):
+            attrib.explain(other, model, rng.uniform(-1, 1, (4, 3)), 1,
+                           design=design)
 
 
 class TestNormalize:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (ConstantModel, LinearPooledModel, exact_soft_value,
                       indicator_embeddings, planted_token_model,
-                      random_tiny_model)
+                      reference_sensitivity, random_tiny_model)
 from explaudit import attribution as attrib
 from explaudit import metrics as met
 from explaudit.errors import ConfigError
@@ -27,7 +27,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             met.MetricConfig(**kwargs)
 
-    @pytest.mark.parametrize("kwargs", [{"radius": -1.0}, {"steps": 0}])
+    @pytest.mark.parametrize("kwargs", [
+        {"radius": -1.0}, {"steps": 0}, {"restarts": 0}, {"restarts": -1},
+        {"step_size": 0.0}, {"step_size": -0.1},
+    ])
     def test_invalid_pgd_config(self, kwargs):
         with pytest.raises(ConfigError):
             met.PGDConfig(**kwargs)
@@ -247,6 +250,30 @@ class TestSensitivity:
         v_big = met.sensitivity(model, "GXI", X, a, big)
         v_small = met.sensitivity(model, "GXI", X, a, small)
         assert v_big > v_small
+
+
+class TestSensitivityDesignReuse:
+    """The PGD search shares one prepared design across its re-explains;
+    it must give the bits of re-explaining from scratch at every step."""
+
+    @pytest.mark.parametrize("n", [6, 13])  # SHAP exact / sampled
+    @pytest.mark.parametrize("hook", [False, True])
+    @pytest.mark.parametrize("method", attrib.METHODS)
+    def test_equals_fresh_explain_loop(self, rng, method, hook, n):
+        if hook:
+            model = LinearPooledModel(rng.uniform(-0.1, 0.1, 3), base=0.5)
+        else:
+            model = random_tiny_model(rng)
+        X = rng.uniform(-1, 1, (n, 3))
+        acfg = attrib.AttributionConfig(seed=3)
+        cfg = met.MetricConfig(pgd=met.PGDConfig(steps=3, restarts=2,
+                                                 seed=5))
+        a = attrib.explain(method, model, X, 1, acfg)
+        expected = reference_sensitivity(model, method, X, a, cfg, 1, acfg)
+        assert met.sensitivity(model, method, X, a, cfg, 1, acfg) \
+            == expected
+        # GRAD of a linear model is the same for every input
+        assert (expected == 0) == (hook and method == "GRAD")
 
 
 class TestDispatchAndIO:

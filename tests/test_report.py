@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import pytest
 
@@ -119,6 +120,22 @@ class TestRender:
         assert "significant runs out of 2" in text
         assert "+A=MALE" in text and "+B=FEMALE" in text
         assert "GRAD" in text and "gini" in text
+
+    def test_table_reads_only_subgroup_labels(self, report_dir,
+                                              monkeypatch):
+        expected = report.render(report_dir, "table")
+
+        def no_full_parse(path):
+            raise AssertionError("table render parsed every score")
+
+        monkeypatch.setattr(report.met, "read_scores_csv", no_full_parse)
+        assert report.render(report_dir, "table") == expected
+
+    def test_table_needs_subgroup_column(self, report_dir, tmp_path):
+        copy = shutil.copytree(report_dir, tmp_path / "copy")
+        (copy / "scores.csv").write_text("pair_id,method\np1,GRAD\n")
+        with pytest.raises(DataError, match="no subgroup column"):
+            report.render(str(copy), "table")
 
     def test_csv_export(self, report_dir, tmp_path):
         paths = report.render(report_dir, "csv", str(tmp_path))
