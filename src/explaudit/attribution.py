@@ -1,10 +1,13 @@
 """Six local post-hoc feature-attribution methods.
 
 Every method maps (model, input, target class) to one real score per token.
-Gradient-based methods use the model's exact embedding gradients; LIME and
-KernelSHAP fit surrogate models on zero-masked embedding variants. All
-methods also accept a raw embedding matrix in place of a token sequence so
-that robustness search can re-explain perturbed inputs.
+The classifier mean-pools its input, so the gradient methods need only the
+model's pooled gradient ``g``, which every token shares as ``g / n``: GRAD
+is ``||g|| / n`` for every token, GXI is ``x_i . g / n``, and IG and IGXI
+use the mean of ``g`` over the path (one batched ``pooled_grad`` call).
+LIME and KernelSHAP fit surrogate models on zero-masked embedding variants.
+All methods also accept a raw embedding matrix in place of a token
+sequence so that robustness search can re-explain perturbed inputs.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ class AttributionConfig:
             raise ConfigError("kernel width must be positive")
 
 
-def _resolve_input(model, seq):
-    """Accept a TokenSeq or a raw (n, d) embedding matrix."""
+def resolve_input(model, seq):
+    """(X, token names) of a TokenSeq or of a raw (n, d) embedding matrix."""
     if isinstance(seq, textmodel.TokenSeq):
         return textmodel.embed(model, seq), list(seq.tokens)
     X = np.asarray(seq, dtype=float)
@@ -64,13 +67,13 @@ def _masked_probs(model, X, masks, target):
 
 
 def grad_saliency(model, seq, target):
-    X, tokens = _resolve_input(model, seq)
+    X, tokens = resolve_input(model, seq)
     g = textmodel.grad_wrt_embeddings_matrix(model, X, target)
     return Attribution("GRAD", tokens, np.linalg.norm(g, axis=1), target)
 
 
 def grad_x_input(model, seq, target):
-    X, tokens = _resolve_input(model, seq)
+    X, tokens = resolve_input(model, seq)
     g = textmodel.grad_wrt_embeddings_matrix(model, X, target)
     return Attribution("GXI", tokens, (g * X).sum(axis=1), target)
 
@@ -79,23 +82,26 @@ def _ig_per_dim(model, X, target, steps):
     """Integrated-gradients attribution per embedding element (n, d).
 
     Zero baseline, right Riemann sum with ``steps`` points on the straight
-    path from the baseline to X.
+    path from the baseline to X. Every token of s * X has the gradient
+    ``pooled_grad(s * mean(X)) / n``, so one batched call over the path
+    points gives all of them.
     """
     scales = np.arange(1, steps + 1) / steps
-    total = textmodel.path_grad_sum(model, X, scales, target)
-    return X * total / steps
+    path = np.multiply.outer(scales, X.mean(axis=0))
+    g = textmodel.pooled_grad(model, path, target)
+    return X * (g.sum(axis=0) / X.shape[0]) / steps
 
 
 def integrated_gradients(model, seq, target, cfg=None):
     cfg = cfg or AttributionConfig()
-    X, tokens = _resolve_input(model, seq)
+    X, tokens = resolve_input(model, seq)
     per_dim = _ig_per_dim(model, X, target, cfg.ig_steps)
     return Attribution("IG", tokens, per_dim.sum(axis=1), target)
 
 
 def ig_x_input(model, seq, target, cfg=None):
     cfg = cfg or AttributionConfig()
-    X, tokens = _resolve_input(model, seq)
+    X, tokens = resolve_input(model, seq)
     per_dim = _ig_per_dim(model, X, target, cfg.ig_steps)
     return Attribution("IGXI", tokens, (per_dim * X).sum(axis=1), target)
 
@@ -174,7 +180,7 @@ def lime(model, seq, target, cfg=None, design=None):
     Mask distance is the Hamming distance to the all-ones mask; masked
     tokens have their embedding rows zeroed.
     """
-    X, tokens = _resolve_input(model, seq)
+    X, tokens = resolve_input(model, seq)
     design = _checked_design("LIME", X.shape[0], cfg, design)
     y = _masked_probs(model, X, design.Z, target)
     return Attribution("LIME", tokens, design.fit(y), target)
@@ -265,7 +271,7 @@ def kernel_shap(model, seq, target, cfg=None, design=None):
     constrained weighted least squares is solved via its KKT system so
     that sum(scores) = f(x) - f(empty) holds exactly.
     """
-    X, tokens = _resolve_input(model, seq)
+    X, tokens = resolve_input(model, seq)
     n = X.shape[0]
     full = _masked_probs(model, X, np.ones((1, n)), target)[0]
     empty = _masked_probs(model, X, np.zeros((1, n)), target)[0]

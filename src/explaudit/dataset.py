@@ -89,17 +89,27 @@ def tied_alias_map():
 # Loading / saving
 
 
+_FIELDS = ("pair_id", "subgroup", "text", "label")
+
+
+def _complete(path, lineno, row):
+    # a short CSV row holds None for the fields it lacks, as JSON null does
+    missing = [k for k in _FIELDS if row.get(k) is None]
+    if missing:
+        raise DataError(f"{path}:{lineno}: missing fields {missing}")
+    return row
+
+
 def _rows_from_csv(path):
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file")
-        missing = {"pair_id", "subgroup", "text", "label"} \
-            - set(reader.fieldnames)
+        missing = set(_FIELDS) - set(reader.fieldnames)
         if missing:
             raise DataError(f"{path}: missing columns {sorted(missing)}")
-        for lineno, row in enumerate(reader, start=2):
-            yield lineno, row
+        for row in reader:
+            yield reader.line_num, _complete(path, reader.line_num, row)
 
 
 def _rows_from_jsonl(path):
@@ -107,26 +117,30 @@ def _rows_from_jsonl(path):
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
-            row = json.loads(line)
-            missing = {"pair_id", "subgroup", "text", "label"} - set(row)
-            if missing:
-                raise DataError(
-                    f"{path}:{lineno}: missing keys {sorted(missing)}")
-            yield lineno, row
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError:
+                raise DataError(f"{path}:{lineno}: invalid JSON") from None
+            if not isinstance(row, dict):
+                raise DataError(f"{path}:{lineno}: not a JSON object")
+            yield lineno, _complete(path, lineno, row)
+
+
+def _rows(path, fmt):
+    if fmt not in ("csv", "jsonl"):
+        raise ConfigError(f"unknown format: {fmt}")
+    return _rows_from_csv(path) if fmt == "csv" else _rows_from_jsonl(path)
 
 
 def load_paired(path, fmt="csv"):
     """Load PairedRecords from canonical CSV or JSONL.
 
-    Errors (missing column, duplicate pair/subgroup, empty text) name the
-    offending line.
+    Errors (missing column or field, malformed JSONL line, duplicate
+    pair/subgroup, empty text) name the offending line.
     """
-    if fmt not in ("csv", "jsonl"):
-        raise ConfigError(f"unknown format: {fmt}")
-    rows = _rows_from_csv(path) if fmt == "csv" else _rows_from_jsonl(path)
     pairs = {}
     order = []
-    for lineno, row in rows:
+    for lineno, row in _rows(path, fmt):
         pid, sub = str(row["pair_id"]), str(row["subgroup"])
         text, label = str(row["text"]), str(row["label"])
         if not text.strip():
@@ -161,9 +175,8 @@ def _subgroup_order(sub):
 
 
 def load_unpaired(path, fmt="csv"):
-    rows = _rows_from_csv(path) if fmt == "csv" else _rows_from_jsonl(path)
     records = []
-    for lineno, row in rows:
+    for lineno, row in _rows(path, fmt):
         text = str(row["text"])
         if not text.strip():
             raise DataError(f"{path}:{lineno}: empty text")

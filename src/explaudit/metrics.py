@@ -79,12 +79,6 @@ class ScoreSample:
     value: float  # NaN marks a missing value (e.g. undefined sensitivity)
 
 
-def _input_matrix(model, seq):
-    if isinstance(seq, textmodel.TokenSeq):
-        return textmodel.embed(model, seq)
-    return np.asarray(seq, dtype=float)
-
-
 def _target_class(model, X, target):
     if target is not None:
         return target
@@ -155,7 +149,7 @@ def sensitivity(model, method, seq, attr, cfg=None, target=None,
     """
     cfg = cfg or MetricConfig()
     pgd = cfg.pgd
-    X = _input_matrix(model, seq)
+    X, _ = attrib.resolve_input(model, seq)
     j = _target_class(model, X, target)
     base = np.asarray(attr.scores, dtype=float)
     base_norm = np.linalg.norm(base)
@@ -221,7 +215,7 @@ def score_input(model, seq, attrs, metrics, cfg=None, target=None,
     if not cells:
         return values
 
-    X = _input_matrix(model, seq)
+    X, _ = attrib.resolve_input(model, seq)
     n, d = X.shape
     j = _target_class(model, X, target)
     thresholds = np.asarray(cfg.thresholds)[:, None]

@@ -87,7 +87,6 @@ class RunResult:
     bias: stats.BiasReport
     test_accuracy: float
     train_log: list
-    explain_calls: int
 
 
 @dataclass
@@ -205,7 +204,6 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
     predictions = []
     correct = 0
     samples = []
-    explain_calls = 0
     for pair_id, sub, text, lab in test_items:
         seq = tm.tokenize(prep.vocab, text)
         X = tm.embed(model, seq)
@@ -222,7 +220,6 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
                 run_seed, pair_id, sub, method)))
             attrs.append(attrib.explain(method, model, seq, target,
                                         a_cfgs[-1]))
-            explain_calls += 1
         # a per-cell seed only where the metric draws random numbers
         values = met.score_input(
             model, X, attrs, batched, cfg.metric_cfg, target,
@@ -270,8 +267,7 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
 
     return RunResult(run_index=run_index, seed=run_seed, samples=samples,
                      disparity=disparity, bias=bias,
-                     test_accuracy=test_accuracy, train_log=train_log,
-                     explain_calls=explain_calls)
+                     test_accuracy=test_accuracy, train_log=train_log)
 
 
 def _subgroup_class(sub, labels, label_idx, fallback):
@@ -307,13 +303,10 @@ def aggregate_reports(runs):
                if r.cohens_d is not None and math.isfinite(r.cohens_d)]
         mean_d = float(np.mean(ds_)) if ds_ else None
         std_d = float(np.std(ds_)) if ds_ else None
-        direction = None
-        pool = sig or results
-        if pool:
-            votes = {}
-            for r in pool:
-                votes[r.direction] = votes.get(r.direction, 0) + 1
-            direction = max(sorted(votes), key=votes.get)
+        votes = {}
+        for r in sig or results:  # never empty: runs is not
+            votes[r.direction] = votes.get(r.direction, 0) + 1
+        direction = max(sorted(votes), key=votes.get)
         cells[key] = CellAggregate(
             significant_runs=len(sig), considerable_runs=len(cons),
             mean_d=mean_d, std_d=std_d, direction=direction)
@@ -382,6 +375,4 @@ def _dump(path, obj):
 def _json_default(o):
     if isinstance(o, (np.floating, np.integer)):
         return o.item()
-    if isinstance(o, tuple):
-        return list(o)
     raise TypeError(f"not JSON serializable: {type(o)}")

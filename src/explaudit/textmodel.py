@@ -2,8 +2,11 @@
 
 Embedding -> mean pool -> tanh hidden layer -> 2-way softmax, trained with
 AdamW and a linear warmup/decay schedule. Forward and backward passes are
-written out by hand in numpy so that gradients with respect to the input
-embeddings are exact, which the attribution methods rely on.
+written out by hand in numpy, so gradients are exact, which the
+attribution methods rely on. Every model query is a function of the
+pooled vector: ``forward_pooled`` and ``pooled_grad`` are batched over
+pooled rows, and a duck-typed model that provides ``pooled_forward`` and
+``pooled_grad`` methods stands in for the MLP in both.
 """
 
 from __future__ import annotations
@@ -201,9 +204,7 @@ def forward_pooled(model, pooled):
     """Hidden layer + softmax on already mean-pooled vectors (batched).
 
     ``pooled`` has shape (..., d); returns (probs, logits) of shape (..., 2).
-    Models are duck-typed: an object with a ``pooled_forward(pooled)``
-    method (returning the same pair) is used as-is, which lets analytically
-    constructed models stand in for the MLP.
+    A duck-typed model's own ``pooled_forward(pooled)`` is used as-is.
     """
     custom = getattr(model, "pooled_forward", None)
     if custom is not None:
@@ -229,10 +230,15 @@ def forward(model, embeddings):
 def pooled_grad(model, pooled, target_class):
     """d p(target) / d pooled vector, exact reverse mode, batched over rows.
 
-    ``pooled`` has shape (..., d); so does the result. The classifier
-    mean-pools its input, so every token of an (n, d) input X has the
-    gradient ``pooled_grad(model, X.mean(axis=0), target) / n``.
+    ``pooled`` has shape (..., d); so does the result. As in
+    ``forward_pooled``, a duck-typed model's own ``pooled_grad(pooled,
+    target_class)`` method is used as-is. The classifier mean-pools its
+    input, so every token of an (n, d) input X has the gradient
+    ``pooled_grad(model, X.mean(axis=0), target) / n``.
     """
+    custom = getattr(model, "pooled_grad", None)
+    if custom is not None:
+        return custom(pooled, target_class)
     hidden, logits = _hidden_logits(pooled, model.w1, model.b1, model.w2,
                                     model.b2)
     probs = _softmax(logits)
@@ -243,40 +249,11 @@ def pooled_grad(model, pooled, target_class):
 
 
 def grad_wrt_embeddings_matrix(model, embeddings, target_class):
-    """d p(target) / d embeddings, exact reverse mode. Shape (n, d).
-
-    Duck-typed models may provide ``embedding_grad(X, target_class)``.
-    """
-    custom = getattr(model, "embedding_grad", None)
-    if custom is not None:
-        return custom(np.asarray(embeddings, dtype=float), target_class)
-    embeddings = np.asarray(embeddings, dtype=float)
-    n = embeddings.shape[0]
-    g = pooled_grad(model, embeddings.mean(axis=0), target_class)
-    return np.tile(g / n, (n, 1))
-
-
-def path_grad_sum(model, embeddings, scales, target_class):
-    """Sum of d p(target) / d embeddings over the points s * X, s in
-    ``scales``, of the straight path from zero to X. Shape (n, d).
-
-    All points go through one batched ``pooled_grad`` call. Models with
-    their own ``embedding_grad`` hook are queried once per point.
-    """
+    """d p(target) / d embeddings, shape (n, d): the pooled gradient over
+    n, shared by every token, as a read-only broadcast view."""
     X = np.asarray(embeddings, dtype=float)
-    custom = getattr(model, "embedding_grad", None)
-    if custom is not None:
-        return sum(custom(s * X, target_class) for s in scales)
-    n = X.shape[0]
-    g = pooled_grad(model, np.multiply.outer(scales, X.mean(axis=0)),
-                    target_class)
-    return np.tile(g.sum(axis=0) / n, (n, 1))
-
-
-def grad_wrt_embeddings(model, seq, target_class):
-    if target_class not in (0, 1):
-        raise ConfigError(f"target_class must be 0 or 1, got {target_class}")
-    return grad_wrt_embeddings_matrix(model, embed(model, seq), target_class)
+    g = pooled_grad(model, X.mean(axis=0), target_class)
+    return np.broadcast_to(g / X.shape[0], X.shape)
 
 
 def predict(model, vocab, text):

@@ -26,7 +26,7 @@ def random_tiny_model(rng, vocab_size=6, d=3, h=3):
     return model
 
 
-def finite_diff_embedding_grad(model, X, target, h=1e-4):
+def finite_diff_input_grad(model, X, target, h=1e-4):
     """Central-difference gradient of p(target) w.r.t. each embedding
     element. Independent of the reverse-mode path."""
     X = np.asarray(X, dtype=float)
@@ -43,8 +43,33 @@ def finite_diff_embedding_grad(model, X, target, h=1e-4):
     return out
 
 
+def finite_diff_pooled_grad(model, pooled, target, h=1e-6):
+    """Central-difference gradient of p(target) w.r.t. each element of
+    pooled vectors of shape (..., d), from ``tm.forward_pooled`` only."""
+    pooled = np.asarray(pooled, dtype=float)
+    out = np.zeros_like(pooled)
+    for j in range(pooled.shape[-1]):
+        step = np.zeros(pooled.shape[-1])
+        step[j] = h
+        p_plus = tm.forward_pooled(model, pooled + step)[0][..., target]
+        p_minus = tm.forward_pooled(model, pooled - step)[0][..., target]
+        out[..., j] = (p_plus - p_minus) / (2 * h)
+    return out
+
+
+# Duck-typed models: ``pooled_forward(pooled)`` and ``pooled_grad(pooled,
+# target)`` on pooled vectors of shape (..., d), as ``tm.forward_pooled``
+# and ``tm.pooled_grad`` expect. Each gradient is the exact derivative of
+# its own forward (checked by central differences in test_textmodel).
+
+
+def _two_class(p1, floor=1e-12):
+    probs = np.stack([1 - p1, p1], axis=-1)
+    return probs, np.log(np.clip(probs, floor, None))
+
+
 class LinearPooledModel:
-    """Duck-typed model with target-class probability base + w . pooled.
+    """Target-class probability base + w . pooled, clipped to (0, 1).
 
     Linear in the pooled embedding, hence in token masks when used with
     indicator embeddings; gradients and path integrals are closed-form.
@@ -54,17 +79,16 @@ class LinearPooledModel:
         self.w = np.asarray(w, dtype=float)
         self.base = base
 
-    def pooled_forward(self, pooled):
-        pooled = np.asarray(pooled, dtype=float)
-        p1 = self.base + pooled @ self.w
-        p1 = np.clip(p1, 1e-9, 1 - 1e-9)
-        probs = np.stack([1 - p1, p1], axis=-1)
-        return probs, np.log(probs)
+    def _p1(self, pooled):
+        return self.base + np.asarray(pooled, dtype=float) @ self.w
 
-    def embedding_grad(self, X, target):
-        n = X.shape[0]
-        sign = 1.0 if target == 1 else -1.0
-        return sign * np.tile(self.w / n, (n, 1))
+    def pooled_forward(self, pooled):
+        return _two_class(np.clip(self._p1(pooled), 1e-9, 1 - 1e-9))
+
+    def pooled_grad(self, pooled, target):
+        p1 = self._p1(pooled)[..., None]
+        live = (p1 > 1e-9) & (p1 < 1 - 1e-9)
+        return np.where(live, self.w if target == 1 else -self.w, 0.0)
 
 
 def indicator_embeddings(n):
@@ -92,8 +116,47 @@ class ConstantModel:
             np.array([1 - self.p1, self.p1]), shape).copy()
         return probs, np.log(probs)
 
-    def embedding_grad(self, X, target):
-        return np.zeros_like(np.asarray(X, dtype=float))
+    def pooled_grad(self, pooled, target):
+        return np.zeros_like(np.asarray(pooled, dtype=float))
+
+
+class DeadInputModel:
+    """Output depends only on embedding dimension 1 of the pooled vector."""
+
+    def _p1(self, pooled):
+        return 0.5 + 0.1 * np.asarray(pooled, dtype=float)[..., 1]
+
+    def pooled_forward(self, pooled):
+        return _two_class(np.clip(self._p1(pooled), 0.01, 0.99))
+
+    def pooled_grad(self, pooled, target):
+        g = np.zeros_like(np.asarray(pooled, dtype=float))
+        p1 = self._p1(pooled)
+        g[..., 1] = np.where((p1 > 0.01) & (p1 < 0.99),
+                             0.1 if target == 1 else -0.1, 0.0)
+        return g
+
+
+class BoundaryModel:
+    """Steep sigmoid boundary at pooled dimension 0 = ``center``."""
+
+    def __init__(self, slope=40.0, center=1.0):
+        self.slope = slope
+        self.center = center
+
+    def _p1(self, pooled):
+        z = self.slope * (np.asarray(pooled, dtype=float)[..., 0]
+                          - self.center)
+        return 1.0 / (1.0 + np.exp(-z))
+
+    def pooled_forward(self, pooled):
+        return _two_class(self._p1(pooled))
+
+    def pooled_grad(self, pooled, target):
+        g = np.zeros_like(np.asarray(pooled, dtype=float))
+        p1 = self._p1(pooled)
+        g[..., 0] = self.slope * p1 * (1 - p1) * (1 if target == 1 else -1)
+        return g
 
 
 def exact_shapley(value_fn, n):

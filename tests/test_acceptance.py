@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import (LinearPooledModel, exact_shapley, exact_soft_value,
-                      exact_u_distribution_p, finite_diff_embedding_grad,
+                      exact_u_distribution_p, finite_diff_input_grad,
                       indicator_embeddings, masked_prob, random_tiny_model)
 from explaudit import attribution as attrib
 from explaudit import dataset as ds
@@ -83,7 +83,7 @@ def test_criterion_3_gradient_correctness():
         X = rng.uniform(-1, 1, (3, 3))
         for target in (0, 1):
             g = tm.grad_wrt_embeddings_matrix(model, X, target)
-            fd = finite_diff_embedding_grad(model, X, target)
+            fd = finite_diff_input_grad(model, X, target)
             assert np.allclose(g, fd, rtol=1e-4, atol=1e-7)
     cfg = attrib.AttributionConfig(ig_steps=256)
     for _ in range(10):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (LinearPooledModel, ConstantModel, exact_shapley,
-                      indicator_embeddings, masked_prob, planted_token_model,
-                      finite_diff_embedding_grad, random_tiny_model,
-                      all_coalition_probs, shapley_from_values)
+from conftest import (LinearPooledModel, ConstantModel, DeadInputModel,
+                      exact_shapley, indicator_embeddings, masked_prob,
+                      planted_token_model, finite_diff_input_grad,
+                      random_tiny_model, all_coalition_probs,
+                      shapley_from_values)
 from explaudit import attribution as attrib
 from explaudit import textmodel as tm
 from explaudit.errors import ConfigError, NumericalError
@@ -26,21 +27,6 @@ class TestConfig:
             attrib.AttributionConfig(**kwargs)
 
 
-class _DeadInputModel:
-    """Duck model whose output depends only on token position 1."""
-
-    def pooled_forward(self, pooled):
-        pooled = np.asarray(pooled, dtype=float)
-        p1 = np.clip(0.5 + 0.1 * pooled[..., 1], 0.01, 0.99)
-        probs = np.stack([1 - p1, p1], axis=-1)
-        return probs, np.log(probs)
-
-    def embedding_grad(self, X, target):
-        g = np.zeros_like(X)
-        g[1, :] = 0.1 / X.shape[0] if target == 1 else -0.1 / X.shape[0]
-        return g
-
-
 class TestGradSaliency:
     def test_zero_output_weights(self, rng):
         model = random_tiny_model(rng)
@@ -50,15 +36,20 @@ class TestGradSaliency:
         assert np.all(a.scores == 0)
 
     def test_dead_input_positions(self):
+        # every token shares the pooled gradient, so GRAD cannot single out
+        # a token; GXI scores exactly 0 where a token lives only in the
+        # dead embedding dimensions
         X = np.eye(3)
-        a = attrib.grad_saliency(_DeadInputModel(), X, 1)
+        grad = attrib.grad_saliency(DeadInputModel(), X, 1)
+        assert np.all(grad.scores == grad.scores[0])
+        a = attrib.grad_x_input(DeadInputModel(), X, 1)
         assert a.scores[0] == 0 and a.scores[2] == 0
         assert a.scores[1] > 0
 
     def test_matches_finite_difference_norms(self, rng):
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (3, 3))
-        fd = finite_diff_embedding_grad(model, X, 1)
+        fd = finite_diff_input_grad(model, X, 1)
         a = attrib.grad_saliency(model, X, 1)
         assert np.allclose(a.scores, np.linalg.norm(fd, axis=1),
                            rtol=1e-4, atol=1e-7)
@@ -86,7 +77,7 @@ class TestGradXInput:
     def test_product_against_finite_differences(self, rng):
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (4, 3))
-        fd = finite_diff_embedding_grad(model, X, 0)
+        fd = finite_diff_input_grad(model, X, 0)
         a = attrib.grad_x_input(model, X, 0)
         assert np.allclose(a.scores, (fd * X).sum(axis=1),
                            rtol=1e-4, atol=1e-7)

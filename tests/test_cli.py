@@ -74,6 +74,38 @@ class TestValidate:
         code, _, err = run_cli(["validate", "--dataset", str(path)], capsys)
         assert code == 2
 
+    def test_short_csv_row_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("pair_id,subgroup,text,label\n"
+                        "p1,MALE,he runs,male\np1,FEMALE\n")
+        code, out, err = run_cli(["validate", "--dataset", str(path)],
+                                 capsys)
+        assert code == 2
+        assert "OK" not in out
+        assert f"{path}:3: missing fields" in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("{not json", "invalid JSON"),
+        ("5", "not a JSON object"),
+    ])
+    @pytest.mark.parametrize("unpaired", [False, True])
+    def test_malformed_jsonl_exit_2(self, tmp_path, capsys, line, message,
+                                    unpaired):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"pair_id": "", "subgroup": "MALE", '
+                        '"text": "he runs", "label": "male"}\n' + line + "\n")
+        code, _, err = run_cli(["validate", "--dataset", str(path),
+                                "--format", "jsonl"]
+                               + ["--unpaired"] * unpaired, capsys)
+        assert code == 2
+        assert f"data error: {path}:2: {message}" in err
+
+    def test_unknown_format_exit_1(self, none_dataset, capsys):
+        code, _, err = run_cli(["validate", "--dataset", none_dataset,
+                                "--unpaired", "--format", "xml"], capsys)
+        assert code == 1
+        assert "config error" in err
+
 
 class TestTrain:
     def test_trains_and_saves(self, none_dataset, tmp_path, capsys):

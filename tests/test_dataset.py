@@ -72,6 +72,38 @@ class TestLoadPaired:
         with pytest.raises(ConfigError):
             ds.load_paired(str(tmp_path / "d.xml"), "xml")
 
+    def test_short_csv_row_names_line(self, tmp_path):
+        # csv fills the missing fields with None; str(None) is no text
+        path = _write(tmp_path / "d.csv", CSV_HEADER
+                      + "p1,MALE,he runs,male\n"
+                      + "p1,FEMALE\n")
+        with pytest.raises(DataError, match=r"d\.csv:3: .*'text', 'label'"):
+            ds.load_paired(path)
+
+    def test_csv_line_numbers_count_blank_lines(self, tmp_path):
+        path = _write(tmp_path / "d.csv", CSV_HEADER + "\n"
+                      + "p1,MALE,he runs,male\n"
+                      + "p1,FEMALE,she runs\n")
+        with pytest.raises(DataError, match=r"d\.csv:4: .*'label'"):
+            ds.load_paired(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"pair_id": "p1", "subgroup": "FEMALE", "text": null, '
+         '"label": "female"}', "missing fields"),
+        ('{"pair_id": "p1", "subgroup": "FEMALE", "text": "she runs"}',
+         "missing fields"),
+        ('{"pair_id": "p1", "subgroup": "FEMALE",', "invalid JSON"),
+        ("5", "not a JSON object"),
+        ('["p1", "FEMALE", "she runs", "female"]', "not a JSON object"),
+    ], ids=["null_value", "missing_key", "invalid_json", "number", "array"])
+    def test_bad_jsonl_line_names_line(self, tmp_path, line, message):
+        good = ('{"pair_id": "p1", "subgroup": "MALE", "text": "he runs", '
+                '"label": "male"}')
+        path = _write(tmp_path / "d.jsonl", good + "\n\n" + line + "\n")
+        for load in (ds.load_paired, ds.load_unpaired):
+            with pytest.raises(DataError, match=rf"d\.jsonl:3: {message}"):
+                load(path, "jsonl")
+
 
 class TestLoadUnpaired:
     def test_basic(self, tmp_path):
@@ -87,6 +119,16 @@ class TestLoadUnpaired:
         path = _write(tmp_path / "d.csv", CSV_HEADER)
         with pytest.raises(DataError, match="no records"):
             ds.load_unpaired(path)
+
+    def test_short_csv_row_names_line(self, tmp_path):
+        path = _write(tmp_path / "d.csv", CSV_HEADER + ",MALE,5 priors\n")
+        with pytest.raises(DataError, match=r"d\.csv:2: .*'label'"):
+            ds.load_unpaired(path)
+
+    def test_unknown_format(self, tmp_path):
+        path = _write(tmp_path / "d.csv", CSV_HEADER + ",MALE,5 priors,high\n")
+        with pytest.raises(ConfigError, match="unknown format"):
+            ds.load_unpaired(path, "xml")
 
 
 class TestSplit:

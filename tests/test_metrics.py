@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (ConstantModel, LinearPooledModel, exact_soft_value,
-                      indicator_embeddings, planted_token_model,
+from conftest import (BoundaryModel, ConstantModel, LinearPooledModel,
+                      exact_soft_value, indicator_embeddings,
+                      planted_token_model,
                       reference_sensitivity, random_tiny_model)
 from explaudit import attribution as attrib
 from explaudit import metrics as met
@@ -196,28 +197,6 @@ class TestGini:
             assert met.gini_index(_attr([0.0, 0.0])) == 0.0
 
 
-class _BoundaryModel:
-    """Steep sigmoid boundary at pooled mean = 1.0 (d=1)."""
-
-    def __init__(self, slope=40.0, center=1.0):
-        self.slope = slope
-        self.center = center
-
-    def pooled_forward(self, pooled):
-        pooled = np.asarray(pooled, dtype=float)
-        z = self.slope * (pooled[..., 0] - self.center)
-        p1 = 1.0 / (1.0 + np.exp(-z))
-        probs = np.stack([1 - p1, p1], axis=-1)
-        return probs, np.log(np.clip(probs, 1e-12, None))
-
-    def embedding_grad(self, X, target):
-        n = X.shape[0]
-        p1 = self.pooled_forward(X.mean(axis=0))[0][1]
-        g = self.slope * p1 * (1 - p1) / n
-        sign = 1.0 if target == 1 else -1.0
-        return sign * np.full_like(X, g)
-
-
 class TestSensitivity:
     def test_zero_radius(self, rng):
         model = random_tiny_model(rng)
@@ -242,7 +221,7 @@ class TestSensitivity:
         assert math.isnan(v)
 
     def test_boundary_monotonicity(self):
-        model = _BoundaryModel()
+        model = BoundaryModel()
         X = np.array([[1.4], [1.2]])  # mean 1.3, boundary at 1.0
         a = attrib.explain("GXI", model, X, 1)
         big = met.MetricConfig(pgd=met.PGDConfig(radius=1.0, steps=10))

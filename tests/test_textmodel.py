@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (finite_diff_embedding_grad, random_tiny_model,
+from conftest import (BoundaryModel, ConstantModel, DeadInputModel,
+                      LinearPooledModel, finite_diff_input_grad,
+                      finite_diff_pooled_grad, random_tiny_model,
                       reference_forward_pooled, reference_pooled_grad,
                       reference_train)
 from explaudit import textmodel as tm
@@ -111,7 +113,7 @@ class TestGradient:
         model = random_tiny_model(rng)
         model.w2 = np.zeros_like(model.w2)
         seq = tm.TokenSeq(np.array([1, 2]), ["a", "b"])
-        g = tm.grad_wrt_embeddings(model, seq, 0)
+        g = tm.grad_wrt_embeddings_matrix(model, tm.embed(model, seq), 0)
         assert np.all(g == 0)
 
     def test_matches_finite_differences(self, rng):
@@ -120,20 +122,51 @@ class TestGradient:
             X = rng.uniform(-1, 1, (3, 3))
             for target in (0, 1):
                 g = tm.grad_wrt_embeddings_matrix(model, X, target)
-                fd = finite_diff_embedding_grad(model, X, target)
+                fd = finite_diff_input_grad(model, X, target)
                 assert np.allclose(g, fd, rtol=1e-4, atol=1e-7)
 
     def test_duplicated_token_identical_rows(self, rng):
         model = random_tiny_model(rng)
         seq = tm.TokenSeq(np.array([2, 3, 2]), ["a", "b", "a"])
-        g = tm.grad_wrt_embeddings(model, seq, 1)
+        g = tm.grad_wrt_embeddings_matrix(model, tm.embed(model, seq), 1)
         assert g[0] == pytest.approx(g[2], abs=1e-15)
 
-    def test_invalid_target(self, rng):
+    def test_result_is_read_only(self, rng):
         model = random_tiny_model(rng)
-        seq = tm.TokenSeq(np.array([1]), ["a"])
-        with pytest.raises(ConfigError):
-            tm.grad_wrt_embeddings(model, seq, 2)
+        g = tm.grad_wrt_embeddings_matrix(model, rng.uniform(-1, 1, (4, 3)),
+                                          1)
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0, 0] = 1.0
+
+
+class TestDuckModels:
+    """The test suite's duck models answer gradient queries through their
+    own ``pooled_grad``; each must be the derivative of its own
+    ``pooled_forward``, on single and batched pooled vectors."""
+
+    @pytest.mark.parametrize("make, pooled", [
+        (lambda: LinearPooledModel([0.2, -0.1, 0.05], base=0.4),
+         [[0.5, 1.0, -2.0], [6.0, 0.0, 0.0], [-1.0, 0.5, 0.5]]),
+        (lambda: ConstantModel(0.7),
+         [[0.5, 1.0, -2.0], [3.0, 0.0, 0.0]]),
+        (lambda: DeadInputModel(),
+         [[0.5, 1.0, -2.0], [0.0, -3.0, 9.0], [0.0, 7.0, 0.0]]),
+        (lambda: BoundaryModel(),
+         [[1.02], [0.97], [1.1], [0.5]]),
+    ], ids=["linear", "constant", "dead_input", "boundary"])
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_pooled_grad_matches_central_differences(self, make, pooled,
+                                                     target):
+        model = make()
+        pooled = np.asarray(pooled)
+        batched = tm.pooled_grad(model, pooled, target)
+        assert batched.shape == pooled.shape
+        assert np.allclose(batched,
+                           finite_diff_pooled_grad(model, pooled, target),
+                           rtol=1e-6, atol=1e-9)
+        for row, g in zip(pooled, batched):
+            assert np.array_equal(tm.pooled_grad(model, row, target), g)
 
 
 def _separable_task():
