@@ -6,8 +6,8 @@ model's pooled gradient ``g``, which every token shares as ``g / n``: GRAD
 is ``||g|| / n`` for every token, GXI is ``x_i . g / n``, and IG and IGXI
 use the mean of ``g`` over the path (one batched ``pooled_grad`` call).
 LIME and KernelSHAP fit surrogate models on zero-masked embedding variants.
-All methods also accept a raw embedding matrix in place of a token
-sequence so that robustness search can re-explain perturbed inputs.
+All methods also accept raw (..., n, d) embeddings so that robustness
+search can re-explain a stack of perturbed inputs, bit for bit per slice.
 """
 
 from __future__ import annotations
@@ -51,59 +51,59 @@ class AttributionConfig:
 
 
 def resolve_input(model, seq):
-    """(X, token names) of a TokenSeq or of a raw (n, d) embedding matrix."""
+    """(X, token names) of a TokenSeq or of raw (..., n, d) embeddings."""
     if isinstance(seq, textmodel.TokenSeq):
         return textmodel.embed(model, seq), list(seq.tokens)
     X = np.asarray(seq, dtype=float)
-    return X, [f"tok{i}" for i in range(X.shape[0])]
+    return X, [f"tok{i}" for i in range(X.shape[-2])]
 
 
 def _masked_probs(model, X, masks, target):
     """Model probability of target for each binary token mask (rows)."""
     pooled = masks @ X
-    pooled /= X.shape[0]
+    pooled /= X.shape[-2]
     probs, _ = textmodel.forward_pooled(model, pooled)
-    return probs[:, target]
+    return probs[..., target]
 
 
 def grad_saliency(model, seq, target):
     X, tokens = resolve_input(model, seq)
     g = textmodel.grad_wrt_embeddings_matrix(model, X, target)
-    return Attribution("GRAD", tokens, np.linalg.norm(g, axis=1), target)
+    return Attribution("GRAD", tokens, np.linalg.norm(g, axis=-1), target)
 
 
 def grad_x_input(model, seq, target):
     X, tokens = resolve_input(model, seq)
     g = textmodel.grad_wrt_embeddings_matrix(model, X, target)
-    return Attribution("GXI", tokens, (g * X).sum(axis=1), target)
+    return Attribution("GXI", tokens, (g * X).sum(axis=-1), target)
 
 
 def _ig_per_dim(model, X, target, steps):
-    """Integrated-gradients attribution per embedding element (n, d).
+    """Integrated-gradients attribution per embedding element (..., n, d).
 
     Zero baseline, right Riemann sum with ``steps`` points on the straight
     path from the baseline to X. Every token of s * X has the gradient
     ``pooled_grad(s * mean(X)) / n``, so one batched call over the path
     points gives all of them.
     """
-    scales = np.arange(1, steps + 1) / steps
-    path = np.multiply.outer(scales, X.mean(axis=0))
+    scales = np.arange(1, steps + 1)[:, None] / steps
+    path = scales * X.mean(axis=-2, keepdims=True)
     g = textmodel.pooled_grad(model, path, target)
-    return X * (g.sum(axis=0) / X.shape[0]) / steps
+    return X * (g.sum(axis=-2, keepdims=True) / X.shape[-2]) / steps
 
 
 def integrated_gradients(model, seq, target, cfg=None):
     cfg = cfg or AttributionConfig()
     X, tokens = resolve_input(model, seq)
     per_dim = _ig_per_dim(model, X, target, cfg.ig_steps)
-    return Attribution("IG", tokens, per_dim.sum(axis=1), target)
+    return Attribution("IG", tokens, per_dim.sum(axis=-1), target)
 
 
 def ig_x_input(model, seq, target, cfg=None):
     cfg = cfg or AttributionConfig()
     X, tokens = resolve_input(model, seq)
     per_dim = _ig_per_dim(model, X, target, cfg.ig_steps)
-    return Attribution("IGXI", tokens, (per_dim * X).sum(axis=1), target)
+    return Attribution("IGXI", tokens, (per_dim * X).sum(axis=-1), target)
 
 
 #: ridge doublings tried before a surrogate fit is declared failed
@@ -128,23 +128,25 @@ def _weighted_ridge(AtW, gram, y, ridge):
     """Weighted ridge regression with unpenalized intercept, from the
     normal matrices of ``_normal_matrices``.
 
-    Returns the coefficient vector (without the intercept). Doubles the
-    ridge strength until the normal equations are well conditioned, at
-    most ``MAX_RIDGE_DOUBLINGS`` times. Raises NumericalError on
-    non-finite targets or when no ridge strength gives a finite solution.
+    Returns the coefficients (without the intercept) of one fit per row
+    of ``y``. Doubles the ridge strength for the fits not yet finite, at
+    most ``MAX_RIDGE_DOUBLINGS`` times. Raises NumericalError on non-finite
+    targets or when no ridge strength gives a finite solution.
     """
     if not np.all(np.isfinite(y)):
         raise NumericalError("non-finite model output in surrogate fit")
-    rhs = AtW @ y
+    rhs = AtW @ y[..., None]
+    coef = np.full(rhs.shape[:-1], np.nan)
     penalty = np.eye(len(gram))
     penalty[0, 0] = 0.0
     for _ in range(MAX_RIDGE_DOUBLINGS + 1):
         try:
-            coef = np.linalg.solve(gram + ridge * penalty, rhs)
-            if np.all(np.isfinite(coef)):
-                return coef[1:]
+            fit = np.linalg.solve(gram + ridge * penalty, rhs)[..., 0]
         except np.linalg.LinAlgError:
-            pass
+            fit = coef
+        coef = np.where(np.isfinite(coef).all(-1, keepdims=True), coef, fit)
+        if np.all(np.isfinite(coef)):
+            return coef[..., 1:]
         ridge *= 2.0
     raise NumericalError(
         f"surrogate fit still singular after {MAX_RIDGE_DOUBLINGS} "
@@ -181,7 +183,7 @@ def lime(model, seq, target, cfg=None, design=None):
     tokens have their embedding rows zeroed.
     """
     X, tokens = resolve_input(model, seq)
-    design = _checked_design("LIME", X.shape[0], cfg, design)
+    design = _checked_design("LIME", X.shape[-2], cfg, design)
     y = _masked_probs(model, X, design.Z, target)
     return Attribution("LIME", tokens, design.fit(y), target)
 
@@ -256,7 +258,9 @@ class ShapDesign:
             kkt[n, :n] = 1.0
             self.kkt = _read_only(ZtW, kkt)
         ZtW, kkt = self.kkt
-        return np.linalg.solve(kkt, np.append(ZtW @ y, delta))[:n]
+        rhs = np.concatenate([ZtW @ y[..., None], delta[..., None, None]],
+                             axis=-2)
+        return np.linalg.solve(kkt, rhs)[..., :n, 0]
 
 
 def kernel_shap(model, seq, target, cfg=None, design=None):
@@ -272,14 +276,14 @@ def kernel_shap(model, seq, target, cfg=None, design=None):
     that sum(scores) = f(x) - f(empty) holds exactly.
     """
     X, tokens = resolve_input(model, seq)
-    n = X.shape[0]
-    full = _masked_probs(model, X, np.ones((1, n)), target)[0]
-    empty = _masked_probs(model, X, np.zeros((1, n)), target)[0]
+    n = X.shape[-2]
+    full = _masked_probs(model, X, np.ones((1, n)), target)[..., 0]
+    empty = _masked_probs(model, X, np.zeros((1, n)), target)[..., 0]
     delta = full - empty
     if n == 1:
-        return Attribution("SHAP", tokens, np.array([delta]), target)
+        return Attribution("SHAP", tokens, delta[..., None], target)
     design = _checked_design("SHAP", n, cfg, design)
-    y = _masked_probs(model, X, design.Z, target) - empty
+    y = _masked_probs(model, X, design.Z, target) - empty[..., None]
     return Attribution("SHAP", tokens, design.fit(y, delta), target)
 
 

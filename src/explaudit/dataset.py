@@ -129,7 +129,10 @@ def _rows_from_jsonl(path):
 def _rows(path, fmt):
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"unknown format: {fmt}")
-    return _rows_from_csv(path) if fmt == "csv" else _rows_from_jsonl(path)
+    try:
+        yield from (_rows_from_csv if fmt == "csv" else _rows_from_jsonl)(path)
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
 def load_paired(path, fmt="csv"):

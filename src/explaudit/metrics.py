@@ -142,10 +142,10 @@ def sensitivity(model, method, seq, attr, cfg=None, target=None,
     Each gradient step ascends the prediction error (descends the
     probability of the explained class), is projected back onto the radius
     ball, and the perturbed input is re-explained with the same method and
-    seed. The re-explains share one ``attribution.prepare_design`` result
-    (LIME's masks and normal matrices, KernelSHAP's coalitions and KKT
-    matrix), built once per search; it lives only as long as the search.
-    Returns NaN when the reference explanation has zero norm.
+    seed, all restarts as one (restarts, n, d) stack: one gradient call
+    and one re-explain per step. The re-explains share one design
+    (``attribution.prepare_design``), built once per search. Returns NaN
+    when the reference explanation has zero norm.
     """
     cfg = cfg or MetricConfig()
     pgd = cfg.pgd
@@ -165,26 +165,25 @@ def sensitivity(model, method, seq, attr, cfg=None, target=None,
 
     design = attrib.prepare_design(method, X.shape[0], attr_cfg)
     rng = np.random.default_rng(pgd.seed)
+    delta = np.zeros((pgd.restarts,) + X.shape)
+    for d_r in delta[1:]:  # restart 0 starts at X, the others on the sphere
+        d_r[...] = rng.standard_normal(X.shape)
+        d_r *= radius / max(np.linalg.norm(d_r), 1e-12)
     worst = 0.0
-    for restart in range(pgd.restarts):
-        if restart == 0:
-            delta = np.zeros_like(X)
-        else:
-            delta = rng.standard_normal(X.shape)
-            delta *= radius / max(np.linalg.norm(delta), 1e-12)
-        for _ in range(pgd.steps):
-            g = textmodel.grad_wrt_embeddings_matrix(model, X + delta, j)
-            g_norm = np.linalg.norm(g)
+    for _ in range(pgd.steps):
+        g = textmodel.grad_wrt_embeddings_matrix(model, X + delta, j)
+        # norms per restart: an axis-wise norm would sum in another order
+        for d_r, g_r in zip(delta, g):
+            g_norm = np.linalg.norm(g_r)
             if g_norm > 0:
-                delta -= step_size * g / g_norm  # ascend the error on class j
-            d_norm = np.linalg.norm(delta)
+                d_r -= step_size * g_r / g_norm  # ascend the error on class j
+            d_norm = np.linalg.norm(d_r)
             if d_norm > radius:
-                delta *= radius / d_norm
-            perturbed = attrib.explain(method, model, X + delta, j, attr_cfg,
-                                       design=design)
-            change = np.linalg.norm(
-                np.asarray(perturbed.scores, dtype=float) - base)
-            worst = max(worst, change / base_norm)
+                d_r *= radius / d_norm
+        perturbed = attrib.explain(method, model, X + delta, j, attr_cfg,
+                                   design=design)
+        for scores in np.asarray(perturbed.scores, dtype=float):
+            worst = max(worst, np.linalg.norm(scores - base) / base_norm)
     return float(worst)
 
 
@@ -243,14 +242,17 @@ def score_input(model, seq, attrs, metrics, cfg=None, target=None,
     start = 0
     for family, full in ((aopc, np.ones((1, n)) @ X / n),
                          (soft, X.mean(axis=0))):
-        if family:
-            p_full = textmodel.forward_pooled(model, full)[0][..., j]
-        for k, i, rows in family:
-            drop = np.maximum(0.0, p_full - probs[start:start + len(rows)])
-            start += len(rows)
-            values[k][i] = float(np.mean(drop))
-            if metrics[i] == "soft_sufficiency":
-                values[k][i] = 1.0 - values[k][i]
+        if not family:
+            continue
+        p_full = textmodel.forward_pooled(model, full)[0][..., j]
+        # all cells of a family have as many rows, each reduced in turn
+        shape = (len(family), len(family[0][2]))
+        stop = start + shape[0] * shape[1]
+        drops = np.maximum(0.0, p_full - probs[start:stop]).reshape(shape)
+        start = stop
+        for (k, i, _), mean in zip(family, drops.mean(axis=1)):
+            flip = metrics[i] == "soft_sufficiency"
+            values[k][i] = float(1.0 - mean if flip else mean)
     return values
 
 

@@ -8,9 +8,9 @@ classification, and the TPR / TNR / APD bias report.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -75,20 +75,24 @@ def _rank_with_midranks(values):
     return ranks
 
 
+@functools.lru_cache(maxsize=None)
+def _u_counts(n_a, n_b):
+    """Count of rank assignments per U value 0 .. n_a * n_b; the top rank
+    is in sample a, above all n_b others, or it is not."""
+    if n_a == 0 or n_b == 0:
+        return (1,)
+    with_top, without = _u_counts(n_a - 1, n_b), _u_counts(n_a, n_b - 1)
+    return tuple(map(sum, zip((0,) * n_b + with_top, without + (0,) * n_a)))
+
+
 def _exact_two_sided_p(a, b, u_min):
-    """Exact p by enumerating all rank assignments (tie-free samples)."""
+    """Exact p from the null distribution of U (tie-free samples)."""
     n_a, n_b = len(a), len(b)
-    count = 0
-    n_assignments = 0
-    for picked in combinations(range(1, n_a + n_b + 1), n_a):
-        u_a = sum(picked) - n_a * (n_a + 1) / 2
-        u_b = n_a * n_b - u_a
-        if min(u_a, u_b) <= u_min:
-            count += 1
-        n_assignments += 1
     # min(U_a, U_b) <= u_min already captures both tails of the symmetric
     # null distribution, so no doubling is needed.
-    return min(1.0, count / n_assignments)
+    count = sum(c for u, c in enumerate(_u_counts(n_a, n_b))
+                if min(u, n_a * n_b - u) <= u_min)
+    return min(1.0, count / math.comb(n_a + n_b, n_a))
 
 
 def mann_whitney_u(a, b):

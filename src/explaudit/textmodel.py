@@ -4,9 +4,9 @@ Embedding -> mean pool -> tanh hidden layer -> 2-way softmax, trained with
 AdamW and a linear warmup/decay schedule. Forward and backward passes are
 written out by hand in numpy, so gradients are exact, which the
 attribution methods rely on. Every model query is a function of the
-pooled vector: ``forward_pooled`` and ``pooled_grad`` are batched over
-pooled rows, and a duck-typed model that provides ``pooled_forward`` and
-``pooled_grad`` methods stands in for the MLP in both.
+pooled vector: ``forward_pooled`` and ``pooled_grad`` take pooled rows
+with any leading axes, (..., d), and so does a duck-typed model's own
+``pooled_forward`` and ``pooled_grad``, which stand in for the MLP.
 """
 
 from __future__ import annotations
@@ -249,11 +249,11 @@ def pooled_grad(model, pooled, target_class):
 
 
 def grad_wrt_embeddings_matrix(model, embeddings, target_class):
-    """d p(target) / d embeddings, shape (n, d): the pooled gradient over
-    n, shared by every token, as a read-only broadcast view."""
+    """d p(target) / d embeddings (..., n, d): the pooled gradient over n,
+    shared by every token, as a read-only broadcast view."""
     X = np.asarray(embeddings, dtype=float)
-    g = pooled_grad(model, X.mean(axis=0), target_class)
-    return np.broadcast_to(g / X.shape[0], X.shape)
+    g = pooled_grad(model, X.mean(axis=-2, keepdims=True), target_class)
+    return np.broadcast_to(g / X.shape[-2], X.shape)
 
 
 def predict(model, vocab, text):

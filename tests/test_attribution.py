@@ -336,6 +336,29 @@ class TestPreparedDesign:
                            design=design)
 
 
+class TestStackedInput:
+    """An (R, n, d) stack is explained as R inputs, each one bit for bit
+    as its own 2-D call explains it; the PGD search relies on this."""
+
+    @pytest.mark.parametrize("n", [6, 13])  # SHAP exact / sampled
+    @pytest.mark.parametrize("hook", [False, True])
+    @pytest.mark.parametrize("method", attrib.METHODS)
+    def test_equals_per_slice_explains(self, rng, method, hook, n):
+        if hook:
+            model = LinearPooledModel(rng.uniform(-0.1, 0.1, 3), base=0.5)
+        else:
+            model = random_tiny_model(rng)
+        cfg = attrib.AttributionConfig(seed=3)
+        stack = rng.uniform(-1, 1, (3, n, 3))
+        design = attrib.prepare_design(method, n, cfg)
+        stacked = attrib.explain(method, model, stack, 1, cfg, design=design)
+        assert stacked.scores.shape == (3, n)
+        assert len(stacked.tokens) == n
+        for X, scores in zip(stack, stacked.scores):
+            alone = attrib.explain(method, model, X, 1, cfg)
+            assert np.array_equal(alone.scores, scores)
+
+
 class TestNormalize:
     def test_example(self):
         a = attrib.Attribution("GXI", ["a", "b", "c"],

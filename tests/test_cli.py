@@ -100,6 +100,24 @@ class TestValidate:
         assert code == 2
         assert f"data error: {path}:2: {message}" in err
 
+    @pytest.mark.parametrize("fmt, content", [
+        ("csv", b"pair_id,subgroup,text,label\n"
+                b"p1,MALE,he runs \xff,male\np1,FEMALE,she runs,female\n"),
+        ("jsonl", b'{"pair_id": "p1", "subgroup": "MALE", '
+                  b'"text": "he runs \xff", "label": "male"}\n'),
+    ], ids=["csv", "jsonl"])
+    @pytest.mark.parametrize("unpaired", [False, True])
+    def test_non_utf8_exit_2(self, tmp_path, capsys, fmt, content,
+                             unpaired):
+        path = tmp_path / f"latin1.{fmt}"
+        path.write_bytes(content)
+        code, out, err = run_cli(["validate", "--dataset", str(path),
+                                  "--format", fmt]
+                                 + ["--unpaired"] * unpaired, capsys)
+        assert code == 2
+        assert "OK" not in out
+        assert f"data error: {path}: not UTF-8 text" in err
+
     def test_unknown_format_exit_1(self, none_dataset, capsys):
         code, _, err = run_cli(["validate", "--dataset", none_dataset,
                                 "--unpaired", "--format", "xml"], capsys)

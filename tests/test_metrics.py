@@ -232,8 +232,9 @@ class TestSensitivity:
 
 
 class TestSensitivityDesignReuse:
-    """The PGD search shares one prepared design across its re-explains;
-    it must give the bits of re-explaining from scratch at every step."""
+    """The PGD search runs its restarts as one stack and shares one
+    prepared design across its re-explains; it must give the bits of
+    re-explaining each restart from scratch at every step."""
 
     @pytest.mark.parametrize("n", [6, 13])  # SHAP exact / sampled
     @pytest.mark.parametrize("hook", [False, True])
@@ -245,14 +246,16 @@ class TestSensitivityDesignReuse:
             model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (n, 3))
         acfg = attrib.AttributionConfig(seed=3)
-        cfg = met.MetricConfig(pgd=met.PGDConfig(steps=3, restarts=2,
-                                                 seed=5))
         a = attrib.explain(method, model, X, 1, acfg)
-        expected = reference_sensitivity(model, method, X, a, cfg, 1, acfg)
-        assert met.sensitivity(model, method, X, a, cfg, 1, acfg) \
-            == expected
-        # GRAD of a linear model is the same for every input
-        assert (expected == 0) == (hook and method == "GRAD")
+        for restarts in (1, 2, 3):
+            cfg = met.MetricConfig(pgd=met.PGDConfig(
+                steps=3, restarts=restarts, seed=5))
+            expected = reference_sensitivity(model, method, X, a, cfg, 1,
+                                             acfg)
+            assert met.sensitivity(model, method, X, a, cfg, 1, acfg) \
+                == expected
+            # GRAD of a linear model is the same for every input
+            assert (expected == 0) == (hook and method == "GRAD")
 
 
 class TestDispatchAndIO:

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -30,13 +31,19 @@ class TestMannWhitneyU:
         _, p = stats.mann_whitney_u(a, b)
         assert p < 1e-6
 
-    def test_exact_matches_enumeration_oracle(self, rng):
-        for _ in range(10):
-            a = rng.uniform(0, 1, rng.integers(2, 6)).tolist()
-            b = rng.uniform(0, 1, rng.integers(2, 6)).tolist()
-            _, p = stats.mann_whitney_u(a, b)
-            assert p == pytest.approx(exact_u_distribution_p(a, b),
-                                      abs=1e-12)
+    def test_exact_matches_enumeration_oracle(self):
+        # every sample size of the exact branch, and every U value of it
+        for size in range(2, stats.EXACT_LIMIT + 1):
+            for n_a in range(1, size):
+                seen = set()
+                for picked in combinations(range(size), n_a):
+                    a = [float(r) for r in picked]
+                    b = [float(r) for r in range(size) if r not in picked]
+                    u, p = stats.mann_whitney_u(a, b)
+                    if u not in seen:
+                        seen.add(u)
+                        assert p == exact_u_distribution_p(a, b)
+                assert len(seen) == n_a * (size - n_a) + 1
 
     def test_complement_identity(self, rng):
         a = rng.uniform(0, 1, 5).tolist()

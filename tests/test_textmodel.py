@@ -131,6 +131,16 @@ class TestGradient:
         g = tm.grad_wrt_embeddings_matrix(model, tm.embed(model, seq), 1)
         assert g[0] == pytest.approx(g[2], abs=1e-15)
 
+    def test_stack_equals_per_slice_calls(self, rng):
+        stack = rng.uniform(-1, 1, (3, 5, 3))
+        for model in (random_tiny_model(rng),
+                      LinearPooledModel([0.2, -0.1, 0.05])):
+            g = tm.grad_wrt_embeddings_matrix(model, stack, 1)
+            assert g.shape == stack.shape
+            for X, g_r in zip(stack, g):
+                assert np.array_equal(
+                    tm.grad_wrt_embeddings_matrix(model, X, 1), g_r)
+
     def test_result_is_read_only(self, rng):
         model = random_tiny_model(rng)
         g = tm.grad_wrt_embeddings_matrix(model, rng.uniform(-1, 1, (4, 3)),
