@@ -5,7 +5,8 @@ The classifier mean-pools its input, so the gradient methods need only the
 model's pooled gradient ``g``, which every token shares as ``g / n``: GRAD
 is ``||g|| / n`` for every token, GXI is ``x_i . g / n``, and IG and IGXI
 use the mean of ``g`` over the path (one batched ``pooled_grad`` call).
-LIME and KernelSHAP fit surrogate models on zero-masked embedding variants.
+LIME and KernelSHAP fit surrogate models on zero-masked embedding variants,
+with masks and fit matrices memoized per (n, config).
 All methods also accept raw (..., n, d) embeddings so that robustness
 search can re-explain a stack of perturbed inputs, bit for bit per slice.
 """
@@ -153,39 +154,32 @@ def _weighted_ridge(AtW, gram, y, ridge):
         "ridge doublings")
 
 
-class LimeDesign:
-    """LIME's input-independent arrays for one (n, cfg), all read-only:
-    masks ``Z`` and kernel weights ``w``, and the ridge normal matrices,
-    built at the first fit (after its masked forward)."""
-
-    method = "LIME"
-
-    def __init__(self, n, cfg):
-        self.n, self.cfg = n, cfg
-        rng = np.random.default_rng(cfg.seed)
-        Z = (rng.random((cfg.lime_samples, n)) < 0.5).astype(float)
-        width = cfg.lime_kernel_width or 0.75 * math.sqrt(n)
-        dist = n - Z.sum(axis=1)
-        self.Z, self.w = _read_only(Z, np.exp(-(dist**2) / width**2))
-        self.normal = None  # (AtW, gram)
-
-    def fit(self, y):
-        """Surrogate coefficients for the masked probabilities ``y``."""
-        if self.normal is None:
-            self.normal = _read_only(*_normal_matrices(self.Z, self.w))
-        return _weighted_ridge(*self.normal, y, self.cfg.ridge)
+@functools.lru_cache(maxsize=1)
+def _lime_design(n, samples, width, seed):
+    """LIME's masks ``Z`` and the normal matrices of their kernel-weighted
+    fit, read-only. One slot: the PGD search re-explains one (n, config)
+    at every step."""
+    rng = np.random.default_rng(seed)
+    Z = (rng.random((samples, n)) < 0.5).astype(float)
+    width = width or 0.75 * math.sqrt(n)
+    dist = n - Z.sum(axis=1)
+    w = np.exp(-(dist**2) / width**2)
+    return _read_only(Z, *_normal_matrices(Z, w))
 
 
-def lime(model, seq, target, cfg=None, design=None):
+def lime(model, seq, target, cfg=None):
     """LIME with Bernoulli(0.5) token masks and an exponential kernel.
 
     Mask distance is the Hamming distance to the all-ones mask; masked
     tokens have their embedding rows zeroed.
     """
+    cfg = cfg or AttributionConfig()
     X, tokens = resolve_input(model, seq)
-    design = _checked_design("LIME", X.shape[-2], cfg, design)
-    y = _masked_probs(model, X, design.Z, target)
-    return Attribution("LIME", tokens, design.fit(y), target)
+    Z, AtW, gram = _lime_design(X.shape[-2], cfg.lime_samples,
+                                cfg.lime_kernel_width, cfg.seed)
+    y = _masked_probs(model, X, Z, target)
+    coef = _weighted_ridge(AtW, gram, y, cfg.ridge)
+    return Attribution("LIME", tokens, coef, target)
 
 
 def _shap_kernel_weight(n, k):
@@ -225,45 +219,34 @@ def _sampled_coalitions(n, samples, rng):
     return Z
 
 
-class ShapDesign:
-    """KernelSHAP's input-independent arrays for one (n, cfg), all
-    read-only: coalitions ``Z`` and weights ``w`` (see ``kernel_shap``),
-    and ``Z.T * w`` and the KKT matrix, built at the first fit (after its
-    masked forward)."""
-
-    method = "SHAP"
-
-    def __init__(self, n, cfg):
-        self.n, self.cfg = n, cfg
-        if 2**n - 2 <= cfg.shap_samples:
-            self.Z, self.w = _exact_coalitions(n)
-        else:
-            self.Z, self.w = _read_only(
-                _sampled_coalitions(n, cfg.shap_samples,
-                                    np.random.default_rng(cfg.seed)),
-                np.ones(cfg.shap_samples))
-        self.kkt = None  # (Z.T * w, KKT matrix)
-
-    def fit(self, y, delta):
-        """Shapley estimates for coalition values ``y`` (less f(empty))
-        that sum to ``delta`` exactly."""
-        n = self.n
-        if self.kkt is None:
-            ZtW = self.Z.T * self.w
-            gram = ZtW @ self.Z + 1e-10 * np.eye(n)
-            # minimize weighted SSE subject to 1^T phi = delta
-            kkt = np.zeros((n + 1, n + 1))
-            kkt[:n, :n] = gram
-            kkt[:n, n] = 0.5
-            kkt[n, :n] = 1.0
-            self.kkt = _read_only(ZtW, kkt)
-        ZtW, kkt = self.kkt
-        rhs = np.concatenate([ZtW @ y[..., None], delta[..., None, None]],
-                             axis=-2)
-        return np.linalg.solve(kkt, rhs)[..., :n, 0]
+def _shap_kkt(Z, w):
+    """``Z.T * w`` and the KKT matrix of KernelSHAP's constrained fit."""
+    n = Z.shape[1]
+    ZtW = Z.T * w
+    # minimize weighted SSE subject to 1^T phi = delta
+    kkt = np.zeros((n + 1, n + 1))
+    kkt[:n, :n] = ZtW @ Z + 1e-10 * np.eye(n)
+    kkt[:n, n] = 0.5
+    kkt[n, :n] = 1.0
+    return ZtW, kkt
 
 
-def kernel_shap(model, seq, target, cfg=None, design=None):
+@functools.lru_cache(maxsize=None)
+def _exact_shap_design(n):
+    """All coalitions with their ``_shap_kkt``, read-only. They depend on
+    n alone, so every input of that length shares them."""
+    Z, w = _exact_coalitions(n)
+    return (Z, *_read_only(*_shap_kkt(Z, w)))
+
+
+@functools.lru_cache(maxsize=1)
+def _sampled_shap_design(n, samples, seed):
+    """Sampled coalitions with their ``_shap_kkt``; read-only, one slot."""
+    Z = _sampled_coalitions(n, samples, np.random.default_rng(seed))
+    return _read_only(Z, *_shap_kkt(Z, np.ones(samples)))
+
+
+def kernel_shap(model, seq, target, cfg=None):
     """KernelSHAP with the efficiency constraint enforced exactly.
 
     Proper coalitions are enumerated exhaustively when the sampling budget
@@ -275,6 +258,7 @@ def kernel_shap(model, seq, target, cfg=None, design=None):
     constrained weighted least squares is solved via its KKT system so
     that sum(scores) = f(x) - f(empty) holds exactly.
     """
+    cfg = cfg or AttributionConfig()
     X, tokens = resolve_input(model, seq)
     n = X.shape[-2]
     full = _masked_probs(model, X, np.ones((1, n)), target)[..., 0]
@@ -282,30 +266,15 @@ def kernel_shap(model, seq, target, cfg=None, design=None):
     delta = full - empty
     if n == 1:
         return Attribution("SHAP", tokens, delta[..., None], target)
-    design = _checked_design("SHAP", n, cfg, design)
-    y = _masked_probs(model, X, design.Z, target) - empty[..., None]
-    return Attribution("SHAP", tokens, design.fit(y, delta), target)
-
-
-_DESIGNS = {"LIME": LimeDesign, "SHAP": ShapDesign}
-
-
-def prepare_design(method, n, cfg=None):
-    """The design ``explain`` may reuse for every n-token input of
-    ``method`` under ``cfg``, or None for the gradient methods."""
-    make = _DESIGNS.get(method.upper())
-    return make(n, cfg or AttributionConfig()) if make else None
-
-
-def _checked_design(method, n, cfg, design):
-    if design is None:
-        return prepare_design(method, n, cfg)
-    if (design.method, design.n, design.cfg) \
-            != (method, n, cfg or AttributionConfig()):
-        raise ConfigError(
-            f"{design.method} design for n={design.n} does not fit a "
-            f"{method} explanation of {n} tokens under this config")
-    return design
+    if 2**n - 2 <= cfg.shap_samples:
+        Z, ZtW, kkt = _exact_shap_design(n)
+    else:
+        Z, ZtW, kkt = _sampled_shap_design(n, cfg.shap_samples, cfg.seed)
+    y = _masked_probs(model, X, Z, target) - empty[..., None]
+    rhs = np.concatenate([ZtW @ y[..., None], delta[..., None, None]],
+                         axis=-2)
+    return Attribution("SHAP", tokens, np.linalg.solve(kkt, rhs)[..., :n, 0],
+                       target)
 
 
 def normalize_scores(attr):
@@ -325,18 +294,10 @@ _EXPLAINERS = {
 }
 
 
-def explain(method, model, seq, target, cfg=None, design=None):
-    """Dispatch by method tag (GRAD | GXI | IG | IGXI | LIME | SHAP).
-
-    An optional ``prepare_design`` result for this method, input length
-    and config saves rebuilding it; it never changes the scores.
-    """
+def explain(method, model, seq, target, cfg=None):
+    """Dispatch by method tag (GRAD | GXI | IG | IGXI | LIME | SHAP)."""
     try:
         fn = _EXPLAINERS[method.upper()]
     except KeyError:
         raise ConfigError(f"unknown attribution method: {method}") from None
-    if design is None:
-        return fn(model, seq, target, cfg)
-    if method.upper() not in _DESIGNS:
-        raise ConfigError(f"{method} takes no prepared design")
-    return fn(model, seq, target, cfg, design)
+    return fn(model, seq, target, cfg)

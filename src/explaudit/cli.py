@@ -165,6 +165,8 @@ _COMMANDS = {"gen-data": cmd_gen_data, "validate": cmd_validate,
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError("--seed must be >= 0")
         _echo_config(args)
         return _COMMANDS[args.command](args)
     except ConfigError as e:

@@ -164,7 +164,7 @@ def load_paired(path, fmt="csv"):
                 f"{path}: pair {pid!r} has {len(variants)} variant(s), "
                 "expected 2")
         (sub_a, (text_a, lab_a)), (sub_b, (text_b, lab_b)) = \
-            sorted(variants.items(), key=lambda kv: _subgroup_order(kv[0]))
+            sorted(variants.items(), key=lambda kv: subgroup_order(kv[0]))
         records.append(PairedRecord(pid, text_a, text_b, lab_a, lab_b,
                                     sub_a, sub_b))
     if not records:
@@ -172,8 +172,8 @@ def load_paired(path, fmt="csv"):
     return records
 
 
-def _subgroup_order(sub):
-    # canonical A/B ordering: MALE before FEMALE, else lexicographic
+def subgroup_order(sub):
+    """Sort key of the A/B order: MALE, FEMALE, then others by name."""
     return {SUBGROUP_A: 0, SUBGROUP_B: 1}.get(sub, 2), sub
 
 

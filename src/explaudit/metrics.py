@@ -143,9 +143,8 @@ def sensitivity(model, method, seq, attr, cfg=None, target=None,
     probability of the explained class), is projected back onto the radius
     ball, and the perturbed input is re-explained with the same method and
     seed, all restarts as one (restarts, n, d) stack: one gradient call
-    and one re-explain per step. The re-explains share one design
-    (``attribution.prepare_design``), built once per search. Returns NaN
-    when the reference explanation has zero norm.
+    and one re-explain per step; LIME and SHAP reuse one memoized design.
+    Returns NaN when the reference explanation has zero norm.
     """
     cfg = cfg or MetricConfig()
     pgd = cfg.pgd
@@ -163,7 +162,6 @@ def sensitivity(model, method, seq, attr, cfg=None, target=None,
         return 0.0
     step_size = pgd.step_size if pgd.step_size is not None else radius / 5
 
-    design = attrib.prepare_design(method, X.shape[0], attr_cfg)
     rng = np.random.default_rng(pgd.seed)
     delta = np.zeros((pgd.restarts,) + X.shape)
     for d_r in delta[1:]:  # restart 0 starts at X, the others on the sphere
@@ -180,8 +178,7 @@ def sensitivity(model, method, seq, attr, cfg=None, target=None,
             d_norm = np.linalg.norm(d_r)
             if d_norm > radius:
                 d_r *= radius / d_norm
-        perturbed = attrib.explain(method, model, X + delta, j, attr_cfg,
-                                   design=design)
+        perturbed = attrib.explain(method, model, X + delta, j, attr_cfg)
         for scores in np.asarray(perturbed.scores, dtype=float):
             worst = max(worst, np.linalg.norm(scores - base) / base_norm)
     return float(worst)

@@ -52,6 +52,12 @@ class AuditConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ConfigError("run count must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError("base_seed must be >= 0")
+        if not 0 < self.alpha < 1:
+            raise ConfigError("alpha must be in (0, 1)")
+        if not 0 <= self.d_threshold < math.inf:
+            raise ConfigError("d_threshold must be finite and >= 0")
         if not self.methods or not self.metrics:
             raise ConfigError("method and metric lists must be non-empty")
         unknown = set(m.upper() for m in self.methods) - set(attrib.METHODS)
@@ -69,9 +75,7 @@ class AuditConfig:
                 raise ConfigError(f"duplicate {name}: {dup}")
 
     def to_dict(self):
-        d = asdict(self)
-        d["metric_cfg"]["pgd"] = asdict(self.metric_cfg.pgd)
-        return d
+        return asdict(self)
 
     def content_hash(self):
         blob = json.dumps(self.to_dict(), sort_keys=True, default=list)
@@ -152,9 +156,7 @@ def _expand_items(records):
 
 
 def _subgroups_of(items):
-    subs = sorted({sub for _, sub, _, _ in items},
-                  key=lambda s: ({ds.SUBGROUP_A: 0, ds.SUBGROUP_B: 1}
-                                 .get(s, 2), s))
+    subs = sorted({sub for _, sub, _, _ in items}, key=ds.subgroup_order)
     if len(subs) != 2:
         raise DataError(f"need exactly 2 subgroups, found {subs}")
     return subs

@@ -202,9 +202,7 @@ def render(report_dir, fmt="table", out_dir=None):
         subgroups = {s.subgroup for s in samples}
     methods = config["config"]["methods"]
     metrics = config["config"]["metrics"]
-    subgroups = sorted(subgroups,
-                       key=lambda s: ({dataset.SUBGROUP_A: 0,
-                                       dataset.SUBGROUP_B: 1}.get(s, 2), s))
+    subgroups = sorted(subgroups, key=dataset.subgroup_order)
     label_a, label_b = (subgroups + ["A", "B"])[:2]
 
     if fmt == "table":

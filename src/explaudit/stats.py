@@ -113,7 +113,7 @@ def mann_whitney_u(a, b):
     u_b = n_a * n_b - u_a
 
     has_ties = len(np.unique(pooled)) < len(pooled)
-    if n_a + n_b <= EXACT_LIMIT and not has_ties:
+    if mann_whitney_mode(n_a, n_b, has_ties) == "exact":
         return u_a, _exact_two_sided_p(a, b, min(u_a, u_b))
 
     # Normal approximation with tie correction

@@ -323,11 +323,19 @@ def reference_train(model, data, cfg):
     return tm.ClassifierModel(config=model.config, **params), log
 
 
+def clear_design_memos():
+    """Forget every memoized LIME and KernelSHAP design, so the next
+    explain builds its own."""
+    for cache in (attrib._lime_design, attrib._sampled_shap_design,
+                  attrib._exact_shap_design, attrib._exact_coalitions):
+        cache.cache_clear()
+
+
 def reference_sensitivity(model, method, X, attr, cfg, target,
                           attr_cfg=None):
     """The PGD search of ``met.sensitivity`` as first written: every step
-    re-explains the perturbed input from scratch, with no prepared
-    design. ``met.sensitivity`` must reproduce it bit for bit."""
+    re-explains each restart on its own, from a freshly built design.
+    ``met.sensitivity`` must reproduce it bit for bit."""
     pgd = cfg.pgd
     X = np.asarray(X, dtype=float)
     base = np.asarray(attr.scores, dtype=float)
@@ -352,6 +360,7 @@ def reference_sensitivity(model, method, X, attr, cfg, target,
             d_norm = np.linalg.norm(delta)
             if d_norm > radius:
                 delta *= radius / d_norm
+            clear_design_memos()
             perturbed = attrib.explain(method, model, X + delta, target,
                                        attr_cfg)
             change = np.linalg.norm(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (LinearPooledModel, ConstantModel, DeadInputModel,
-                      exact_shapley, indicator_embeddings, masked_prob,
+                      clear_design_memos, exact_shapley, indicator_embeddings, masked_prob,
                       planted_token_model, finite_diff_input_grad,
                       random_tiny_model, all_coalition_probs,
                       shapley_from_values)
@@ -286,54 +286,72 @@ class TestWeightedRidge:
 
 
 class TestPreparedDesign:
+    """LIME and KernelSHAP derive their design from (n, config) and
+    memoize it; reuse never changes a score."""
+
     # n = 6: KernelSHAP enumerates all coalitions; n = 13: it samples them
     @pytest.mark.parametrize("n", [6, 13])
     @pytest.mark.parametrize("method", ["LIME", "SHAP"])
     def test_same_scores_with_and_without(self, rng, method, n):
         model = random_tiny_model(rng)
         cfg = attrib.AttributionConfig(seed=9)
-        design = attrib.prepare_design(method, n, cfg)
         for _ in range(3):
             X = rng.uniform(-1, 1, (n, 3))
-            plain = attrib.explain(method, model, X, 1, cfg)
-            reused = attrib.explain(method, model, X, 1, cfg, design=design)
-            assert np.array_equal(plain.scores, reused.scores)
+            clear_design_memos()
+            fresh = attrib.explain(method, model, X, 1, cfg)
+            for _ in range(2):
+                reused = attrib.explain(method, model, X, 1, cfg)
+                assert np.array_equal(fresh.scores, reused.scores)
+
+    @pytest.mark.parametrize("method", ["LIME", "SHAP"])
+    def test_memo_keyed_on_seed(self, rng, method):
+        model = random_tiny_model(rng)
+        X = rng.uniform(-1, 1, (13, 3))  # sampled KernelSHAP
+        cfgs = [attrib.AttributionConfig(seed=s) for s in (1, 2)]
+        fresh = []
+        for cfg in cfgs:
+            clear_design_memos()
+            fresh.append(attrib.explain(method, model, X, 1, cfg).scores)
+        assert not np.array_equal(*fresh)
+        # each explain follows one under the other seed, so a memo that
+        # ignored the seed would hand it the other seed's design
+        for cfg, scores in zip(cfgs * 2, fresh * 2):
+            assert np.array_equal(
+                attrib.explain(method, model, X, 1, cfg).scores, scores)
+
+    def test_exact_shap_design_shared_across_seeds(self, rng):
+        model = random_tiny_model(rng)
+        X = rng.uniform(-1, 1, (6, 3))
+        clear_design_memos()
+        for seed in (1, 2):
+            attrib.explain("SHAP", model, X, 1,
+                           attrib.AttributionConfig(seed=seed))
+        assert attrib._exact_shap_design.cache_info().misses == 1
 
     @pytest.mark.parametrize("n", [6, 13])
     @pytest.mark.parametrize("method", ["LIME", "SHAP"])
     def test_arrays_read_only_and_unchanged_by_fits(self, rng, method, n):
         model = random_tiny_model(rng)
-        design = attrib.prepare_design(method, n)
-        attrib.explain(method, model, rng.uniform(-1, 1, (n, 3)), 1,
-                       design=design)
-        lazy = design.normal if method == "LIME" else design.kkt
-        arrays = (design.Z, design.w, *lazy)
+        cfg = attrib.AttributionConfig()
+        if method == "LIME":
+            memo, key = attrib._lime_design, (
+                n, cfg.lime_samples, cfg.lime_kernel_width, cfg.seed)
+        elif n == 6:
+            memo, key = attrib._exact_shap_design, (n,)
+        else:
+            memo, key = attrib._sampled_shap_design, (
+                n, cfg.shap_samples, cfg.seed)
+        clear_design_memos()
+        attrib.explain(method, model, rng.uniform(-1, 1, (n, 3)), 1)
+        arrays = memo(*key)
         before = [a.copy() for a in arrays]
         for _ in range(20):
-            attrib.explain(method, model, rng.uniform(-1, 1, (n, 3)), 1,
-                           design=design)
-        lazy_after = design.normal if method == "LIME" else design.kkt
-        assert all(a is b for a, b in zip(lazy, lazy_after))
+            attrib.explain(method, model, rng.uniform(-1, 1, (n, 3)), 1)
+        assert memo.cache_info().misses == 1  # one build for all 21 fits
+        assert memo(*key) is arrays
         for a, b in zip(arrays, before):
             assert not a.flags.writeable
             assert np.array_equal(a, b)
-
-    def test_gradient_methods_have_none(self):
-        for method in ("GRAD", "GXI", "IG", "IGXI"):
-            assert attrib.prepare_design(method, 4) is None
-
-    @pytest.mark.parametrize("method, n, cfg, other", [
-        ("LIME", 4, None, "SHAP"),
-        ("LIME", 5, None, "LIME"),
-        ("SHAP", 4, attrib.AttributionConfig(seed=1), "SHAP"),
-        ("SHAP", 4, None, "GRAD"),
-    ])
-    def test_mismatch_rejected(self, rng, method, n, cfg, other):
-        model = random_tiny_model(rng)
-        design = attrib.prepare_design(method, n, cfg)
-        with pytest.raises(ConfigError):
-            attrib.explain(other, model, rng.uniform(-1, 1, (4, 3)), 1,
-                           design=design)
 
 
 class TestStackedInput:
@@ -350,8 +368,7 @@ class TestStackedInput:
             model = random_tiny_model(rng)
         cfg = attrib.AttributionConfig(seed=3)
         stack = rng.uniform(-1, 1, (3, n, 3))
-        design = attrib.prepare_design(method, n, cfg)
-        stacked = attrib.explain(method, model, stack, 1, cfg, design=design)
+        stacked = attrib.explain(method, model, stack, 1, cfg)
         assert stacked.scores.shape == (3, n)
         assert len(stacked.tokens) == n
         for X, scores in zip(stack, stacked.scores):

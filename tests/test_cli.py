@@ -233,6 +233,24 @@ class TestErrorMapping:
         assert code == 1
         assert "duplicate methods" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--seed", "-1"],
+        ["train", "--seed", "-1"],
+        ["audit", "--seed", "-1"],
+        ["audit", "--alpha", "5"],
+        ["audit", "--alpha", "nan"],
+        ["audit", "--alpha", "-0.5"],
+        ["audit", "--d-threshold", "-1"],
+    ])
+    def test_out_of_range_argument_exit_1(self, argv, none_dataset,
+                                          tmp_path, capsys):
+        out = str(tmp_path / "out")
+        data = [] if argv[0] == "gen-data" else ["--dataset", none_dataset]
+        code, _, err = run_cli(argv + data + ["--out", out], capsys)
+        assert code == 1
+        assert "config error" in err
+        assert not os.path.exists(out)
+
     def test_numerical_failure_exit_3(self, none_dataset, tmp_path, capsys,
                                       monkeypatch):
         def failing_audit(records, cfg):

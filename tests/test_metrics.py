@@ -232,9 +232,9 @@ class TestSensitivity:
 
 
 class TestSensitivityDesignReuse:
-    """The PGD search runs its restarts as one stack and shares one
-    prepared design across its re-explains; it must give the bits of
-    re-explaining each restart from scratch at every step."""
+    """The PGD search runs its restarts as one stack and its re-explains
+    reuse one memoized design; it must give the bits of re-explaining
+    each restart from a fresh design at every step."""
 
     @pytest.mark.parametrize("n", [6, 13])  # SHAP exact / sampled
     @pytest.mark.parametrize("hook", [False, True])

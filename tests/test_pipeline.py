@@ -37,6 +37,9 @@ class TestAuditConfig:
         {"runs": 0}, {"methods": ()}, {"metrics": ()},
         {"methods": ("GRAD", "ANCHOR")}, {"metrics": ("gini", "auc")},
         {"methods": ("GXI", "gxi")}, {"metrics": ("sparsity", "sparsity")},
+        {"alpha": 5.0}, {"alpha": 1.0}, {"alpha": 0.0}, {"alpha": -0.5},
+        {"alpha": math.nan}, {"base_seed": -1}, {"d_threshold": -1.0},
+        {"d_threshold": math.nan}, {"d_threshold": math.inf},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
