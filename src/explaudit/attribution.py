@@ -49,6 +49,8 @@ class AttributionConfig:
             raise ConfigError("sample counts must be >= 1")
         if self.lime_kernel_width < 0:
             raise ConfigError("kernel width must be positive")
+        if not 0 <= self.ridge < math.inf:
+            raise ConfigError("ridge must be finite and >= 0")
 
 
 def resolve_input(model, seq):
@@ -107,64 +109,45 @@ def ig_x_input(model, seq, target, cfg=None):
     return Attribution("IGXI", tokens, (per_dim * X).sum(axis=-1), target)
 
 
-#: ridge doublings tried before a surrogate fit is declared failed
-MAX_RIDGE_DOUBLINGS = 64
-
-
 def _read_only(*arrays):
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
-def _normal_matrices(Z, w):
-    """``(A.T * w, A.T * w @ A)`` for the design ``A = [1 | Z]`` of a
-    weighted regression with intercept."""
-    A = np.column_stack([np.ones(len(Z)), Z])
-    AtW = A.T * w
-    return AtW, AtW @ A
+def _solve(system, rhs):
+    """Solution of a surrogate fit's linear system (LIME's ridge normal
+    equations, KernelSHAP's KKT system) for a stack of right-hand sides.
 
-
-def _weighted_ridge(AtW, gram, y, ridge):
-    """Weighted ridge regression with unpenalized intercept, from the
-    normal matrices of ``_normal_matrices``.
-
-    Returns the coefficients (without the intercept) of one fit per row
-    of ``y``. Doubles the ridge strength for the fits not yet finite, at
-    most ``MAX_RIDGE_DOUBLINGS`` times. Raises NumericalError on non-finite
-    targets or when no ridge strength gives a finite solution.
+    Raises NumericalError when ``rhs`` is not finite, which is how a
+    non-finite model output shows, or when the system is singular.
     """
-    if not np.all(np.isfinite(y)):
+    if not np.all(np.isfinite(rhs)):
         raise NumericalError("non-finite model output in surrogate fit")
-    rhs = AtW @ y[..., None]
-    coef = np.full(rhs.shape[:-1], np.nan)
-    penalty = np.eye(len(gram))
-    penalty[0, 0] = 0.0
-    for _ in range(MAX_RIDGE_DOUBLINGS + 1):
-        try:
-            fit = np.linalg.solve(gram + ridge * penalty, rhs)[..., 0]
-        except np.linalg.LinAlgError:
-            fit = coef
-        coef = np.where(np.isfinite(coef).all(-1, keepdims=True), coef, fit)
-        if np.all(np.isfinite(coef)):
-            return coef[..., 1:]
-        ridge *= 2.0
-    raise NumericalError(
-        f"surrogate fit still singular after {MAX_RIDGE_DOUBLINGS} "
-        "ridge doublings")
+    try:
+        x = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        x = None
+    if x is None or not np.all(np.isfinite(x)):
+        raise NumericalError("singular surrogate fit system")
+    return x
 
 
 @functools.lru_cache(maxsize=1)
-def _lime_design(n, samples, width, seed):
-    """LIME's masks ``Z`` and the normal matrices of their kernel-weighted
-    fit, read-only. One slot: the PGD search re-explains one (n, config)
-    at every step."""
+def _lime_design(n, samples, width, seed, ridge):
+    """LIME's masks ``Z`` with ``A.T * w`` and the ridge system
+    ``A.T * w @ A + ridge * P`` of their kernel-weighted fit, where
+    ``A = [1 | Z]`` and ``P`` leaves the intercept unpenalized; read-only.
+    One slot: the PGD search re-explains one (n, config) at every step."""
     rng = np.random.default_rng(seed)
     Z = (rng.random((samples, n)) < 0.5).astype(float)
     width = width or 0.75 * math.sqrt(n)
     dist = n - Z.sum(axis=1)
     w = np.exp(-(dist**2) / width**2)
-    return _read_only(Z, *_normal_matrices(Z, w))
+    A = np.column_stack([np.ones(samples), Z])
+    AtW = A.T * w
+    penalty = np.diag([0.0] + [1.0] * n)
+    return _read_only(Z, AtW, AtW @ A + ridge * penalty)
 
 
 def lime(model, seq, target, cfg=None):
@@ -175,10 +158,10 @@ def lime(model, seq, target, cfg=None):
     """
     cfg = cfg or AttributionConfig()
     X, tokens = resolve_input(model, seq)
-    Z, AtW, gram = _lime_design(X.shape[-2], cfg.lime_samples,
-                                cfg.lime_kernel_width, cfg.seed)
+    Z, AtW, system = _lime_design(X.shape[-2], cfg.lime_samples,
+                                  cfg.lime_kernel_width, cfg.seed, cfg.ridge)
     y = _masked_probs(model, X, Z, target)
-    coef = _weighted_ridge(AtW, gram, y, cfg.ridge)
+    coef = _solve(system, AtW @ y[..., None])[..., 1:, 0]
     return Attribution("LIME", tokens, coef, target)
 
 
@@ -264,16 +247,18 @@ def kernel_shap(model, seq, target, cfg=None):
     full = _masked_probs(model, X, np.ones((1, n)), target)[..., 0]
     empty = _masked_probs(model, X, np.zeros((1, n)), target)[..., 0]
     delta = full - empty
-    if n == 1:
-        return Attribution("SHAP", tokens, delta[..., None], target)
-    if 2**n - 2 <= cfg.shap_samples:
-        Z, ZtW, kkt = _exact_shap_design(n)
+    if n == 1:  # the efficiency constraint alone fixes the one score
+        system, rhs = np.ones((1, 1)), delta[..., None, None]
     else:
-        Z, ZtW, kkt = _sampled_shap_design(n, cfg.shap_samples, cfg.seed)
-    y = _masked_probs(model, X, Z, target) - empty[..., None]
-    rhs = np.concatenate([ZtW @ y[..., None], delta[..., None, None]],
-                         axis=-2)
-    return Attribution("SHAP", tokens, np.linalg.solve(kkt, rhs)[..., :n, 0],
+        if 2**n - 2 <= cfg.shap_samples:
+            Z, ZtW, system = _exact_shap_design(n)
+        else:
+            Z, ZtW, system = _sampled_shap_design(n, cfg.shap_samples,
+                                                  cfg.seed)
+        y = _masked_probs(model, X, Z, target) - empty[..., None]
+        rhs = np.concatenate([ZtW @ y[..., None], delta[..., None, None]],
+                             axis=-2)
+    return Attribution("SHAP", tokens, _solve(system, rhs)[..., :n, 0],
                        target)
 
 

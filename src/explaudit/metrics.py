@@ -7,9 +7,9 @@ projected-gradient search in embedding space.
 
 Token "removal" is zero-embedding throughout, keeping sequence length
 fixed and matching the masking semantics of the surrogate explainers.
-``score_input`` scores all attributions of one input with every metric
-but sensitivity in one batched forward call; the per-metric functions
-are its one-attribution calls.
+``score_input`` scores every attribution of one input with every metric,
+the masked queries of all faithfulness cells in one batched forward call;
+``evaluate`` scores one attribution with one metric.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .errors import ConfigError
 
 METRICS = ("comprehensiveness", "sufficiency", "soft_comprehensiveness",
            "soft_sufficiency", "sparsity", "gini", "sensitivity")
-BATCHED_METRICS = METRICS[:-1]  # all but the PGD search
 SOFT_METRICS = ("soft_comprehensiveness", "soft_sufficiency")
+SEEDED_METRICS = SOFT_METRICS + ("sensitivity",)  # draw random numbers
 
 
 @dataclass
@@ -57,7 +57,6 @@ class MetricConfig:
     soft_samples: int = 16
     soft_seed: int = 0
     pgd: PGDConfig = field(default_factory=PGDConfig)
-    use_gold_label: bool = False
 
     def __post_init__(self):
         t = list(self.thresholds)
@@ -84,31 +83,6 @@ def _target_class(model, X, target):
         return target
     probs, _ = textmodel.forward_pooled(model, X.mean(axis=0))
     return int(np.argmax(probs))
-
-
-def aopc_comprehensiveness(model, seq, attr, cfg=None, target=None):
-    """Mean clamped probability drop after removing top-scored tokens,
-    over the threshold grid."""
-    return score_input(model, seq, [attr], ("comprehensiveness",), cfg,
-                       target)[0][0]
-
-
-def aopc_sufficiency(model, seq, attr, cfg=None, target=None):
-    """Mean clamped probability drop when only top-scored tokens are kept."""
-    return score_input(model, seq, [attr], ("sufficiency",), cfg,
-                       target)[0][0]
-
-
-def soft_sufficiency(model, seq, attr, cfg=None, target=None):
-    """1 - mean clamped drop, retaining elements with prob = normalized score."""
-    return score_input(model, seq, [attr], ("soft_sufficiency",), cfg,
-                       target)[0][0]
-
-
-def soft_comprehensiveness(model, seq, attr, cfg=None, target=None):
-    """Mean clamped drop, removing elements with prob = normalized score."""
-    return score_input(model, seq, [attr], ("soft_comprehensiveness",), cfg,
-                       target)[0][0]
 
 
 def sparsity(attr, cfg=None):
@@ -185,27 +159,36 @@ def sensitivity(model, method, seq, attr, cfg=None, target=None,
 
 
 def score_input(model, seq, attrs, metrics, cfg=None, target=None,
-                seeds=None):
-    """Every metric in ``metrics`` (any but ``sensitivity``) of every
-    attribution in ``attrs`` of one input; returns ``values[k][i]`` for
-    attribution k and metric i.
+                seeds=None, attr_cfgs=None):
+    """Every metric in ``metrics`` of every attribution in ``attrs`` of one
+    input; returns ``values[k][i]`` for attribution k and metric i.
 
-    The masked model queries of all cells go into one batched forward
-    call: each attribution's AOPC threshold masks, pooled as
+    The masked model queries of all faithfulness cells go into one batched
+    forward call: each attribution's AOPC threshold masks, pooled as
     ``mask @ X / n``, then its soft-metric rows, where X' keeps each
     embedding element with its token's retain probability
     (comprehensiveness: 1 - normalized score; sufficiency: the normalized
-    score). ``seeds[k][i]`` seeds the draw of a soft cell; it defaults to
-    ``cfg.soft_seed``. Each family compares against p(X) from one 1-row
-    call.
+    score). Each family compares against p(X) from one 1-row call. A
+    sensitivity cell is ``evaluate``'s PGD search, which re-explains with
+    method ``attrs[k].method`` and config ``attr_cfgs[k]``.
+    ``seeds[k][i]`` seeds the draw of a soft cell and the search of a
+    sensitivity cell; it defaults to ``cfg.soft_seed`` and ``cfg.pgd.seed``.
     """
     cfg = cfg or MetricConfig()
-    unknown = set(metrics) - set(BATCHED_METRICS)
+    unknown = set(metrics) - set(METRICS)
     if unknown:
-        raise ConfigError(f"not a batched metric: {sorted(unknown)}")
+        raise ConfigError(f"unknown metric: {sorted(unknown)}")
     values = [[sparsity(attr, cfg) if metric == "sparsity"
                else gini_index(attr) if metric == "gini" else None
                for metric in metrics] for attr in attrs]
+    for k, attr in enumerate(attrs):
+        for i, metric in enumerate(metrics):
+            if metric == "sensitivity":
+                one = cfg if seeds is None else replace(
+                    cfg, pgd=replace(cfg.pgd, seed=seeds[k][i]))
+                values[k][i] = evaluate(
+                    metric, model, attr.method, seq, attr, one, target,
+                    None if attr_cfgs is None else attr_cfgs[k])
     cells = [(k, i, metric) for k in range(len(attrs))
              for i, metric in enumerate(metrics) if values[k][i] is None]
     if not cells:
@@ -255,11 +238,11 @@ def score_input(model, seq, attrs, metrics, cfg=None, target=None,
 
 def evaluate(metric, model, method, seq, attr, cfg=None, target=None,
              attr_cfg=None):
-    """Dispatch a metric by name."""
+    """One metric of one attribution, by name: the PGD search for
+    sensitivity (``score_input`` calls it for each sensitivity cell),
+    otherwise a one-cell ``score_input``."""
     if metric == "sensitivity":
         return sensitivity(model, method, seq, attr, cfg, target, attr_cfg)
-    if metric not in BATCHED_METRICS:
-        raise ConfigError(f"unknown metric: {metric}")
     return score_input(model, seq, [attr], (metric,), cfg, target)[0][0]
 
 

@@ -28,9 +28,7 @@ from . import stats
 from . import textmodel as tm
 from .errors import ConfigError, DataError
 
-DEFAULT_METRICS = ("comprehensiveness", "sufficiency",
-                   "soft_comprehensiveness", "soft_sufficiency",
-                   "sparsity", "gini")
+DEFAULT_METRICS = met.METRICS[:-1]  # all but the PGD sensitivity search
 
 
 @dataclass
@@ -201,8 +199,6 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
     model = tm.init_model(len(prep.vocab), cfg.model_cfg, seed=run_seed)
     model, train_log = tm.train(model, prep.train_data, train_cfg)
 
-    use_gold = cfg.metric_cfg.use_gold_label
-    batched = tuple(m for m in cfg.metrics if m in met.BATCHED_METRICS)
     predictions = []
     correct = 0
     samples = []
@@ -215,31 +211,20 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
             subgroup=sub, true_label=label_idx[lab],
             predicted_label=pred.predicted_class, probs=pred.probs,
             pair_id=pair_id if prep.paired else None))
-        target = label_idx[lab] if use_gold else pred.predicted_class
+        target = pred.predicted_class
         attrs, a_cfgs = [], []
         for method in cfg.methods:
             a_cfgs.append(replace(cfg.attr_cfg, seed=_derive_seed(
                 run_seed, pair_id, sub, method)))
             attrs.append(attrib.explain(method, model, seq, target,
                                         a_cfgs[-1]))
-        # a per-cell seed only where the metric draws random numbers
-        values = met.score_input(
-            model, X, attrs, batched, cfg.metric_cfg, target,
-            [[_derive_seed(run_seed, pair_id, sub, method, metric)
-              if metric in met.SOFT_METRICS else None for metric in batched]
-             for method in cfg.methods])
-        for method, attr, a_cfg, row in zip(cfg.methods, attrs, a_cfgs,
-                                            values):
-            row = iter(row)
-            for metric in cfg.metrics:
-                if metric == "sensitivity":
-                    pgd = replace(cfg.metric_cfg.pgd, seed=_derive_seed(
-                        run_seed, pair_id, sub, method, metric))
-                    value = met.evaluate(metric, model, method, X, attr,
-                                         replace(cfg.metric_cfg, pgd=pgd),
-                                         target, a_cfg)
-                else:
-                    value = next(row)
+        seeds = [[_derive_seed(run_seed, pair_id, sub, method, metric)
+                  if metric in met.SEEDED_METRICS else None
+                  for metric in cfg.metrics] for method in cfg.methods]
+        values = met.score_input(model, X, attrs, cfg.metrics,
+                                 cfg.metric_cfg, target, seeds, a_cfgs)
+        for method, row in zip(cfg.methods, values):
+            for metric, value in zip(cfg.metrics, row):
                 samples.append(met.ScoreSample(pair_id, sub, method, metric,
                                                float(value)))
     test_accuracy = correct / len(test_items)

@@ -62,19 +62,6 @@ class BiasReport:
         return {"TPR": self.tpr, "TNR": self.tnr, "APD": self.apd}
 
 
-def _rank_with_midranks(values):
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2 + 1
-        i = j + 1
-    return ranks
-
-
 @functools.lru_cache(maxsize=None)
 def _u_counts(n_a, n_b):
     """Count of rank assignments per U value 0 .. n_a * n_b; the top rank
@@ -105,21 +92,22 @@ def mann_whitney_u(a, b):
     b = [float(x) for x in b]
     if not a or not b:
         raise DataError("both samples must be non-empty")
+    if any(math.isnan(x) for x in a + b):
+        raise DataError("NaN score in U test")
     n_a, n_b = len(a), len(b)
-    pooled = np.array(a + b)
-    ranks = _rank_with_midranks(pooled)
-    r_a = ranks[:n_a].sum()
-    u_a = r_a - n_a * (n_a + 1) / 2
+    n = n_a + n_b
+    # a tie group's midrank: its last rank minus half its extra members
+    _, where, counts = np.unique(np.array(a + b), return_inverse=True,
+                                 return_counts=True)
+    midranks = np.cumsum(counts) - (counts - 1) / 2
+    u_a = midranks[where[:n_a]].sum() - n_a * (n_a + 1) / 2
     u_b = n_a * n_b - u_a
 
-    has_ties = len(np.unique(pooled)) < len(pooled)
-    if mann_whitney_mode(n_a, n_b, has_ties) == "exact":
+    if mann_whitney_mode(n_a, n_b, len(counts) < n) == "exact":
         return u_a, _exact_two_sided_p(a, b, min(u_a, u_b))
 
     # Normal approximation with tie correction
-    n = n_a + n_b
-    _, tie_counts = np.unique(pooled, return_counts=True)
-    tie_term = (tie_counts**3 - tie_counts).sum()
+    tie_term = (counts**3 - counts).sum()
     sigma_sq = n_a * n_b / 12 * ((n + 1) - tie_term / (n * (n - 1)))
     if sigma_sq <= 0:
         return u_a, 1.0
@@ -152,15 +140,14 @@ def cohens_d(a, b):
     return float(diff / s)
 
 
-def disparity_test(scores, alpha=0.05, d_threshold=0.2,
-                   always_effect_size=False):
+def disparity_test(scores, alpha=0.05, d_threshold=0.2):
     """Run the U test on a SubgroupScores; effect size is computed only for
-    significant results unless ``always_effect_size`` is set."""
+    significant results."""
     a, b = scores.scores_a, scores.scores_b
     u, p = mann_whitney_u(a, b)
     significant = p <= alpha
     d = None
-    if (significant or always_effect_size) and len(a) >= 2 and len(b) >= 2:
+    if significant and len(a) >= 2 and len(b) >= 2:
         d = cohens_d(a, b)
     considerable = bool(significant and d is not None
                         and math.isfinite(d) and abs(d) >= d_threshold)

@@ -215,7 +215,8 @@ def forward_pooled(model, pooled):
 
 
 def forward(model, embeddings):
-    """Predict from an (n, d) embedding matrix for one input."""
+    """Predict from an (n, d) embedding matrix for one input; raises
+    NumericalError when the model's probabilities are not finite."""
     embeddings = np.asarray(embeddings, dtype=float)
     if embeddings.ndim != 2 or embeddings.shape[0] < 1:
         raise DataError("embeddings must be a non-empty (n, d) matrix")
@@ -223,6 +224,8 @@ def forward(model, embeddings):
         raise DataError("non-finite values in input embeddings")
     pooled = embeddings.mean(axis=0)
     probs, logits = forward_pooled(model, pooled)
+    if not np.all(np.isfinite(probs)):
+        raise NumericalError("non-finite model output")
     return Prediction(probs=probs, predicted_class=int(np.argmax(probs)),
                       logits=logits)
 

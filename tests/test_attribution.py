@@ -20,7 +20,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"ig_steps": 0}, {"lime_samples": 0}, {"shap_samples": 0},
-        {"lime_kernel_width": -1.0},
+        {"lime_kernel_width": -1.0}, {"ridge": -1e-3}, {"ridge": np.nan},
+        {"ridge": np.inf},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -271,18 +272,35 @@ class TestKernelShap:
         assert np.array_equal(a.scores, b.scores)
 
 
+def _ridge_system(Z, w, ridge):
+    """LIME's ``A.T * w`` and ridge system for masks Z and weights w."""
+    A = np.column_stack([np.ones(len(Z)), Z])
+    penalty = np.eye(A.shape[1])
+    penalty[0, 0] = 0.0
+    return A.T * w, A.T * w @ A + ridge * penalty
+
+
 class TestWeightedRidge:
+    """The checked solve that LIME and KernelSHAP share."""
+
     def test_non_finite_target_rejected(self):
         y = np.array([0.2, np.nan, 0.4, 0.1])
-        normal = attrib._normal_matrices(np.eye(4), np.ones(4))
+        AtW, system = _ridge_system(np.eye(4), np.ones(4), 1e-3)
         with pytest.raises(NumericalError, match="non-finite"):
-            attrib._weighted_ridge(*normal, y, 1e-3)
+            attrib._solve(system, AtW @ y[:, None])
 
     def test_unsolvable_system_gives_up(self):
         # zero weights leave the intercept unidentified for any ridge
-        normal = attrib._normal_matrices(np.eye(4), np.zeros(4))
-        with pytest.raises(NumericalError, match="ridge doublings"):
-            attrib._weighted_ridge(*normal, np.ones(4), 1e-3)
+        AtW, system = _ridge_system(np.eye(4), np.zeros(4), 1e-3)
+        with pytest.raises(NumericalError, match="singular"):
+            attrib._solve(system, AtW @ np.ones((4, 1)))
+
+    @pytest.mark.parametrize("method", ["LIME", "SHAP"])
+    @pytest.mark.parametrize("n", [1, 4, 13])  # SHAP: 1 token, exact, sampled
+    def test_non_finite_model_output_raises(self, method, n):
+        with pytest.raises(NumericalError, match="non-finite"):
+            attrib.explain(method, ConstantModel(np.nan),
+                           indicator_embeddings(n), 1)
 
 
 class TestPreparedDesign:
@@ -335,7 +353,8 @@ class TestPreparedDesign:
         cfg = attrib.AttributionConfig()
         if method == "LIME":
             memo, key = attrib._lime_design, (
-                n, cfg.lime_samples, cfg.lime_kernel_width, cfg.seed)
+                n, cfg.lime_samples, cfg.lime_kernel_width, cfg.seed,
+                cfg.ridge)
         elif n == 6:
             memo, key = attrib._exact_shap_design, (n,)
         else:

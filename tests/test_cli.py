@@ -254,8 +254,7 @@ class TestErrorMapping:
     def test_numerical_failure_exit_3(self, none_dataset, tmp_path, capsys,
                                       monkeypatch):
         def failing_audit(records, cfg):
-            normal = attrib._normal_matrices(np.eye(2), np.ones(2))
-            attrib._weighted_ridge(*normal, np.array([np.nan, 0.0]), 1e-3)
+            attrib._solve(np.eye(2), np.array([[np.nan], [0.0]]))
 
         monkeypatch.setattr(pipeline, "run_audit", failing_audit)
         code, _, err = run_cli(["audit", "--dataset", none_dataset,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,10 @@ def _attr(scores, method="GXI", target=1):
     scores = np.asarray(scores, dtype=float)
     return attrib.Attribution(method, [f"t{i}" for i in range(len(scores))],
                               scores, target)
+
+
+def _score(metric, model, X, attr, cfg=None):
+    return met.evaluate(metric, model, attr.method, X, attr, cfg)
 
 
 class TestConfig:
@@ -41,26 +46,27 @@ class TestAopcComprehensiveness:
     def test_all_zero_attribution(self, rng):
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (4, 3))
-        assert met.aopc_comprehensiveness(model, X, _attr([0, 0, 0, 0])) == 0
+        assert _score("comprehensiveness", model, X, _attr([0, 0, 0, 0])) == 0
 
     def test_constant_model(self):
         X = indicator_embeddings(3)
-        v = met.aopc_comprehensiveness(ConstantModel(0.6), X, _attr([1, 0, 0]))
+        v = _score("comprehensiveness", ConstantModel(0.6), X,
+                   _attr([1, 0, 0]))
         assert v == 0
 
     def test_planted_single_feature(self):
         # removing the scored token drops p from 0.8 to 0.5 at every threshold
         model = planted_token_model([0.3, 0.0, 0.0])
         X = indicator_embeddings(3)
-        v = met.aopc_comprehensiveness(model, X, _attr([1.0, 0.0, 0.0]))
+        v = _score("comprehensiveness", model, X, _attr([1.0, 0.0, 0.0]))
         assert v == pytest.approx(0.3, abs=1e-9)
 
     def test_in_unit_interval(self, rng):
         for _ in range(10):
             model = random_tiny_model(rng)
             X = rng.uniform(-1, 1, (4, 3))
-            v = met.aopc_comprehensiveness(model, X,
-                                           _attr(rng.uniform(-1, 1, 4)))
+            v = _score("comprehensiveness", model, X,
+                       _attr(rng.uniform(-1, 1, 4)))
             assert 0.0 <= v <= 1.0
 
 
@@ -68,22 +74,22 @@ class TestAopcSufficiency:
     def test_everything_kept(self, rng):
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (4, 3))
-        assert met.aopc_sufficiency(model, X, _attr([1, 1, 1, 1])) == 0
+        assert _score("sufficiency", model, X, _attr([1, 1, 1, 1])) == 0
 
     def test_constant_model(self):
         X = indicator_embeddings(2)
-        assert met.aopc_sufficiency(ConstantModel(), X, _attr([1, 0])) == 0
+        assert _score("sufficiency", ConstantModel(), X, _attr([1, 0])) == 0
 
     def test_kept_token_carries_effect(self):
         model = planted_token_model([0.3, 0.0, 0.0])
         X = indicator_embeddings(3)
-        v = met.aopc_sufficiency(model, X, _attr([1.0, 0.0, 0.0]))
+        v = _score("sufficiency", model, X, _attr([1.0, 0.0, 0.0]))
         assert v == pytest.approx(0.0, abs=1e-9)
 
     def test_effect_token_always_dropped(self):
         model = planted_token_model([0.3, 0.0, 0.0])
         X = indicator_embeddings(3)
-        v = met.aopc_sufficiency(model, X, _attr([0.0, 1.0, 0.0]))
+        v = _score("sufficiency", model, X, _attr([0.0, 1.0, 0.0]))
         assert v == pytest.approx(0.3, abs=1e-9)
 
 
@@ -91,21 +97,24 @@ class TestSoftMetrics:
     def test_retain_everything(self, rng):
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (3, 3))
-        assert met.soft_sufficiency(model, X, _attr([1, 1, 1])) == 1.0
+        assert _score("soft_sufficiency", model, X, _attr([1, 1, 1])) == 1.0
 
     def test_constant_model_sufficiency(self):
         X = indicator_embeddings(3)
-        v = met.soft_sufficiency(ConstantModel(0.8), X, _attr([1, 0.5, 0]))
+        v = _score("soft_sufficiency", ConstantModel(0.8), X,
+                   _attr([1, 0.5, 0]))
         assert v == 1.0
 
     def test_zero_scores_comprehensiveness(self, rng):
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (3, 3))
-        assert met.soft_comprehensiveness(model, X, _attr([0, 0, 0])) == 0.0
+        assert _score("soft_comprehensiveness", model, X,
+                      _attr([0, 0, 0])) == 0.0
 
     def test_constant_model_comprehensiveness(self):
         X = indicator_embeddings(2)
-        v = met.soft_comprehensiveness(ConstantModel(0.3), X, _attr([1, 0]))
+        v = _score("soft_comprehensiveness", ConstantModel(0.3), X,
+                   _attr([1, 0]))
         assert v == 0.0
 
     def test_exact_enumeration_oracle(self):
@@ -116,11 +125,11 @@ class TestSoftMetrics:
         cfg = met.MetricConfig(soft_samples=4096)
         q = attrib.normalize_scores(a)
         exact_s = exact_soft_value(model, X, q, 1, "sufficiency")
-        got = met.soft_sufficiency(model, X, a, cfg)
+        got = _score("soft_sufficiency", model, X, a, cfg)
         assert got == pytest.approx(exact_s, abs=0.03)  # ~3 standard errors
 
         exact_c = exact_soft_value(model, X, 1.0 - q, 1, "comprehensiveness")
-        got_c = met.soft_comprehensiveness(model, X, a, cfg)
+        got_c = _score("soft_comprehensiveness", model, X, a, cfg)
         assert got_c == pytest.approx(exact_c, abs=0.03)
 
     def test_shared_mask_complementarity(self, rng):
@@ -130,8 +139,9 @@ class TestSoftMetrics:
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (3, 3))
         cfg = met.MetricConfig(soft_samples=32, soft_seed=9)
-        s = met.soft_sufficiency(model, X, _attr([0.0, 1.0, 2.0]), cfg)
-        c = met.soft_comprehensiveness(model, X, _attr([2.0, 1.0, 0.0]), cfg)
+        s = _score("soft_sufficiency", model, X, _attr([0.0, 1.0, 2.0]), cfg)
+        c = _score("soft_comprehensiveness", model, X,
+                   _attr([2.0, 1.0, 0.0]), cfg)
         assert c == pytest.approx(1.0 - s, abs=1e-12)
 
 
@@ -139,7 +149,7 @@ class TestScoreInput:
     @pytest.mark.parametrize("model", [
         LinearPooledModel([0.2, -0.1, 0.05], base=0.5), ConstantModel(0.7)])
     @pytest.mark.parametrize("metrics", [
-        met.BATCHED_METRICS, ("soft_sufficiency", "gini", "sufficiency")])
+        met.METRICS[:-1], ("soft_sufficiency", "gini", "sufficiency")])
     def test_batch_matches_one_attribution_calls(self, model, metrics, rng):
         X = indicator_embeddings(3)
         attrs = [_attr(rng.uniform(-1, 1, 3)) for _ in range(4)]
@@ -154,10 +164,28 @@ class TestScoreInput:
                 want = met.evaluate(metric, model, "GXI", X, attr, one, 1)
                 assert got[k][i] == pytest.approx(want, abs=1e-12)
 
-    def test_sensitivity_not_batched(self, rng):
-        with pytest.raises(ConfigError, match="sensitivity"):
-            met.score_input(random_tiny_model(rng), np.ones((2, 3)),
-                            [_attr([1, 0])], ("sensitivity",))
+    def test_sensitivity_cell_is_evaluate(self, rng):
+        # a sensitivity cell is evaluate's PGD search with the cell's seed
+        # as its PGD seed and the attribution's own method and config
+        model = random_tiny_model(rng)
+        X = rng.uniform(-1, 1, (5, 3))
+        a_cfgs = [attrib.AttributionConfig(lime_samples=64, seed=s)
+                  for s in (1, 2, 3)]
+        attrs = [attrib.explain(m, model, X, 1, c)
+                 for m, c in zip(("GXI", "LIME", "SHAP"), a_cfgs)]
+        metrics = ("gini", "sensitivity", "soft_sufficiency")
+        cfg = met.MetricConfig(soft_samples=4, pgd=met.PGDConfig(steps=3))
+        seeds = [[None, 7 + k, 20 + k] for k in range(len(attrs))]
+        got = met.score_input(model, X, attrs, metrics, cfg, 1, seeds,
+                              a_cfgs)
+        for k, attr in enumerate(attrs):
+            one = replace(cfg, pgd=replace(cfg.pgd, seed=seeds[k][1]))
+            want = met.evaluate("sensitivity", model, attr.method, X, attr,
+                                one, 1, a_cfgs[k])
+            assert got[k][1] == want
+            assert got[k][1] != met.evaluate(
+                "sensitivity", model, attr.method, X, attr, cfg, 1,
+                a_cfgs[k])
 
 
 class TestSparsity:

@@ -79,13 +79,15 @@ class TestRunSingleAudit:
         assert len(run.samples) == 4 * n_test_inputs
 
     def test_batched_scores_match_single_cell_evaluate(self):
-        # every cell of the batched per-input scoring equals a one-cell
-        # met.evaluate with that cell's derived seed as its soft seed
+        # every cell of the per-input scoring equals a one-cell
+        # met.evaluate with that cell's derived seed as its soft seed and
+        # PGD seed, and the method's explainer config
         records = ds.generate_synthetic_paired(10, "LENGTH", seed=5)
         attr_cfg = attrib.AttributionConfig(ig_steps=4, lime_samples=32,
                                             shap_samples=64)
-        cfg = _fast_cfg(methods=attrib.METHODS,
-                        metrics=pipeline.DEFAULT_METRICS, attr_cfg=attr_cfg)
+        metric_cfg = met.MetricConfig(pgd=met.PGDConfig(steps=2))
+        cfg = _fast_cfg(methods=attrib.METHODS, metrics=met.METRICS,
+                        attr_cfg=attr_cfg, metric_cfg=metric_cfg)
         run = pipeline.run_single_audit(records, cfg, run_seed=6)
 
         prep = pipeline.prepare_run(records, 6, cfg.split_ratio)
@@ -102,14 +104,17 @@ class TestRunSingleAudit:
                     6, pair_id, sub, method))
                 attr = attrib.explain(method, model, seq, target, a_cfg)
                 for metric in cfg.metrics:
-                    m_cfg = met.MetricConfig(soft_seed=pipeline._derive_seed(
-                        6, pair_id, sub, method, metric))
+                    seed = pipeline._derive_seed(6, pair_id, sub, method,
+                                                 metric)
+                    m_cfg = replace(metric_cfg, soft_seed=seed,
+                                    pgd=replace(metric_cfg.pgd, seed=seed))
                     expected.append((pair_id, sub, method, metric,
                                      met.evaluate(metric, model, method, X,
-                                                  attr, m_cfg, target)))
+                                                  attr, m_cfg, target,
+                                                  a_cfg)))
         assert len({tm.tokenize(prep.vocab, text).n
                     for _, _, text, _ in prep.test_items}) > 1
-        assert len(run.samples) == len(expected) == 36 * len(prep.test_items)
+        assert len(run.samples) == len(expected) == 42 * len(prep.test_items)
         for s, (pair_id, sub, method, metric, value) in zip(run.samples,
                                                             expected):
             assert (s.pair_id, s.subgroup, s.method, s.metric) == \
@@ -138,6 +143,18 @@ class TestRunSingleAudit:
         cfg = _fast_cfg(train_cfg=tm.TrainConfig(
             epochs=5, warmup_steps=1, learning_rate=1e300))
         with pytest.raises(NumericalError, match="non-finite"):
+            pipeline.run_single_audit(records, cfg, run_seed=0)
+
+    @pytest.mark.parametrize("methods", [("SHAP",), ("GRAD", "IG")])
+    def test_non_finite_model_output_raises_numerical_error(self, methods):
+        # training ends with finite parameters near 1e300, but the model's
+        # probabilities are NaN; the audit used to explain class 0, drop
+        # every NaN score and stop with a DataError about empty samples
+        records = ds.generate_synthetic_paired(10, "LENGTH", seed=0)
+        cfg = _fast_cfg(methods=methods, model_cfg=tm.ModelConfig(),
+                        train_cfg=tm.TrainConfig(
+                            epochs=2, warmup_steps=1, learning_rate=1e300))
+        with pytest.raises(NumericalError, match="non-finite model output"):
             pipeline.run_single_audit(records, cfg, run_seed=0)
 
     def test_single_label_rejected(self):
