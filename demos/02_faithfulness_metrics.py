@@ -1,15 +1,13 @@
 """Score explanations with the faithfulness and concentration metrics.
 
 Trains the classifier on synthetic pairs, explains a held-out sentence
-with each attribution method, and evaluates every metric: AOPC
-comprehensiveness / sufficiency, their soft (Bernoulli-retention)
-variants, sparsity, Gini concentration, and PGD sensitivity.
+with each attribution method, and scores every explanation with every
+metric in one ``score_input`` call: AOPC comprehensiveness / sufficiency,
+their soft (Bernoulli-retention) variants, sparsity, Gini concentration,
+and PGD sensitivity.
 """
 
 from explaudit import attribution, dataset, metrics, textmodel
-
-METRICS = ("comprehensiveness", "sufficiency", "soft_comprehensiveness",
-           "soft_sufficiency", "sparsity", "gini", "sensitivity")
 
 
 def main():
@@ -32,13 +30,14 @@ def main():
     print(f"input: {sentence!r}   target class: {lab}\n")
 
     a_cfg = attribution.AttributionConfig(seed=0)
-    m_cfg = metrics.MetricConfig(soft_seed=0)
-    print("method".ljust(8) + "".join(m[:12].rjust(13) for m in METRICS))
-    for method in attribution.METHODS:
-        attr = attribution.explain(method, model, seq, target, a_cfg)
-        row = [metrics.evaluate(m, model, method, seq, attr, m_cfg,
-                                target, a_cfg) for m in METRICS]
-        print(method.ljust(8) + "".join(f"{v:13.4f}" for v in row))
+    attrs = [attribution.explain(method, model, seq, target, a_cfg)
+             for method in attribution.METHODS]
+    rows = metrics.score_input(model, seq, attrs, metrics.METRICS,
+                               metrics.MetricConfig(soft_seed=0))
+    print("method".ljust(8)
+          + "".join(m[:12].rjust(13) for m in metrics.METRICS))
+    for attr, row in zip(attrs, rows):
+        print(attr.method.ljust(8) + "".join(f"{v:13.4f}" for v in row))
 
     print("\nhigher comprehensiveness and lower sufficiency indicate a "
           "more faithful ranking;\nsparsity/gini measure concentration; "

@@ -1,21 +1,22 @@
-"""Six local post-hoc feature-attribution methods.
+"""Six local post-hoc feature-attribution methods behind ``explain``.
 
-Every method maps (model, input, target class) to one real score per token.
-The classifier mean-pools its input, so the gradient methods need only the
-model's pooled gradient ``g``, which every token shares as ``g / n``: GRAD
-is ``||g|| / n`` for every token, GXI is ``x_i . g / n``, and IG and IGXI
-use the mean of ``g`` over the path (one batched ``pooled_grad`` call).
-LIME and KernelSHAP fit surrogate models on zero-masked embedding variants,
-with masks and fit matrices memoized per (n, config).
-All methods also accept raw (..., n, d) embeddings so that robustness
-search can re-explain a stack of perturbed inputs, bit for bit per slice.
+``explain`` returns one real score per token for a target class, in an
+``Attribution`` that keeps the method, class and config. The classifier
+mean-pools its input, so the gradient methods need only the model's
+pooled gradient ``g``, which every token shares as ``g / n``: GRAD is
+``||g|| / n`` for every token, GXI is ``x_i . g / n``, and IG and IGXI use
+the mean of ``g`` over the path (one batched ``pooled_grad`` call). LIME
+and KernelSHAP fit surrogate models on zero-masked embedding variants,
+with masks and fit matrices memoized per (n, config). All methods also
+accept raw (..., n, d) embeddings so that robustness search can
+re-explain a stack of perturbed inputs, bit for bit per slice.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,14 +24,6 @@ from . import textmodel
 from .errors import ConfigError, NumericalError
 
 METHODS = ("GRAD", "GXI", "IG", "IGXI", "LIME", "SHAP")
-
-
-@dataclass
-class Attribution:
-    method: str
-    tokens: list
-    scores: np.ndarray
-    target_class: int
 
 
 @dataclass
@@ -53,6 +46,15 @@ class AttributionConfig:
             raise ConfigError("ridge must be finite and >= 0")
 
 
+@dataclass
+class Attribution:
+    method: str
+    tokens: list
+    scores: np.ndarray
+    target_class: int
+    cfg: AttributionConfig = field(default_factory=AttributionConfig)
+
+
 def resolve_input(model, seq):
     """(X, token names) of a TokenSeq or of raw (..., n, d) embeddings."""
     if isinstance(seq, textmodel.TokenSeq):
@@ -69,16 +71,14 @@ def _masked_probs(model, X, masks, target):
     return probs[..., target]
 
 
-def grad_saliency(model, seq, target):
-    X, tokens = resolve_input(model, seq)
+def _grad(model, X, target, cfg):
     g = textmodel.grad_wrt_embeddings_matrix(model, X, target)
-    return Attribution("GRAD", tokens, np.linalg.norm(g, axis=-1), target)
+    return np.linalg.norm(g, axis=-1)
 
 
-def grad_x_input(model, seq, target):
-    X, tokens = resolve_input(model, seq)
+def _grad_x_input(model, X, target, cfg):
     g = textmodel.grad_wrt_embeddings_matrix(model, X, target)
-    return Attribution("GXI", tokens, (g * X).sum(axis=-1), target)
+    return (g * X).sum(axis=-1)
 
 
 def _ig_per_dim(model, X, target, steps):
@@ -95,18 +95,12 @@ def _ig_per_dim(model, X, target, steps):
     return X * (g.sum(axis=-2, keepdims=True) / X.shape[-2]) / steps
 
 
-def integrated_gradients(model, seq, target, cfg=None):
-    cfg = cfg or AttributionConfig()
-    X, tokens = resolve_input(model, seq)
-    per_dim = _ig_per_dim(model, X, target, cfg.ig_steps)
-    return Attribution("IG", tokens, per_dim.sum(axis=-1), target)
+def _integrated_gradients(model, X, target, cfg):
+    return _ig_per_dim(model, X, target, cfg.ig_steps).sum(axis=-1)
 
 
-def ig_x_input(model, seq, target, cfg=None):
-    cfg = cfg or AttributionConfig()
-    X, tokens = resolve_input(model, seq)
-    per_dim = _ig_per_dim(model, X, target, cfg.ig_steps)
-    return Attribution("IGXI", tokens, (per_dim * X).sum(axis=-1), target)
+def _ig_x_input(model, X, target, cfg):
+    return (_ig_per_dim(model, X, target, cfg.ig_steps) * X).sum(axis=-1)
 
 
 def _read_only(*arrays):
@@ -150,19 +144,16 @@ def _lime_design(n, samples, width, seed, ridge):
     return _read_only(Z, AtW, AtW @ A + ridge * penalty)
 
 
-def lime(model, seq, target, cfg=None):
+def _lime(model, X, target, cfg):
     """LIME with Bernoulli(0.5) token masks and an exponential kernel.
 
     Mask distance is the Hamming distance to the all-ones mask; masked
     tokens have their embedding rows zeroed.
     """
-    cfg = cfg or AttributionConfig()
-    X, tokens = resolve_input(model, seq)
     Z, AtW, system = _lime_design(X.shape[-2], cfg.lime_samples,
                                   cfg.lime_kernel_width, cfg.seed, cfg.ridge)
     y = _masked_probs(model, X, Z, target)
-    coef = _solve(system, AtW @ y[..., None])[..., 1:, 0]
-    return Attribution("LIME", tokens, coef, target)
+    return _solve(system, AtW @ y[..., None])[..., 1:, 0]
 
 
 def _shap_kernel_weight(n, k):
@@ -229,7 +220,7 @@ def _sampled_shap_design(n, samples, seed):
     return _read_only(Z, *_shap_kkt(Z, np.ones(samples)))
 
 
-def kernel_shap(model, seq, target, cfg=None):
+def _kernel_shap(model, X, target, cfg):
     """KernelSHAP with the efficiency constraint enforced exactly.
 
     Proper coalitions are enumerated exhaustively when the sampling budget
@@ -241,8 +232,6 @@ def kernel_shap(model, seq, target, cfg=None):
     constrained weighted least squares is solved via its KKT system so
     that sum(scores) = f(x) - f(empty) holds exactly.
     """
-    cfg = cfg or AttributionConfig()
-    X, tokens = resolve_input(model, seq)
     n = X.shape[-2]
     full = _masked_probs(model, X, np.ones((1, n)), target)[..., 0]
     empty = _masked_probs(model, X, np.zeros((1, n)), target)[..., 0]
@@ -258,8 +247,7 @@ def kernel_shap(model, seq, target, cfg=None):
         y = _masked_probs(model, X, Z, target) - empty[..., None]
         rhs = np.concatenate([ZtW @ y[..., None], delta[..., None, None]],
                              axis=-2)
-    return Attribution("SHAP", tokens, _solve(system, rhs)[..., :n, 0],
-                       target)
+    return _solve(system, rhs)[..., :n, 0]
 
 
 def normalize_scores(attr):
@@ -269,20 +257,18 @@ def normalize_scores(attr):
     return s / m if m > 0 else s
 
 
-_EXPLAINERS = {
-    "GRAD": lambda model, seq, target, cfg: grad_saliency(model, seq, target),
-    "GXI": lambda model, seq, target, cfg: grad_x_input(model, seq, target),
-    "IG": integrated_gradients,
-    "IGXI": ig_x_input,
-    "LIME": lime,
-    "SHAP": kernel_shap,
-}
+_EXPLAINERS = {"GRAD": _grad, "GXI": _grad_x_input,
+               "IG": _integrated_gradients, "IGXI": _ig_x_input,
+               "LIME": _lime, "SHAP": _kernel_shap}
 
 
 def explain(method, model, seq, target, cfg=None):
-    """Dispatch by method tag (GRAD | GXI | IG | IGXI | LIME | SHAP)."""
-    try:
-        fn = _EXPLAINERS[method.upper()]
-    except KeyError:
-        raise ConfigError(f"unknown attribution method: {method}") from None
-    return fn(model, seq, target, cfg)
+    """Attribution of ``seq`` (a TokenSeq or raw (..., n, d) embeddings)
+    for class ``target`` by method tag, under ``cfg`` or the defaults."""
+    fn = _EXPLAINERS.get(method.upper())
+    if fn is None:
+        raise ConfigError(f"unknown attribution method: {method}")
+    cfg = cfg or AttributionConfig()
+    X, tokens = resolve_input(model, seq)
+    return Attribution(method.upper(), tokens, fn(model, X, target, cfg),
+                       target, cfg)

@@ -13,7 +13,6 @@ import sys
 
 from . import attribution as attrib
 from . import dataset as ds
-from . import metrics as met
 from . import pipeline, report
 from . import textmodel as tm
 from .errors import ConfigError, DataError
@@ -126,6 +125,7 @@ def cmd_train(args):
 
 
 def cmd_audit(args):
+    pipeline.check_out_dir(args.out)
     records = _load(args)
     metric_list = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if args.with_sensitivity and "sensitivity" not in metric_list:

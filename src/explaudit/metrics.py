@@ -3,7 +3,8 @@
 Seven scalar metrics over (model, input, attribution): AOPC
 comprehensiveness/sufficiency, their soft Bernoulli-masking variants,
 sparsity, Gini concentration, and worst-case sensitivity under a
-projected-gradient search in embedding space.
+projected-gradient search in embedding space. Each reads the explained
+class, and sensitivity also the method and config, from the attribution.
 
 Token "removal" is zero-embedding throughout, keeping sequence length
 fixed and matching the masking semantics of the surrogate explainers.
@@ -78,13 +79,6 @@ class ScoreSample:
     value: float  # NaN marks a missing value (e.g. undefined sensitivity)
 
 
-def _target_class(model, X, target):
-    if target is not None:
-        return target
-    probs, _ = textmodel.forward_pooled(model, X.mean(axis=0))
-    return int(np.argmax(probs))
-
-
 def sparsity(attr, cfg=None):
     """Share of raw scores with |s_i| >= tau (boundary inclusive)."""
     cfg = cfg or MetricConfig()
@@ -108,22 +102,22 @@ def gini_index(attr):
     return float(1.0 - 2.0 * np.sum((s / total) * ((n - ranks + 0.5) / n)))
 
 
-def sensitivity(model, method, seq, attr, cfg=None, target=None,
-                attr_cfg=None):
+def sensitivity(model, seq, attr, cfg=None):
     """Worst-case relative explanation change under an L2-bounded
     perturbation of the input embeddings, searched with PGD.
 
     Each gradient step ascends the prediction error (descends the
     probability of the explained class), is projected back onto the radius
-    ball, and the perturbed input is re-explained with the same method and
-    seed, all restarts as one (restarts, n, d) stack: one gradient call
-    and one re-explain per step; LIME and SHAP reuse one memoized design.
+    ball, and the perturbed input is re-explained with the attribution's
+    method, class and config, all restarts as one (restarts, n, d) stack:
+    one gradient call and one re-explain per step; LIME and SHAP reuse one
+    memoized design.
     Returns NaN when the reference explanation has zero norm.
     """
     cfg = cfg or MetricConfig()
     pgd = cfg.pgd
     X, _ = attrib.resolve_input(model, seq)
-    j = _target_class(model, X, target)
+    j = attr.target_class
     base = np.asarray(attr.scores, dtype=float)
     base_norm = np.linalg.norm(base)
     if base_norm == 0:
@@ -152,16 +146,17 @@ def sensitivity(model, method, seq, attr, cfg=None, target=None,
             d_norm = np.linalg.norm(d_r)
             if d_norm > radius:
                 d_r *= radius / d_norm
-        perturbed = attrib.explain(method, model, X + delta, j, attr_cfg)
+        perturbed = attrib.explain(attr.method, model, X + delta, j,
+                                   attr.cfg)
         for scores in np.asarray(perturbed.scores, dtype=float):
             worst = max(worst, np.linalg.norm(scores - base) / base_norm)
     return float(worst)
 
 
-def score_input(model, seq, attrs, metrics, cfg=None, target=None,
-                seeds=None, attr_cfgs=None):
+def score_input(model, seq, attrs, metrics, cfg=None, seeds=None):
     """Every metric in ``metrics`` of every attribution in ``attrs`` of one
-    input; returns ``values[k][i]`` for attribution k and metric i.
+    input; returns ``values[k][i]`` for attribution k and metric i. All
+    attributions must explain the same class (else ConfigError).
 
     The masked model queries of all faithfulness cells go into one batched
     forward call: each attribution's AOPC threshold masks, pooled as
@@ -169,8 +164,7 @@ def score_input(model, seq, attrs, metrics, cfg=None, target=None,
     embedding element with its token's retain probability
     (comprehensiveness: 1 - normalized score; sufficiency: the normalized
     score). Each family compares against p(X) from one 1-row call. A
-    sensitivity cell is ``evaluate``'s PGD search, which re-explains with
-    method ``attrs[k].method`` and config ``attr_cfgs[k]``.
+    sensitivity cell is ``evaluate``'s PGD search.
     ``seeds[k][i]`` seeds the draw of a soft cell and the search of a
     sensitivity cell; it defaults to ``cfg.soft_seed`` and ``cfg.pgd.seed``.
     """
@@ -178,6 +172,8 @@ def score_input(model, seq, attrs, metrics, cfg=None, target=None,
     unknown = set(metrics) - set(METRICS)
     if unknown:
         raise ConfigError(f"unknown metric: {sorted(unknown)}")
+    if len({attr.target_class for attr in attrs}) > 1:
+        raise ConfigError("attributions explain different classes")
     values = [[sparsity(attr, cfg) if metric == "sparsity"
                else gini_index(attr) if metric == "gini" else None
                for metric in metrics] for attr in attrs]
@@ -186,9 +182,7 @@ def score_input(model, seq, attrs, metrics, cfg=None, target=None,
             if metric == "sensitivity":
                 one = cfg if seeds is None else replace(
                     cfg, pgd=replace(cfg.pgd, seed=seeds[k][i]))
-                values[k][i] = evaluate(
-                    metric, model, attr.method, seq, attr, one, target,
-                    None if attr_cfgs is None else attr_cfgs[k])
+                values[k][i] = evaluate(metric, model, seq, attr, one)
     cells = [(k, i, metric) for k in range(len(attrs))
              for i, metric in enumerate(metrics) if values[k][i] is None]
     if not cells:
@@ -196,7 +190,7 @@ def score_input(model, seq, attrs, metrics, cfg=None, target=None,
 
     X, _ = attrib.resolve_input(model, seq)
     n, d = X.shape
-    j = _target_class(model, X, target)
+    j = attrs[0].target_class
     thresholds = np.asarray(cfg.thresholds)[:, None]
     norms = [attrib.normalize_scores(attr) for attr in attrs]
     aopc, soft = [], []  # (k, i, rows) per cell
@@ -236,14 +230,13 @@ def score_input(model, seq, attrs, metrics, cfg=None, target=None,
     return values
 
 
-def evaluate(metric, model, method, seq, attr, cfg=None, target=None,
-             attr_cfg=None):
+def evaluate(metric, model, seq, attr, cfg=None):
     """One metric of one attribution, by name: the PGD search for
     sensitivity (``score_input`` calls it for each sensitivity cell),
     otherwise a one-cell ``score_input``."""
     if metric == "sensitivity":
-        return sensitivity(model, method, seq, attr, cfg, target, attr_cfg)
-    return score_input(model, seq, [attr], (metric,), cfg, target)[0][0]
+        return sensitivity(model, seq, attr, cfg)
+    return score_input(model, seq, [attr], (metric,), cfg)[0][0]
 
 
 def write_scores_csv(samples, path):

@@ -117,7 +117,6 @@ def _short(x):
 class RunAggregate:
     cells: dict  # (method, metric) -> CellAggregate
     n_runs: int
-    total_cells: int
     significant_fraction: float
     considerable_fraction: float
 
@@ -211,18 +210,15 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
             subgroup=sub, true_label=label_idx[lab],
             predicted_label=pred.predicted_class, probs=pred.probs,
             pair_id=pair_id if prep.paired else None))
-        target = pred.predicted_class
-        attrs, a_cfgs = [], []
-        for method in cfg.methods:
-            a_cfgs.append(replace(cfg.attr_cfg, seed=_derive_seed(
-                run_seed, pair_id, sub, method)))
-            attrs.append(attrib.explain(method, model, seq, target,
-                                        a_cfgs[-1]))
+        attrs = [attrib.explain(method, model, seq, pred.predicted_class,
+                                replace(cfg.attr_cfg, seed=_derive_seed(
+                                    run_seed, pair_id, sub, method)))
+                 for method in cfg.methods]
         seeds = [[_derive_seed(run_seed, pair_id, sub, method, metric)
                   if metric in met.SEEDED_METRICS else None
                   for metric in cfg.metrics] for method in cfg.methods]
         values = met.score_input(model, X, attrs, cfg.metrics,
-                                 cfg.metric_cfg, target, seeds, a_cfgs)
+                                 cfg.metric_cfg, seeds)
         for method, row in zip(cfg.methods, values):
             for metric, value in zip(cfg.metrics, row):
                 samples.append(met.ScoreSample(pair_id, sub, method, metric,
@@ -242,15 +238,11 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
         if not math.isnan(s.value):
             scores.setdefault((s.method, s.metric, s.subgroup),
                               []).append(s.value)
-    disparity = {}
-    for method in cfg.methods:
-        for metric in cfg.metrics:
-            disparity[(method, metric)] = stats.disparity_test(
-                stats.SubgroupScores(metric, method,
-                                     scores.get((method, metric, sub_a), []),
-                                     scores.get((method, metric, sub_b), []),
-                                     sub_a, sub_b),
-                alpha=cfg.alpha, d_threshold=cfg.d_threshold)
+    disparity = {(method, metric): stats.disparity_test(
+                     scores.get((method, metric, sub_a), []),
+                     scores.get((method, metric, sub_b), []), sub_a, sub_b,
+                     cfg.alpha, cfg.d_threshold)
+                 for method in cfg.methods for metric in cfg.metrics}
 
     return RunResult(run_index=run_index, seed=run_seed, samples=samples,
                      disparity=disparity, bias=bias,
@@ -298,7 +290,7 @@ def aggregate_reports(runs):
             significant_runs=len(sig), considerable_runs=len(cons),
             mean_d=mean_d, std_d=std_d, direction=direction)
     total = len(keys) * len(runs)
-    return RunAggregate(cells=cells, n_runs=len(runs), total_cells=total,
+    return RunAggregate(cells=cells, n_runs=len(runs),
                         significant_fraction=n_sig / total,
                         considerable_fraction=n_cons / total)
 
@@ -310,7 +302,18 @@ def aggregate_reports(runs):
 # report behind.
 
 
+def check_out_dir(out_dir):
+    """ConfigError unless ``out_dir`` is absent or a previous report: a
+    directory, not a link, holding config.json. save_report replaces it."""
+    if os.path.lexists(out_dir) and (
+            os.path.islink(out_dir)
+            or not os.path.isfile(os.path.join(out_dir, "config.json"))):
+        raise ConfigError(f"output path exists and is not a report "
+                          f"directory: {out_dir}")
+
+
 def save_report(report, out_dir):
+    check_out_dir(out_dir)
     out_dir = os.path.abspath(out_dir)
     tmp_dir = out_dir + ".tmp"
     if os.path.exists(tmp_dir):
@@ -325,8 +328,8 @@ def save_report(report, out_dir):
         [s for r in report.runs for s in _tag_run(r)],
         os.path.join(tmp_dir, "scores.csv"))
     _dump(os.path.join(tmp_dir, "disparity.json"),
-          [{"run": r.run_index, **res.to_dict()}
-           for r in report.runs for res in r.disparity.values()])
+          [{"run": r.run_index, "method": m, "metric": k, **res.to_dict()}
+           for r in report.runs for (m, k), res in r.disparity.items()])
     agg = report.aggregate
     _dump(os.path.join(tmp_dir, "aggregate.json"), {
         "n_runs": agg.n_runs,

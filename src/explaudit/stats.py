@@ -3,30 +3,21 @@
 Mann-Whitney U (exact for small tie-free samples, normal approximation
 with tie and continuity corrections otherwise), Cohen's d with the
 root-mean pooled standard deviation, the significance / considerable-effect
-classification, and the TPR / TNR / APD bias report.
+classification of two subgroups' score lists, and the TPR / TNR / APD bias
+report.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 
 EXACT_LIMIT = 12  # max n_a + n_b for exact U-test enumeration
-
-
-@dataclass
-class SubgroupScores:
-    metric: str
-    method: str
-    scores_a: list
-    scores_b: list
-    label_a: str = "A"
-    label_b: str = "B"
 
 
 @dataclass
@@ -40,15 +31,11 @@ class DisparityResult:
     n_a: int
     n_b: int
     mode: str  # "exact" or "asymptotic"
-    metric: str = ""
-    method: str = ""
 
     def to_dict(self):
-        return {"metric": self.metric, "method": self.method,
-                "U": self.u_statistic, "p": self.p_value,
+        return {"U": self.u_statistic, "p": self.p_value,
                 "d": self.cohens_d, "significant": self.significant,
-                "considerable": self.considerable,
-                "direction": self.direction,
+                "considerable": self.considerable, "direction": self.direction,
                 "n_A": self.n_a, "n_B": self.n_b, "mode": self.mode}
 
 
@@ -140,10 +127,10 @@ def cohens_d(a, b):
     return float(diff / s)
 
 
-def disparity_test(scores, alpha=0.05, d_threshold=0.2):
-    """Run the U test on a SubgroupScores; effect size is computed only for
-    significant results."""
-    a, b = scores.scores_a, scores.scores_b
+def disparity_test(a, b, label_a, label_b, alpha=0.05, d_threshold=0.2):
+    """Run the U test on subgroup scores ``a`` and ``b``; effect size is
+    computed only for significant results. ``direction`` is the label of
+    the subgroup with the larger mean."""
     u, p = mann_whitney_u(a, b)
     significant = p <= alpha
     d = None
@@ -151,14 +138,13 @@ def disparity_test(scores, alpha=0.05, d_threshold=0.2):
         d = cohens_d(a, b)
     considerable = bool(significant and d is not None
                         and math.isfinite(d) and abs(d) >= d_threshold)
-    direction = scores.label_a if np.mean(a) >= np.mean(b) else scores.label_b
+    direction = label_a if np.mean(a) >= np.mean(b) else label_b
     has_ties = len(set(a) | set(b)) < len(a) + len(b)
     return DisparityResult(
         u_statistic=float(u), p_value=float(p), cohens_d=d,
         significant=bool(significant), considerable=considerable,
         direction=direction, n_a=len(a), n_b=len(b),
-        mode=mann_whitney_mode(len(a), len(b), has_ties),
-        metric=scores.metric, method=scores.method)
+        mode=mann_whitney_mode(len(a), len(b), has_ties))
 
 
 @dataclass

@@ -83,6 +83,12 @@ class TrainConfig:
     weight_decay: float = 0.01
     eps: float = 1e-8
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("epochs and batch_size must be >= 1")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError("learning rate must be finite and positive")
+
 
 @dataclass
 class Prediction:
@@ -291,10 +297,6 @@ def train(model, data, cfg):
     returned model holds the trained parameters. Raises NumericalError
     when training leaves a parameter non-finite.
     """
-    if cfg.epochs < 1:
-        raise ConfigError("epochs must be >= 1")
-    if cfg.learning_rate <= 0:
-        raise ConfigError("learning rate must be positive")
     data = list(data)
     labels_present = {lbl for _, lbl in data}
     if len(labels_present) < 2:

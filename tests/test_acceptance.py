@@ -69,7 +69,7 @@ def test_criterion_2_soft_metric_enumeration():
             cfg = met.MetricConfig(soft_samples=1024, soft_seed=seed)
             for metric, exact in (("soft_sufficiency", exact_s),
                                   ("soft_comprehensiveness", exact_c)):
-                assert abs(met.evaluate(metric, model, a.method, X, a, cfg)
+                assert abs(met.evaluate(metric, model, X, a, cfg)
                            - exact) <= 0.01
     assert time.time() - t0 < 30.0
 
@@ -89,7 +89,7 @@ def test_criterion_3_gradient_correctness():
     for _ in range(10):
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (4, 3))
-        a = attrib.integrated_gradients(model, X, 1, cfg)
+        a = attrib.explain("IG", model, X, 1, cfg)
         delta = tm.forward(model, X).probs[1] \
             - tm.forward(model, np.zeros_like(X)).probs[1]
         assert abs(a.scores.sum() - delta) <= 1e-2
@@ -103,7 +103,7 @@ def test_criterion_4_shapley_brute_force():
     for n in (2, 3, 4, 5, 6):
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (n, 3))
-        a = attrib.kernel_shap(model, X, 1, cfg)
+        a = attrib.explain("SHAP", model, X, 1, cfg)
         oracle = exact_shapley(lambda s: masked_prob(model, X, s), n)
         assert np.max(np.abs(a.scores - oracle)) <= 0.01
         delta = masked_prob(model, X, range(n)) - masked_prob(model, X, [])
@@ -111,8 +111,8 @@ def test_criterion_4_shapley_brute_force():
     # efficiency also holds on the size-sampled branch
     model = random_tiny_model(rng)
     X = rng.uniform(-1, 1, (14, 3))
-    a = attrib.kernel_shap(model, X, 1,
-                           attrib.AttributionConfig(shap_samples=300))
+    a = attrib.explain("SHAP", model, X, 1,
+                       attrib.AttributionConfig(shap_samples=300))
     delta = masked_prob(model, X, range(14)) - masked_prob(model, X, [])
     assert abs(a.scores.sum() - delta) <= 1e-6
 

@@ -33,7 +33,7 @@ class TestGradSaliency:
         model = random_tiny_model(rng)
         model.w2 = np.zeros_like(model.w2)
         X = rng.uniform(-1, 1, (4, 3))
-        a = attrib.grad_saliency(model, X, 1)
+        a = attrib.explain("GRAD", model, X, 1)
         assert np.all(a.scores == 0)
 
     def test_dead_input_positions(self):
@@ -41,9 +41,9 @@ class TestGradSaliency:
         # a token; GXI scores exactly 0 where a token lives only in the
         # dead embedding dimensions
         X = np.eye(3)
-        grad = attrib.grad_saliency(DeadInputModel(), X, 1)
+        grad = attrib.explain("GRAD", DeadInputModel(), X, 1)
         assert np.all(grad.scores == grad.scores[0])
-        a = attrib.grad_x_input(DeadInputModel(), X, 1)
+        a = attrib.explain("GXI", DeadInputModel(), X, 1)
         assert a.scores[0] == 0 and a.scores[2] == 0
         assert a.scores[1] > 0
 
@@ -51,13 +51,13 @@ class TestGradSaliency:
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (3, 3))
         fd = finite_diff_input_grad(model, X, 1)
-        a = attrib.grad_saliency(model, X, 1)
+        a = attrib.explain("GRAD", model, X, 1)
         assert np.allclose(a.scores, np.linalg.norm(fd, axis=1),
                            rtol=1e-4, atol=1e-7)
 
     def test_scores_nonnegative(self, rng):
         model = random_tiny_model(rng)
-        a = attrib.grad_saliency(model, rng.uniform(-1, 1, (5, 3)), 0)
+        a = attrib.explain("GRAD", model, rng.uniform(-1, 1, (5, 3)), 0)
         assert np.all(a.scores >= 0)
 
 
@@ -65,21 +65,21 @@ class TestGradXInput:
     def test_zero_embedding_row(self):
         model = LinearPooledModel([0.2, 0.1], base=0.4)
         X = np.array([[0.0, 0.0], [1.0, 2.0]])
-        a = attrib.grad_x_input(model, X, 1)
+        a = attrib.explain("GXI", model, X, 1)
         assert a.scores[0] == 0.0
 
     def test_linear_model_closed_form_d1(self):
         # p1 = 0.5 + 0.2 * mean(x); grad row = 0.2/n, s_i = 0.2 * x_i / n
         model = LinearPooledModel([0.2])
         X = np.array([[1.0], [-0.5], [0.25]])
-        a = attrib.grad_x_input(model, X, 1)
+        a = attrib.explain("GXI", model, X, 1)
         assert a.scores == pytest.approx(0.2 * X[:, 0] / 3, abs=1e-12)
 
     def test_product_against_finite_differences(self, rng):
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (4, 3))
         fd = finite_diff_input_grad(model, X, 0)
-        a = attrib.grad_x_input(model, X, 0)
+        a = attrib.explain("GXI", model, X, 0)
         assert np.allclose(a.scores, (fd * X).sum(axis=1),
                            rtol=1e-4, atol=1e-7)
 
@@ -87,7 +87,7 @@ class TestGradXInput:
 class TestIntegratedGradients:
     def test_baseline_input_is_zero(self, rng):
         model = random_tiny_model(rng)
-        a = attrib.integrated_gradients(model, np.zeros((3, 3)), 1)
+        a = attrib.explain("IG", model, np.zeros((3, 3)), 1)
         assert np.all(a.scores == 0)
 
     def test_completeness(self, rng):
@@ -95,7 +95,7 @@ class TestIntegratedGradients:
         for _ in range(5):
             model = random_tiny_model(rng)
             X = rng.uniform(-1, 1, (4, 3))
-            a = attrib.integrated_gradients(model, X, 1, cfg)
+            a = attrib.explain("IG", model, X, 1, cfg)
             f_x = tm.forward(model, X).probs[1]
             f_base = tm.forward(model, np.zeros_like(X)).probs[1]
             assert a.scores.sum() == pytest.approx(f_x - f_base, abs=1e-2)
@@ -123,7 +123,7 @@ class TestIntegratedGradients:
         model = LinearPooledModel(w, base=0.5)
         X = np.array([[0.5, 1.0], [-0.25, 0.5]])
         cfg = attrib.AttributionConfig(ig_steps=1)
-        a = attrib.integrated_gradients(model, X, 1, cfg)
+        a = attrib.explain("IG", model, X, 1, cfg)
         assert a.scores == pytest.approx(X @ w / 2, abs=1e-12)
 
 
@@ -132,30 +132,30 @@ class TestIGxInput:
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (3, 3))
         X[0] = 0.0
-        a = attrib.ig_x_input(model, X, 1)
+        a = attrib.explain("IGXI", model, X, 1)
         assert a.scores[0] == 0.0
-        b = attrib.ig_x_input(model, np.zeros((2, 3)), 1)
+        b = attrib.explain("IGXI", model, np.zeros((2, 3)), 1)
         assert np.all(b.scores == 0)
 
     def test_d1_equals_ig_times_input(self, rng):
         model = random_tiny_model(rng, d=1, h=3)
         X = rng.uniform(-1, 1, (4, 1))
         cfg = attrib.AttributionConfig(ig_steps=64)
-        ig = attrib.integrated_gradients(model, X, 1, cfg)
-        igxi = attrib.ig_x_input(model, X, 1, cfg)
+        ig = attrib.explain("IG", model, X, 1, cfg)
+        igxi = attrib.explain("IGXI", model, X, 1, cfg)
         assert igxi.scores == pytest.approx(ig.scores * X[:, 0], abs=1e-12)
 
 
 class TestLime:
     def test_constant_model_zero_coefficients(self):
         X = indicator_embeddings(4)
-        a = attrib.lime(ConstantModel(0.7), X, 1)
+        a = attrib.explain("LIME", ConstantModel(0.7), X, 1)
         assert np.all(np.abs(a.scores) < 1e-6)
 
     def test_planted_single_feature(self):
         model = planted_token_model([0.0, 0.0, 0.3, 0.0])
         X = indicator_embeddings(4)
-        a = attrib.lime(model, X, 1)
+        a = attrib.explain("LIME", model, X, 1)
         assert a.scores[2] == pytest.approx(0.3, abs=0.05)
         for i in (0, 1, 3):
             assert abs(a.scores[i]) < 0.05
@@ -164,15 +164,16 @@ class TestLime:
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (5, 3))
         cfg = attrib.AttributionConfig(seed=11)
-        a = attrib.lime(model, X, 1, cfg)
-        b = attrib.lime(model, X, 1, cfg)
+        a = attrib.explain("LIME", model, X, 1, cfg)
+        b = attrib.explain("LIME", model, X, 1, cfg)
         assert np.array_equal(a.scores, b.scores)
 
     def test_seed_changes_samples(self, rng):
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (5, 3))
-        a = attrib.lime(model, X, 1, attrib.AttributionConfig(seed=1))
-        b = attrib.lime(model, X, 1, attrib.AttributionConfig(seed=2))
+        a, b = (attrib.explain("LIME", model, X, 1,
+                               attrib.AttributionConfig(seed=s))
+                for s in (1, 2))
         assert not np.array_equal(a.scores, b.scores)
 
 
@@ -180,7 +181,7 @@ class TestKernelShap:
     def test_local_accuracy(self, rng):
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (6, 3))
-        a = attrib.kernel_shap(model, X, 1)
+        a = attrib.explain("SHAP", model, X, 1)
         delta = masked_prob(model, X, range(6)) - masked_prob(model, X, [])
         assert a.scores.sum() == pytest.approx(delta, abs=1e-6)
 
@@ -188,7 +189,7 @@ class TestKernelShap:
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (15, 3))
         cfg = attrib.AttributionConfig(shap_samples=256)
-        a = attrib.kernel_shap(model, X, 1, cfg)
+        a = attrib.explain("SHAP", model, X, 1, cfg)
         delta = masked_prob(model, X, range(15)) - masked_prob(model, X, [])
         assert a.scores.sum() == pytest.approx(delta, abs=1e-6)
 
@@ -196,20 +197,20 @@ class TestKernelShap:
         c = [0.1, -0.05, 0.2, 0.0, 0.08]
         model = planted_token_model(c)
         X = indicator_embeddings(5)
-        a = attrib.kernel_shap(model, X, 1)
+        a = attrib.explain("SHAP", model, X, 1)
         assert np.allclose(a.scores, c, atol=0.02)
 
     def test_matches_exact_shapley_enumeration(self, rng):
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (5, 3))
-        a = attrib.kernel_shap(model, X, 1)
+        a = attrib.explain("SHAP", model, X, 1)
         oracle = exact_shapley(lambda s: masked_prob(model, X, s), 5)
         assert np.allclose(a.scores, oracle, atol=0.01)
 
     def test_single_token(self):
         model = planted_token_model([0.25])
         X = indicator_embeddings(1)
-        a = attrib.kernel_shap(model, X, 1)
+        a = attrib.explain("SHAP", model, X, 1)
         assert a.scores == pytest.approx([0.25], abs=1e-9)
 
     def test_exact_coalitions_match_combinations(self):
@@ -258,7 +259,7 @@ class TestKernelShap:
             model = random_tiny_model(rng)
             X = rng.uniform(-1, 1, (n, 3))
             exact = shapley_from_values(all_coalition_probs(model, X), n)
-            a = attrib.kernel_shap(model, X, 1, cfg)
+            a = attrib.explain("SHAP", model, X, 1, cfg)
             errors.append(np.linalg.norm(a.scores - exact)
                           / np.linalg.norm(exact))
         assert np.median(errors) <= 0.02
@@ -267,8 +268,8 @@ class TestKernelShap:
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (14, 3))
         cfg = attrib.AttributionConfig(shap_samples=200, seed=5)
-        a = attrib.kernel_shap(model, X, 1, cfg)
-        b = attrib.kernel_shap(model, X, 1, cfg)
+        a = attrib.explain("SHAP", model, X, 1, cfg)
+        b = attrib.explain("SHAP", model, X, 1, cfg)
         assert np.array_equal(a.scores, b.scores)
 
 
@@ -431,3 +432,9 @@ class TestDispatchAndIO:
             assert a.method == method
             assert len(a.scores) == seq.n
             assert a.tokens == seq.tokens
+            assert a.target_class == 1
+            assert a.cfg == attrib.AttributionConfig()
+        # the record keeps what it was made with, for metrics to reuse
+        cfg = attrib.AttributionConfig(seed=4)
+        a = attrib.explain("gxi", model, seq, 0, cfg)
+        assert (a.method, a.target_class, a.cfg) == ("GXI", 0, cfg)

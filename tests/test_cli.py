@@ -182,6 +182,39 @@ class TestAudit:
             "config.json", "scores.csv", "disparity.json",
             "aggregate.json", "bias.json"}
 
+    def test_rerun_replaces_previous_report(self, none_dataset, tmp_path,
+                                            capsys):
+        out_dir = tmp_path / "rep"
+        assert self._audit(none_dataset, str(out_dir), capsys)[0] == 0
+        (out_dir / "box_GRAD_gini.svg").write_text("old render")
+        assert self._audit(none_dataset, str(out_dir), capsys)[0] == 0
+        assert set(os.listdir(out_dir)) == {
+            "config.json", "scores.csv", "disparity.json",
+            "aggregate.json", "bias.json"}
+        assert not os.path.exists(str(out_dir) + ".tmp")
+
+    @pytest.mark.parametrize("out", [".", "keep", "afile"])
+    def test_existing_path_not_a_report_exit_1(self, out, none_dataset,
+                                               tmp_path, capsys,
+                                               monkeypatch):
+        # the working directory, a directory of other files and a regular
+        # file are kept, and the audit does not start
+        (tmp_path / "keep").mkdir()
+        (tmp_path / "keep" / "notes.txt").write_text("notes")
+        (tmp_path / "afile").write_text("data")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*")
+                  if p.is_file()}
+        audits = []
+        monkeypatch.setattr(pipeline, "run_audit",
+                            lambda *args: audits.append(args))
+        monkeypatch.chdir(tmp_path)
+        code, _, err = self._audit(none_dataset, out, capsys)
+        assert code == 1
+        assert "not a report directory" in err
+        assert audits == []
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+                if p.is_file()} == before
+
 
 class TestReportCommand:
     @pytest.fixture
@@ -241,6 +274,8 @@ class TestErrorMapping:
         ["audit", "--alpha", "nan"],
         ["audit", "--alpha", "-0.5"],
         ["audit", "--d-threshold", "-1"],
+        ["audit", "--epochs", "0"],
+        ["train", "--epochs", "0"],
     ])
     def test_out_of_range_argument_exit_1(self, argv, none_dataset,
                                           tmp_path, capsys):

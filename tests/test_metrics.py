@@ -10,6 +10,7 @@ from conftest import (BoundaryModel, ConstantModel, LinearPooledModel,
                       reference_sensitivity, random_tiny_model)
 from explaudit import attribution as attrib
 from explaudit import metrics as met
+from explaudit import textmodel as tm
 from explaudit.errors import ConfigError
 
 
@@ -17,10 +18,6 @@ def _attr(scores, method="GXI", target=1):
     scores = np.asarray(scores, dtype=float)
     return attrib.Attribution(method, [f"t{i}" for i in range(len(scores))],
                               scores, target)
-
-
-def _score(metric, model, X, attr, cfg=None):
-    return met.evaluate(metric, model, attr.method, X, attr, cfg)
 
 
 class TestConfig:
@@ -46,27 +43,28 @@ class TestAopcComprehensiveness:
     def test_all_zero_attribution(self, rng):
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (4, 3))
-        assert _score("comprehensiveness", model, X, _attr([0, 0, 0, 0])) == 0
+        assert met.evaluate("comprehensiveness", model, X,
+                            _attr([0, 0, 0, 0])) == 0
 
     def test_constant_model(self):
         X = indicator_embeddings(3)
-        v = _score("comprehensiveness", ConstantModel(0.6), X,
-                   _attr([1, 0, 0]))
+        v = met.evaluate("comprehensiveness", ConstantModel(0.6), X,
+                         _attr([1, 0, 0]))
         assert v == 0
 
     def test_planted_single_feature(self):
         # removing the scored token drops p from 0.8 to 0.5 at every threshold
         model = planted_token_model([0.3, 0.0, 0.0])
         X = indicator_embeddings(3)
-        v = _score("comprehensiveness", model, X, _attr([1.0, 0.0, 0.0]))
+        v = met.evaluate("comprehensiveness", model, X, _attr([1.0, 0.0, 0.0]))
         assert v == pytest.approx(0.3, abs=1e-9)
 
     def test_in_unit_interval(self, rng):
         for _ in range(10):
             model = random_tiny_model(rng)
             X = rng.uniform(-1, 1, (4, 3))
-            v = _score("comprehensiveness", model, X,
-                       _attr(rng.uniform(-1, 1, 4)))
+            v = met.evaluate("comprehensiveness", model, X,
+                             _attr(rng.uniform(-1, 1, 4)))
             assert 0.0 <= v <= 1.0
 
 
@@ -74,22 +72,23 @@ class TestAopcSufficiency:
     def test_everything_kept(self, rng):
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (4, 3))
-        assert _score("sufficiency", model, X, _attr([1, 1, 1, 1])) == 0
+        assert met.evaluate("sufficiency", model, X, _attr([1, 1, 1, 1])) == 0
 
     def test_constant_model(self):
         X = indicator_embeddings(2)
-        assert _score("sufficiency", ConstantModel(), X, _attr([1, 0])) == 0
+        assert met.evaluate("sufficiency", ConstantModel(), X,
+                            _attr([1, 0])) == 0
 
     def test_kept_token_carries_effect(self):
         model = planted_token_model([0.3, 0.0, 0.0])
         X = indicator_embeddings(3)
-        v = _score("sufficiency", model, X, _attr([1.0, 0.0, 0.0]))
+        v = met.evaluate("sufficiency", model, X, _attr([1.0, 0.0, 0.0]))
         assert v == pytest.approx(0.0, abs=1e-9)
 
     def test_effect_token_always_dropped(self):
         model = planted_token_model([0.3, 0.0, 0.0])
         X = indicator_embeddings(3)
-        v = _score("sufficiency", model, X, _attr([0.0, 1.0, 0.0]))
+        v = met.evaluate("sufficiency", model, X, _attr([0.0, 1.0, 0.0]))
         assert v == pytest.approx(0.3, abs=1e-9)
 
 
@@ -97,24 +96,25 @@ class TestSoftMetrics:
     def test_retain_everything(self, rng):
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (3, 3))
-        assert _score("soft_sufficiency", model, X, _attr([1, 1, 1])) == 1.0
+        assert met.evaluate("soft_sufficiency", model, X,
+                            _attr([1, 1, 1])) == 1.0
 
     def test_constant_model_sufficiency(self):
         X = indicator_embeddings(3)
-        v = _score("soft_sufficiency", ConstantModel(0.8), X,
-                   _attr([1, 0.5, 0]))
+        v = met.evaluate("soft_sufficiency", ConstantModel(0.8), X,
+                         _attr([1, 0.5, 0]))
         assert v == 1.0
 
     def test_zero_scores_comprehensiveness(self, rng):
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (3, 3))
-        assert _score("soft_comprehensiveness", model, X,
-                      _attr([0, 0, 0])) == 0.0
+        assert met.evaluate("soft_comprehensiveness", model, X,
+                            _attr([0, 0, 0])) == 0.0
 
     def test_constant_model_comprehensiveness(self):
         X = indicator_embeddings(2)
-        v = _score("soft_comprehensiveness", ConstantModel(0.3), X,
-                   _attr([1, 0]))
+        v = met.evaluate("soft_comprehensiveness", ConstantModel(0.3), X,
+                         _attr([1, 0]))
         assert v == 0.0
 
     def test_exact_enumeration_oracle(self):
@@ -125,11 +125,11 @@ class TestSoftMetrics:
         cfg = met.MetricConfig(soft_samples=4096)
         q = attrib.normalize_scores(a)
         exact_s = exact_soft_value(model, X, q, 1, "sufficiency")
-        got = _score("soft_sufficiency", model, X, a, cfg)
+        got = met.evaluate("soft_sufficiency", model, X, a, cfg)
         assert got == pytest.approx(exact_s, abs=0.03)  # ~3 standard errors
 
         exact_c = exact_soft_value(model, X, 1.0 - q, 1, "comprehensiveness")
-        got_c = _score("soft_comprehensiveness", model, X, a, cfg)
+        got_c = met.evaluate("soft_comprehensiveness", model, X, a, cfg)
         assert got_c == pytest.approx(exact_c, abs=0.03)
 
     def test_shared_mask_complementarity(self, rng):
@@ -139,9 +139,10 @@ class TestSoftMetrics:
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (3, 3))
         cfg = met.MetricConfig(soft_samples=32, soft_seed=9)
-        s = _score("soft_sufficiency", model, X, _attr([0.0, 1.0, 2.0]), cfg)
-        c = _score("soft_comprehensiveness", model, X,
-                   _attr([2.0, 1.0, 0.0]), cfg)
+        s = met.evaluate("soft_sufficiency", model, X,
+                         _attr([0.0, 1.0, 2.0]), cfg)
+        c = met.evaluate("soft_comprehensiveness", model, X,
+                         _attr([2.0, 1.0, 0.0]), cfg)
         assert c == pytest.approx(1.0 - s, abs=1e-12)
 
 
@@ -156,12 +157,12 @@ class TestScoreInput:
         cfg = met.MetricConfig(soft_samples=8)
         seeds = [[10 * k + i for i in range(len(metrics))]
                  for k in range(len(attrs))]
-        got = met.score_input(model, X, attrs, metrics, cfg, 1, seeds)
+        got = met.score_input(model, X, attrs, metrics, cfg, seeds)
         assert len(got) == len(attrs)
         for k, attr in enumerate(attrs):
             for i, metric in enumerate(metrics):
                 one = met.MetricConfig(soft_samples=8, soft_seed=seeds[k][i])
-                want = met.evaluate(metric, model, "GXI", X, attr, one, 1)
+                want = met.evaluate(metric, model, X, attr, one)
                 assert got[k][i] == pytest.approx(want, abs=1e-12)
 
     def test_sensitivity_cell_is_evaluate(self, rng):
@@ -169,23 +170,55 @@ class TestScoreInput:
         # as its PGD seed and the attribution's own method and config
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (5, 3))
-        a_cfgs = [attrib.AttributionConfig(lime_samples=64, seed=s)
-                  for s in (1, 2, 3)]
-        attrs = [attrib.explain(m, model, X, 1, c)
-                 for m, c in zip(("GXI", "LIME", "SHAP"), a_cfgs)]
+        attrs = [attrib.explain(m, model, X, 1, attrib.AttributionConfig(
+                     lime_samples=64, seed=s))
+                 for m, s in zip(("GXI", "LIME", "SHAP"), (1, 2, 3))]
         metrics = ("gini", "sensitivity", "soft_sufficiency")
         cfg = met.MetricConfig(soft_samples=4, pgd=met.PGDConfig(steps=3))
         seeds = [[None, 7 + k, 20 + k] for k in range(len(attrs))]
-        got = met.score_input(model, X, attrs, metrics, cfg, 1, seeds,
-                              a_cfgs)
+        got = met.score_input(model, X, attrs, metrics, cfg, seeds)
         for k, attr in enumerate(attrs):
             one = replace(cfg, pgd=replace(cfg.pgd, seed=seeds[k][1]))
-            want = met.evaluate("sensitivity", model, attr.method, X, attr,
-                                one, 1, a_cfgs[k])
+            want = met.evaluate("sensitivity", model, X, attr, one)
             assert got[k][1] == want
-            assert got[k][1] != met.evaluate(
-                "sensitivity", model, attr.method, X, attr, cfg, 1,
-                a_cfgs[k])
+            assert got[k][1] != met.evaluate("sensitivity", model, X, attr,
+                                             cfg)
+
+    def test_mixed_target_classes_rejected(self, rng):
+        model = random_tiny_model(rng)
+        X = rng.uniform(-1, 1, (3, 3))
+        attrs = [attrib.explain("GXI", model, X, t) for t in (0, 1)]
+        with pytest.raises(ConfigError, match="different classes"):
+            met.score_input(model, X, attrs, ("gini",))
+
+
+class TestExplainedClass:
+    """Metrics score the class an attribution explains, also when the
+    model predicts the other one."""
+
+    def test_faithfulness_uses_attribution_class(self):
+        # presence masks: p1 = 0.5 + 0.2 x0 - 0.1 x1 + 0.05 x2 is 0.65
+        # (class 1 predicted); removing token 1 moves it to 0.75, so p0
+        # drops by 0.1 and p1 does not drop
+        model = LinearPooledModel([0.2, -0.1, 0.05], base=0.5)
+        X = indicator_embeddings(3)
+        for target, want in ((0, 0.1), (1, 0.0)):
+            v = met.evaluate("comprehensiveness", model, X,
+                             _attr([0.0, 1.0, 0.0], target=target))
+            assert v == pytest.approx(want, abs=1e-12)
+
+    def test_sensitivity_searches_attribution_class(self, rng):
+        model = random_tiny_model(rng)
+        X = rng.uniform(-1, 1, (4, 3))
+        predicted = tm.forward(model, X).predicted_class
+        acfg = attrib.AttributionConfig(lime_samples=64, seed=2)
+        a = attrib.explain("LIME", model, X, 1 - predicted, acfg)
+        cfg = met.MetricConfig(pgd=met.PGDConfig(steps=3))
+        want = reference_sensitivity(model, "LIME", X, a, cfg,
+                                     1 - predicted, acfg)
+        assert met.sensitivity(model, X, a, cfg) == want
+        assert want != reference_sensitivity(model, "LIME", X, a, cfg,
+                                             predicted, acfg)
 
 
 class TestSparsity:
@@ -231,21 +264,21 @@ class TestSensitivity:
         X = rng.uniform(-1, 1, (3, 3))
         cfg = met.MetricConfig(pgd=met.PGDConfig(radius=0.0))
         a = attrib.explain("GXI", model, X, 1)
-        assert met.sensitivity(model, "GXI", X, a, cfg) == 0.0
+        assert met.sensitivity(model, X, a, cfg) == 0.0
 
     def test_constant_explainer_exactly_zero(self):
         model = ConstantModel(0.7)
         X = indicator_embeddings(3)
         acfg = attrib.AttributionConfig(lime_samples=64, seed=4)
-        a = attrib.lime(model, X, 1, acfg)
+        a = attrib.explain("LIME", model, X, 1, acfg)
         cfg = met.MetricConfig(pgd=met.PGDConfig(radius=0.5, steps=3))
-        v = met.sensitivity(model, "LIME", X, a, cfg, attr_cfg=acfg)
+        v = met.sensitivity(model, X, a, cfg)
         assert v == 0.0
 
     def test_zero_attribution_is_missing(self, rng):
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (2, 3))
-        v = met.sensitivity(model, "GXI", X, _attr([0.0, 0.0]))
+        v = met.sensitivity(model, X, _attr([0.0, 0.0]))
         assert math.isnan(v)
 
     def test_boundary_monotonicity(self):
@@ -254,8 +287,8 @@ class TestSensitivity:
         a = attrib.explain("GXI", model, X, 1)
         big = met.MetricConfig(pgd=met.PGDConfig(radius=1.0, steps=10))
         small = met.MetricConfig(pgd=met.PGDConfig(radius=0.1, steps=10))
-        v_big = met.sensitivity(model, "GXI", X, a, big)
-        v_small = met.sensitivity(model, "GXI", X, a, small)
+        v_big = met.sensitivity(model, X, a, big)
+        v_small = met.sensitivity(model, X, a, small)
         assert v_big > v_small
 
 
@@ -280,8 +313,7 @@ class TestSensitivityDesignReuse:
                 steps=3, restarts=restarts, seed=5))
             expected = reference_sensitivity(model, method, X, a, cfg, 1,
                                              acfg)
-            assert met.sensitivity(model, method, X, a, cfg, 1, acfg) \
-                == expected
+            assert met.sensitivity(model, X, a, cfg) == expected
             # GRAD of a linear model is the same for every input
             assert (expected == 0) == (hook and method == "GRAD")
 
@@ -295,13 +327,13 @@ class TestDispatchAndIO:
                                pgd=met.PGDConfig(radius=0.05, steps=2,
                                                  restarts=1))
         for metric in met.METRICS:
-            v = met.evaluate(metric, model, "GXI", X, a, cfg)
+            v = met.evaluate(metric, model, X, a, cfg)
             assert isinstance(v, float)
 
     def test_unknown_metric(self, rng):
         model = random_tiny_model(rng)
         with pytest.raises(ConfigError, match="unknown metric"):
-            met.evaluate("faithfulness", model, "GXI", np.ones((2, 3)),
+            met.evaluate("faithfulness", model, np.ones((2, 3)),
                          _attr([1, 0]))
 
     def test_scores_csv_roundtrip(self, tmp_path):

@@ -1,11 +1,17 @@
 """The benchmark traces an audit by wrapping program functions by name
 (``perfbench/tracing.py``, ``BOUNDARIES``). A renamed or deleted function
 would drop its spans from every traced count without an error, so each
-name must resolve here. Nothing from perfbench is called: loading the
-module wraps no function."""
+name must resolve here, and a call that bypasses the module attribute
+would go uncounted, so a traced audit must count every call."""
 
 import importlib.util
 import os
+
+from explaudit import attribution as attrib
+from explaudit import dataset as ds
+from explaudit import metrics as met
+from explaudit import pipeline
+from explaudit import textmodel as tm
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -25,3 +31,29 @@ def test_every_traced_boundary_resolves():
                for module, name, _ in boundaries
                if not callable(getattr(module, name, None))]
     assert missing == []
+
+
+def test_tracer_counts_every_explain(monkeypatch):
+    # per test input: one explain per method, then six sensitivity cells,
+    # each re-explaining once per PGD step (all restarts in one call)
+    tracing = _load_tracing()
+    for module, name, _ in tracing.BOUNDARIES:  # restored after the test
+        monkeypatch.setattr(module, name, getattr(module, name))
+    tracer = tracing.Tracer(0)
+    assert tracer.install() == []
+    steps = 3
+    cfg = pipeline.AuditConfig(
+        metrics=("gini", "sensitivity"), runs=1,
+        metric_cfg=met.MetricConfig(pgd=met.PGDConfig(steps=steps)),
+        train_cfg=tm.TrainConfig(epochs=2, warmup_steps=5),
+        model_cfg=tm.ModelConfig(embed_dim=8, hidden_dim=8))
+    report = pipeline.run_audit(
+        ds.generate_synthetic_paired(10, "LENGTH", seed=1), cfg)
+    inputs = len({(s.pair_id, s.subgroup) for s in report.runs[0].samples})
+    counts = tracing.summarize(tracer.spans)
+    assert inputs == 4
+    for method in attrib.METHODS:
+        assert counts[f"attribution.{method}_calls"] == inputs * (1 + steps)
+    assert counts["metrics.sensitivity_calls"] == inputs * 6
+    assert counts["metrics.sensitivity_explain_calls"] \
+        == inputs * 6 * steps

@@ -109,9 +109,8 @@ class TestRunSingleAudit:
                     m_cfg = replace(metric_cfg, soft_seed=seed,
                                     pgd=replace(metric_cfg.pgd, seed=seed))
                     expected.append((pair_id, sub, method, metric,
-                                     met.evaluate(metric, model, method, X,
-                                                  attr, m_cfg, target,
-                                                  a_cfg)))
+                                     met.evaluate(metric, model, X, attr,
+                                                  m_cfg)))
         assert len({tm.tokenize(prep.vocab, text).n
                     for _, _, text, _ in prep.test_items}) > 1
         assert len(run.samples) == len(expected) == 42 * len(prep.test_items)
@@ -181,8 +180,7 @@ def _fake_result(significant, d, direction, considerable=None):
     return stats.DisparityResult(
         u_statistic=1.0, p_value=0.01 if significant else 0.5,
         cohens_d=d, significant=significant, considerable=considerable,
-        direction=direction, n_a=5, n_b=5, mode="exact",
-        metric="gini", method="IG")
+        direction=direction, n_a=5, n_b=5, mode="exact")
 
 
 def _fake_run(idx, results):
@@ -280,3 +278,41 @@ class TestSaveReport:
         pipeline.save_report(pipeline.run_audit(records, _fast_cfg()), out)
         pipeline.save_report(pipeline.run_audit(records, _fast_cfg()), out)
         assert os.path.exists(os.path.join(out, "scores.csv"))
+
+    @pytest.mark.parametrize("kind", ["file", "dir", "link"])
+    def test_refuses_path_that_is_not_a_report(self, tmp_path, kind):
+        # only a real directory holding config.json is replaced
+        report = pipeline.run_audit(ds.generate_synthetic_paired(8, seed=0),
+                                    _fast_cfg())
+        out = tmp_path / "out"
+        if kind == "file":
+            out.write_text("keep")
+        elif kind == "dir":
+            out.mkdir()
+            (out / "notes.txt").write_text("keep")
+        else:
+            pipeline.save_report(report, str(tmp_path / "rep"))
+            out.symlink_to(tmp_path / "rep")
+        before = sorted(os.listdir(tmp_path))
+        with pytest.raises(ConfigError, match="not a report directory"):
+            pipeline.save_report(report, str(out))
+        assert sorted(os.listdir(tmp_path)) == before
+        if kind != "link":
+            kept = out if kind == "file" else out / "notes.txt"
+            assert kept.read_text() == "keep"
+
+    def test_disparity_rows_keyed_by_cell(self, tmp_path):
+        records = ds.generate_synthetic_paired(8, seed=0)
+        report = pipeline.run_audit(records, _fast_cfg(runs=2))
+        out = str(tmp_path / "rep")
+        pipeline.save_report(report, out)
+        with open(os.path.join(out, "disparity.json")) as f:
+            rows = json.load(f)
+        assert [(row["run"], row["method"], row["metric"]) for row in rows] \
+            == [(r.run_index, m, k) for r in report.runs
+                for m, k in r.disparity]
+        assert rows[0]["metric"] == "gini" and rows[0]["method"] == "GRAD"
+        for row in rows:
+            assert set(row) == {"run", "method", "metric", "U", "p", "d",
+                                "significant", "considerable", "direction",
+                                "n_A", "n_B", "mode"}

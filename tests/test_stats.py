@@ -131,20 +131,18 @@ class TestCohensD:
 
 
 class TestDisparityTest:
-    def _scores(self, a, b):
-        return stats.SubgroupScores("gini", "IG", a, b, "MALE", "FEMALE")
+    def _test(self, a, b):
+        return stats.disparity_test(a, b, "MALE", "FEMALE")
 
     def test_identical_scores_not_significant(self):
-        res = stats.disparity_test(self._scores([0.2, 0.4, 0.6],
-                                                [0.2, 0.4, 0.6]))
+        res = self._test([0.2, 0.4, 0.6], [0.2, 0.4, 0.6])
         assert not res.significant
         assert res.cohens_d is None  # only computed when significant
         assert not res.considerable
 
     def test_shifted_scores_significant(self, rng):
         base = rng.normal(0, 0.25, 20)
-        res = stats.disparity_test(
-            self._scores((base + 1.0).tolist(), base.tolist()))
+        res = self._test((base + 1.0).tolist(), base.tolist())
         assert res.significant
         assert res.cohens_d is not None and res.cohens_d > 0
         assert res.direction == "MALE"
@@ -154,16 +152,13 @@ class TestDisparityTest:
         # large n makes a tiny shift significant while |d| stays < 0.2
         rng = np.random.default_rng(0)
         base = rng.normal(0, 1, 2000)
-        res = stats.disparity_test(
-            self._scores((base + 0.1).tolist(), base.tolist()))
+        res = self._test((base + 0.1).tolist(), base.tolist())
         assert res.significant
         assert abs(res.cohens_d) < 0.2
         assert not res.considerable
 
     def test_to_dict_fields(self):
-        res = stats.disparity_test(self._scores([1, 2, 3], [4, 5, 6]))
-        d = res.to_dict()
-        assert d["metric"] == "gini" and d["method"] == "IG"
+        d = self._test([1, 2, 3], [4, 5, 6]).to_dict()
         assert d["mode"] == "exact"
         assert d["n_A"] == 3 and d["n_B"] == 3
         assert set(d) >= {"U", "p", "d", "significant", "considerable",

@@ -212,6 +212,17 @@ class TestTrain:
             tm.train(tm.init_model(len(v)), data,
                      tm.TrainConfig(epochs=0))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"epochs": -1}, {"learning_rate": 0.0}, {"learning_rate": -1e-3},
+        {"learning_rate": np.nan}, {"learning_rate": np.inf},
+        {"batch_size": 0}, {"batch_size": -3},
+    ])
+    def test_invalid_config_rejected(self, kwargs):
+        # batch_size 0 used to divide by zero in train(), and a negative
+        # one to run no step and leave the model untrained
+        with pytest.raises(ConfigError):
+            tm.TrainConfig(**kwargs)
+
     def test_single_class_rejected(self):
         v = tm.build_vocab(["a"])
         data = [(tm.tokenize(v, "a"), 1)] * 4
