@@ -7,7 +7,11 @@ pooled gradient ``g``, which every token shares as ``g / n``: GRAD is
 ``||g|| / n`` for every token, GXI is ``x_i . g / n``, and IG and IGXI use
 the mean of ``g`` over the path (one batched ``pooled_grad`` call). LIME
 and KernelSHAP fit surrogate models on zero-masked embedding variants,
-with masks and fit matrices memoized per (n, config). All methods also
+with masks and fit matrices memoized per (n, config). Their seeded
+designs repeat mask rows, so the model is queried once per distinct row
+and the values are read back per mask row. The distinct rows keep the
+4-row groups in which BLAS computes a product, so each value has the
+bits of a query of every row (``_distinct_rows``). All methods also
 accept raw (..., n, d) embeddings so that robustness search can
 re-explain a stack of perturbed inputs, bit for bit per slice.
 """
@@ -63,11 +67,16 @@ def resolve_input(model, seq):
     return X, [f"tok{i}" for i in range(X.shape[-2])]
 
 
-def _masked_probs(model, X, masks, target):
-    """Model probability of target for each binary token mask (rows)."""
+def _masked_probs(model, X, masks, target, inverse=None):
+    """Model probability of target for each binary token mask (rows), read
+    back at the row indices ``inverse`` if given. Rows are gathered before
+    the class column is read, so the result has the strides of a query of
+    every row: the fits' BLAS products round by memory layout."""
     pooled = masks @ X
     pooled /= X.shape[-2]
     probs, _ = textmodel.forward_pooled(model, pooled)
+    if inverse is not None:
+        probs = probs.take(inverse, axis=-2)
     return probs[..., target]
 
 
@@ -127,12 +136,47 @@ def _solve(system, rhs):
     return x
 
 
+def _distinct_rows(Z):
+    """The rows to query for mask rows ``Z`` and each mask row's index
+    among them, so that ``f(rows)[..., inverse]`` is ``f(Z)`` for a
+    row-wise model query ``f``; read-only.
+
+    The rows are the distinct rows of the first ``len(Z) - len(Z) % 4``
+    mask rows (the body), padded to a multiple of 4 with copies of one of
+    them, then the other rows (the tail) unchanged. OpenBLAS computes a
+    product's body rows with one kernel and its tail rows with others,
+    and a row's bits depend only on which of the two it is in. (Except
+    where a product's output has 1 to 4 columns past a multiple of 8 and
+    its inner size is 16 or more: there the kernel also changes near
+    10^6 multiply-adds. The default 16 x 32 classifier has no such
+    product at the default sample counts.) Rows are told apart by integer
+    codes of 52 bits per word, exact in a float product.
+    """
+    body = len(Z) - len(Z) % 4
+    bit = np.arange(Z.shape[1])
+    weights = np.zeros((len(bit), bit[-1] // 52 + 1))
+    weights[bit, bit // 52] = 2.0 ** (bit % 52)
+    codes = (Z[:body] @ weights).T
+    _, inverse = np.unique(codes[0], return_inverse=True)
+    for word in codes[1:]:
+        _, rank = np.unique(word, return_inverse=True)
+        _, inverse = np.unique(inverse * body + rank, return_inverse=True)
+    distinct = np.empty(inverse.max(initial=-1) + 1, dtype=np.intp)
+    distinct[inverse] = np.arange(body)  # any row of each code will do
+    pad = -len(distinct) % 4
+    take = np.concatenate([distinct, np.repeat(distinct[-1:], pad),
+                           np.arange(body, len(Z))])
+    tail = len(distinct) + pad + np.arange(len(Z) - body)
+    return _read_only(Z.take(take, axis=0), np.concatenate([inverse, tail]))
+
+
 @functools.lru_cache(maxsize=1)
 def _lime_design(n, samples, width, seed, ridge):
     """LIME's masks ``Z`` with ``A.T * w`` and the ridge system
     ``A.T * w @ A + ridge * P`` of their kernel-weighted fit, where
-    ``A = [1 | Z]`` and ``P`` leaves the intercept unpenalized; read-only.
-    One slot: the PGD search re-explains one (n, config) at every step."""
+    ``A = [1 | Z]`` and ``P`` leaves the intercept unpenalized, then
+    ``_distinct_rows(Z)``; read-only. One slot: the PGD search re-explains
+    one (n, config) at every step."""
     rng = np.random.default_rng(seed)
     Z = (rng.random((samples, n)) < 0.5).astype(float)
     width = width or 0.75 * math.sqrt(n)
@@ -141,7 +185,8 @@ def _lime_design(n, samples, width, seed, ridge):
     A = np.column_stack([np.ones(samples), Z])
     AtW = A.T * w
     penalty = np.diag([0.0] + [1.0] * n)
-    return _read_only(Z, AtW, AtW @ A + ridge * penalty)
+    return (*_read_only(Z, AtW, AtW @ A + ridge * penalty),
+            *_distinct_rows(Z))
 
 
 def _lime(model, X, target, cfg):
@@ -150,9 +195,10 @@ def _lime(model, X, target, cfg):
     Mask distance is the Hamming distance to the all-ones mask; masked
     tokens have their embedding rows zeroed.
     """
-    Z, AtW, system = _lime_design(X.shape[-2], cfg.lime_samples,
-                                  cfg.lime_kernel_width, cfg.seed, cfg.ridge)
-    y = _masked_probs(model, X, Z, target)
+    _, AtW, system, rows, inverse = _lime_design(
+        X.shape[-2], cfg.lime_samples, cfg.lime_kernel_width, cfg.seed,
+        cfg.ridge)
+    y = _masked_probs(model, X, rows, target, inverse)
     return _solve(system, AtW @ y[..., None])[..., 1:, 0]
 
 
@@ -215,9 +261,11 @@ def _exact_shap_design(n):
 
 @functools.lru_cache(maxsize=1)
 def _sampled_shap_design(n, samples, seed):
-    """Sampled coalitions with their ``_shap_kkt``; read-only, one slot."""
+    """Sampled coalitions with their ``_shap_kkt`` and ``_distinct_rows``;
+    read-only, one slot."""
     Z = _sampled_coalitions(n, samples, np.random.default_rng(seed))
-    return _read_only(Z, *_shap_kkt(Z, np.ones(samples)))
+    return (*_read_only(Z, *_shap_kkt(Z, np.ones(samples))),
+            *_distinct_rows(Z))
 
 
 def _kernel_shap(model, X, target, cfg):
@@ -241,10 +289,12 @@ def _kernel_shap(model, X, target, cfg):
     else:
         if 2**n - 2 <= cfg.shap_samples:
             Z, ZtW, system = _exact_shap_design(n)
+            y = _masked_probs(model, X, Z, target)
         else:
-            Z, ZtW, system = _sampled_shap_design(n, cfg.shap_samples,
-                                                  cfg.seed)
-        y = _masked_probs(model, X, Z, target) - empty[..., None]
+            _, ZtW, system, rows, inverse = _sampled_shap_design(
+                n, cfg.shap_samples, cfg.seed)
+            y = _masked_probs(model, X, rows, target, inverse)
+        y = y - empty[..., None]
         rhs = np.concatenate([ZtW @ y[..., None], delta[..., None, None]],
                              axis=-2)
     return _solve(system, rhs)[..., :n, 0]

@@ -70,7 +70,7 @@ def build_parser():
     r = sub.add_parser("report", description="Render a report directory.")
     r.add_argument("report_dir")
     r.add_argument("--format", default="table",
-                   choices=["table", "csv", "svg"])
+                   choices=["table", "svg"])
     r.add_argument("--out")
     return p
 

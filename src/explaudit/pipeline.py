@@ -16,6 +16,7 @@ import json
 import math
 import os
 import shutil
+import tempfile
 import zlib
 from dataclasses import dataclass, field, asdict, replace
 
@@ -315,11 +316,24 @@ def check_out_dir(out_dir):
 def save_report(report, out_dir):
     check_out_dir(out_dir)
     out_dir = os.path.abspath(out_dir)
-    tmp_dir = out_dir + ".tmp"
-    if os.path.exists(tmp_dir):
-        shutil.rmtree(tmp_dir)
-    os.makedirs(tmp_dir)
+    # a fresh directory next to the target, so no user path is touched;
+    # mkdtemp makes it 0700, and a report gets a plain mkdir's mode
+    tmp_dir = tempfile.mkdtemp(prefix=os.path.basename(out_dir) + ".",
+                               dir=os.path.dirname(out_dir))
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_dir, 0o777 & ~umask)
+        _write_report(report, tmp_dir)
+        if os.path.exists(out_dir):
+            shutil.rmtree(out_dir)
+        os.replace(tmp_dir, out_dir)
+    except BaseException:
+        shutil.rmtree(tmp_dir, ignore_errors=True)
+        raise
 
+
+def _write_report(report, tmp_dir):
     cfg = report.config
     _dump(os.path.join(tmp_dir, "config.json"),
           {"config": cfg.to_dict(), "config_hash": cfg.content_hash(),
@@ -344,10 +358,6 @@ def save_report(report, out_dir):
     _dump(os.path.join(tmp_dir, "bias.json"),
           [{"run": r.run_index, "test_accuracy": r.test_accuracy,
             **r.bias.to_dict()} for r in report.runs])
-
-    if os.path.exists(out_dir):
-        shutil.rmtree(out_dir)
-    os.replace(tmp_dir, out_dir)
 
 
 def _tag_run(run):

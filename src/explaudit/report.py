@@ -1,4 +1,4 @@
-"""Rendering of audit results: text grids, CSV re-emission, SVG box plots.
+"""Rendering of audit results: text grids and SVG box plots.
 
 The significance grid mirrors the counts-out-of-R reporting shape: one
 row per attribution method, one column per metric, each cell showing the
@@ -168,12 +168,6 @@ def _load_summary(report_dir):
     return config, aggregate
 
 
-def load_report_dir(report_dir):
-    config, aggregate = _load_summary(report_dir)
-    samples = met.read_scores_csv(os.path.join(report_dir, "scores.csv"))
-    return config, aggregate, samples
-
-
 def _scores_subgroups(report_dir):
     """The distinct subgroup labels of scores.csv, read from that column
     alone."""
@@ -188,17 +182,19 @@ def _scores_subgroups(report_dir):
 
 
 def render(report_dir, fmt="table", out_dir=None):
-    """Render a persisted report as a text grid, CSV, or SVG box plots.
+    """Render a persisted report as a text grid or SVG box plots.
 
-    Returns the rendered text for 'table', or a list of written paths.
-    The table needs only the subgroup labels of scores.csv; the other
-    formats parse every score.
+    Returns the rendered text for 'table', or the list of written paths
+    for 'svg'. The table needs only the subgroup labels of scores.csv;
+    the plots parse every score.
     """
+    if fmt not in ("table", "svg"):
+        raise ConfigError(f"unknown report format: {fmt}")
+    config, aggregate = _load_summary(report_dir)
     if fmt == "table":
-        config, aggregate = _load_summary(report_dir)
         subgroups = _scores_subgroups(report_dir)
     else:
-        config, aggregate, samples = load_report_dir(report_dir)
+        samples = met.read_scores_csv(os.path.join(report_dir, "scores.csv"))
         subgroups = {s.subgroup for s in samples}
     methods = config["config"]["methods"]
     metrics = config["config"]["metrics"]
@@ -216,28 +212,20 @@ def render(report_dir, fmt="table", out_dir=None):
     out_dir = out_dir or report_dir
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    if fmt == "csv":
-        path = os.path.join(out_dir, "scores_export.csv")
-        met.write_scores_csv(samples, path)
-        written.append(path)
-    elif fmt == "svg":
-        for method in methods:
-            for metric in metrics:
-                groups = {}
-                for lab in (label_a, label_b):
-                    vals = [s.value for s in samples
-                            if s.method == method and s.metric == metric
-                            and s.subgroup == lab
-                            and not math.isnan(s.value)]
-                    if vals:
-                        groups[lab] = vals
-                if not groups:
-                    continue
-                svg = boxplot_svg(groups, title=f"{method} / {metric}")
-                path = os.path.join(out_dir, f"box_{method}_{metric}.svg")
-                with open(path, "w", encoding="utf-8") as f:
-                    f.write(svg)
-                written.append(path)
-    else:
-        raise ConfigError(f"unknown report format: {fmt}")
+    for method in methods:
+        for metric in metrics:
+            groups = {}
+            for lab in (label_a, label_b):
+                vals = [s.value for s in samples
+                        if s.method == method and s.metric == metric
+                        and s.subgroup == lab and not math.isnan(s.value)]
+                if vals:
+                    groups[lab] = vals
+            if not groups:
+                continue
+            svg = boxplot_svg(groups, title=f"{method} / {metric}")
+            path = os.path.join(out_dir, f"box_{method}_{metric}.svg")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(svg)
+            written.append(path)
     return written

@@ -331,6 +331,28 @@ def clear_design_memos():
         cache.cache_clear()
 
 
+def reference_full_rows(method, model, X, target, cfg):
+    """LIME or sampled KernelSHAP scores from one query of every mask row
+    of the memoized design, then the same solve. ``attrib.explain``,
+    which queries each distinct row once, must reproduce it bit for
+    bit."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[-2]
+    if method == "LIME":
+        Z, AtW, system, _, _ = attrib._lime_design(
+            n, cfg.lime_samples, cfg.lime_kernel_width, cfg.seed, cfg.ridge)
+        y = attrib._masked_probs(model, X, Z, target)
+        return attrib._solve(system, AtW @ y[..., None])[..., 1:, 0]
+    full = attrib._masked_probs(model, X, np.ones((1, n)), target)[..., 0]
+    empty = attrib._masked_probs(model, X, np.zeros((1, n)), target)[..., 0]
+    Z, ZtW, system, _, _ = attrib._sampled_shap_design(n, cfg.shap_samples,
+                                                       cfg.seed)
+    y = attrib._masked_probs(model, X, Z, target) - empty[..., None]
+    rhs = np.concatenate([ZtW @ y[..., None], (full - empty)[..., None, None]],
+                         axis=-2)
+    return attrib._solve(system, rhs)[..., :n, 0]
+
+
 def reference_sensitivity(model, method, X, attr, cfg, target,
                           attr_cfg=None):
     """The PGD search of ``met.sensitivity`` as first written: every step

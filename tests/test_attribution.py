@@ -8,7 +8,7 @@ from conftest import (LinearPooledModel, ConstantModel, DeadInputModel,
                       clear_design_memos, exact_shapley, indicator_embeddings, masked_prob,
                       planted_token_model, finite_diff_input_grad,
                       random_tiny_model, all_coalition_probs,
-                      shapley_from_values)
+                      reference_full_rows, shapley_from_values)
 from explaudit import attribution as attrib
 from explaudit import textmodel as tm
 from explaudit.errors import ConfigError, NumericalError
@@ -372,6 +372,64 @@ class TestPreparedDesign:
         for a, b in zip(arrays, before):
             assert not a.flags.writeable
             assert np.array_equal(a, b)
+
+
+class TestDistinctRows:
+    """LIME and sampled KernelSHAP query each distinct mask row once and
+    read the values back per mask row, with the bits of a query of every
+    row: BLAS rounds a row by whether it falls in a product's 4-row body
+    or its ``rows % 4`` tail, so the distinct body rows are padded to a
+    multiple of 4 and the tail rows are queried last, unchanged."""
+
+    MODELS = {
+        "tiny": lambda rng: random_tiny_model(rng),
+        "default": lambda rng: tm.init_model(40, seed=int(rng.integers(99))),
+        "linear": lambda rng: LinearPooledModel(
+            rng.uniform(-0.1, 0.1, 16), base=0.5),
+    }
+
+    @pytest.mark.parametrize("model_kind", sorted(MODELS))
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("method, samples", [
+        ("LIME", 1000), ("LIME", 999), ("SHAP", 2048), ("SHAP", 2047)])
+    def test_equal_to_query_of_every_row(self, rng, method, samples,
+                                         stacked, model_kind):
+        model = self.MODELS[model_kind](rng)
+        d = 3 if model_kind == "tiny" else 16
+        n = 13  # KernelSHAP samples coalitions at this length
+        cfg = attrib.AttributionConfig(lime_samples=samples,
+                                       shap_samples=samples, seed=5)
+        X = rng.uniform(-1, 1, (3, n, d) if stacked else (n, d))
+        got = attrib.explain(method, model, X, 1, cfg).scores
+        assert np.array_equal(got, reference_full_rows(method, model, X, 1,
+                                                       cfg))
+        if method == "LIME":
+            *_, rows, _ = attrib._lime_design(
+                n, samples, cfg.lime_kernel_width, cfg.seed, cfg.ridge)
+        else:
+            *_, rows, _ = attrib._sampled_shap_design(n, samples, cfg.seed)
+        body = len(rows) - samples % 4
+        assert len(rows) < samples and body % 4 == 0
+        assert len(np.unique(rows[:body], axis=0)) > body - 4
+
+    @pytest.mark.parametrize("samples, n", [
+        (1000, 8), (1003, 8), (3, 5), (4, 1), (400, 60), (402, 60)])
+    def test_rows_cover_every_mask_row(self, rng, samples, n):
+        # n = 60 spans two 52-bit code words; rows repeat within and
+        # across the body and tail
+        Z = (rng.random((samples, n)) < 0.5).astype(float)
+        Z[samples // 2:] = Z[:samples - samples // 2]
+        Z[:, 10:50] = 1.0
+        rows, inverse = attrib._distinct_rows(Z)
+        assert np.array_equal(rows[inverse], Z)
+        tail = samples % 4
+        body = len(rows) - tail
+        assert body % 4 == 0
+        assert np.array_equal(rows[body:], Z[samples - tail:])
+        distinct = np.unique(Z[:samples - tail], axis=0)
+        assert body - 4 < len(distinct) <= body
+        assert len(np.unique(rows[:body], axis=0)) == len(distinct)
+        assert not rows.flags.writeable and not inverse.flags.writeable
 
 
 class TestStackedInput:

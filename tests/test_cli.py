@@ -193,6 +193,17 @@ class TestAudit:
             "aggregate.json", "bias.json"}
         assert not os.path.exists(str(out_dir) + ".tmp")
 
+    def test_leaves_user_tmp_dir_alone(self, none_dataset, tmp_path,
+                                       capsys):
+        # the report is staged in a fresh temporary directory, never in
+        # a user's <out>.tmp
+        (tmp_path / "rep.tmp").mkdir()
+        (tmp_path / "rep.tmp" / "notes.txt").write_text("keep")
+        before = set(os.listdir(tmp_path))
+        assert self._audit(none_dataset, str(tmp_path / "rep"), capsys)[0] == 0
+        assert (tmp_path / "rep.tmp" / "notes.txt").read_text() == "keep"
+        assert set(os.listdir(tmp_path)) == before | {"rep"}
+
     @pytest.mark.parametrize("out", [".", "keep", "afile"])
     def test_existing_path_not_a_report_exit_1(self, out, none_dataset,
                                                tmp_path, capsys,

@@ -270,7 +270,7 @@ class TestSaveReport:
         out = str(tmp_path / "rep")
         pipeline.save_report(
             pipeline.run_audit(records, _fast_cfg()), out)
-        assert not os.path.exists(out + ".tmp")
+        assert os.listdir(tmp_path) == ["rep"]
 
     def test_overwrites_existing_report(self, tmp_path):
         records = ds.generate_synthetic_paired(8, seed=0)
@@ -278,6 +278,34 @@ class TestSaveReport:
         pipeline.save_report(pipeline.run_audit(records, _fast_cfg()), out)
         pipeline.save_report(pipeline.run_audit(records, _fast_cfg()), out)
         assert os.path.exists(os.path.join(out, "scores.csv"))
+
+    def test_failed_write_removes_only_its_temp_dir(self, tmp_path,
+                                                    monkeypatch):
+        report = pipeline.run_audit(ds.generate_synthetic_paired(8, seed=0),
+                                    _fast_cfg())
+        out = tmp_path / "rep"
+        pipeline.save_report(report, str(out))
+        (tmp_path / "rep.tmp").mkdir()
+        (tmp_path / "rep.tmp" / "notes.txt").write_text("keep")
+        before = {p: open(out / p).read() for p in os.listdir(out)}
+
+        def disk_full(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(met, "write_scores_csv", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            pipeline.save_report(report, str(out))
+        assert sorted(os.listdir(tmp_path)) == ["rep", "rep.tmp"]
+        assert {p: open(out / p).read() for p in os.listdir(out)} == before
+        assert (tmp_path / "rep.tmp" / "notes.txt").read_text() == "keep"
+
+    def test_report_dir_has_mkdir_mode(self, tmp_path):
+        pipeline.save_report(
+            pipeline.run_audit(ds.generate_synthetic_paired(8, seed=0),
+                               _fast_cfg()), str(tmp_path / "rep"))
+        os.mkdir(tmp_path / "plain")
+        assert (os.stat(tmp_path / "rep").st_mode
+                == os.stat(tmp_path / "plain").st_mode)
 
     @pytest.mark.parametrize("kind", ["file", "dir", "link"])
     def test_refuses_path_that_is_not_a_report(self, tmp_path, kind):

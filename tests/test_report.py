@@ -137,11 +137,6 @@ class TestRender:
         with pytest.raises(DataError, match="no subgroup column"):
             report.render(str(copy), "table")
 
-    def test_csv_export(self, report_dir, tmp_path):
-        paths = report.render(report_dir, "csv", str(tmp_path))
-        assert len(paths) == 1 and paths[0].endswith("scores_export.csv")
-        assert os.path.exists(paths[0])
-
     def test_svg_per_cell(self, report_dir, tmp_path):
         paths = report.render(report_dir, "svg", str(tmp_path))
         assert len(paths) == 4  # 2 methods x 2 metrics
