@@ -10,8 +10,9 @@ and KernelSHAP fit surrogate models on zero-masked embedding variants,
 with masks and fit matrices memoized per (n, config). Their seeded
 designs repeat mask rows, so the model is queried once per distinct row
 and the values are read back per mask row. The distinct rows keep the
-4-row groups in which BLAS computes a product, so each value has the
-bits of a query of every row (``_distinct_rows``). All methods also
+4-row groups in which OpenBLAS computes a product, so on the build where
+this was measured each value has the bits of a query of every row
+(``_distinct_rows`` names the build). All methods also
 accept raw (..., n, d) embeddings so that robustness search can
 re-explain a stack of perturbed inputs, bit for bit per slice.
 """
@@ -143,9 +144,14 @@ def _distinct_rows(Z):
 
     The rows are the distinct rows of the first ``len(Z) - len(Z) % 4``
     mask rows (the body), padded to a multiple of 4 with copies of one of
-    them, then the other rows (the tail) unchanged. OpenBLAS computes a
-    product's body rows with one kernel and its tail rows with others,
-    and a row's bits depend only on which of the two it is in. (Except
+    them, then the other rows (the tail) unchanged. On the BLAS where
+    this was measured (numpy 2.4.6 with scipy-openblas 0.3.31,
+    DYNAMIC_ARCH, SkylakeX core kernels, on a 2-vCPU Intel Xeon), a
+    product's body rows go through one kernel and its tail rows through
+    others, and a row's bits depend only on which of the two it is in.
+    Other OpenBLAS cores or other BLAS libraries may group rows
+    differently; there the values can differ from a query of every row
+    in the last bits, and ``TestDistinctRows`` fails. (Except
     where a product's output has 1 to 4 columns past a multiple of 8 and
     its inner size is 16 or more: there the kernel also changes near
     10^6 multiply-adds. The default 16 x 32 classifier has no such

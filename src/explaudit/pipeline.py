@@ -318,6 +318,7 @@ def save_report(report, out_dir):
     out_dir = os.path.abspath(out_dir)
     # a fresh directory next to the target, so no user path is touched;
     # mkdtemp makes it 0700, and a report gets a plain mkdir's mode
+    os.makedirs(os.path.dirname(out_dir), exist_ok=True)
     tmp_dir = tempfile.mkdtemp(prefix=os.path.basename(out_dir) + ".",
                                dir=os.path.dirname(out_dir))
     try:
@@ -325,12 +326,14 @@ def save_report(report, out_dir):
         os.umask(umask)
         os.chmod(tmp_dir, 0o777 & ~umask)
         _write_report(report, tmp_dir)
-        if os.path.exists(out_dir):
-            shutil.rmtree(out_dir)
-        os.replace(tmp_dir, out_dir)
     except BaseException:
         shutil.rmtree(tmp_dir, ignore_errors=True)
         raise
+    # from here the temporary directory holds the only complete new
+    # report; if the swap fails it stays behind rather than being lost
+    if os.path.exists(out_dir):
+        shutil.rmtree(out_dir)
+    os.replace(tmp_dir, out_dir)
 
 
 def _write_report(report, tmp_dir):

@@ -193,6 +193,12 @@ class TestAudit:
             "aggregate.json", "bias.json"}
         assert not os.path.exists(str(out_dir) + ".tmp")
 
+    def test_out_in_missing_parent_dir(self, none_dataset, tmp_path,
+                                       capsys):
+        out_dir = tmp_path / "results" / "rep"
+        assert self._audit(none_dataset, str(out_dir), capsys)[0] == 0
+        assert os.path.isfile(out_dir / "scores.csv")
+
     def test_leaves_user_tmp_dir_alone(self, none_dataset, tmp_path,
                                        capsys):
         # the report is staged in a fresh temporary directory, never in

@@ -299,6 +299,32 @@ class TestSaveReport:
         assert {p: open(out / p).read() for p in os.listdir(out)} == before
         assert (tmp_path / "rep.tmp" / "notes.txt").read_text() == "keep"
 
+    def test_creates_missing_parent_dirs(self, tmp_path):
+        out = tmp_path / "results" / "run1" / "rep"
+        pipeline.save_report(
+            pipeline.run_audit(ds.generate_synthetic_paired(8, seed=0),
+                               _fast_cfg()), str(out))
+        assert os.path.isfile(out / "scores.csv")
+        assert os.listdir(out.parent) == ["rep"]
+
+    def test_failed_swap_keeps_new_report(self, tmp_path, monkeypatch):
+        # once the old report is gone, the staged copy is the only one
+        # and must not be deleted
+        report = pipeline.run_audit(ds.generate_synthetic_paired(8, seed=0),
+                                    _fast_cfg())
+        out = tmp_path / "rep"
+        pipeline.save_report(report, str(out))
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline.os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.save_report(report, str(out))
+        (staged,) = os.listdir(tmp_path)
+        assert staged.startswith("rep.")
+        assert os.path.isfile(tmp_path / staged / "scores.csv")
+
     def test_report_dir_has_mkdir_mode(self, tmp_path):
         pipeline.save_report(
             pipeline.run_audit(ds.generate_synthetic_paired(8, seed=0),
