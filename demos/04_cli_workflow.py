@@ -4,7 +4,6 @@ Equivalent shell session:
 
     explaudit gen-data --pairs 200 --injection length --out pairs.csv
     explaudit validate --dataset pairs.csv
-    explaudit train --dataset pairs.csv --epochs 30 --out model.json
     explaudit audit --dataset pairs.csv --out audit/ --runs 2 \
         --epochs 30 --methods GRAD,GXI --metrics comprehensiveness,gini
     explaudit report audit/ --format svg --out plots/
@@ -26,14 +25,12 @@ def run(*args):
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         data = os.path.join(tmp, "pairs.csv")
-        model = os.path.join(tmp, "model.json")
         audit_dir = os.path.join(tmp, "audit")
         plots = os.path.join(tmp, "plots")
 
         run("gen-data", "--pairs", "200", "--injection", "length",
             "--seed", "0", "--out", data)
         run("validate", "--dataset", data)
-        run("train", "--dataset", data, "--epochs", "30", "--out", model)
         run("audit", "--dataset", data, "--out", audit_dir,
             "--runs", "2", "--epochs", "30",
             "--methods", "GRAD,GXI",

@@ -70,15 +70,27 @@ def resolve_input(model, seq):
 
 def _masked_probs(model, X, masks, target, inverse=None):
     """Model probability of target for each binary token mask (rows), read
-    back at the row indices ``inverse`` if given. Rows are gathered before
-    the class column is read, so the result has the strides of a query of
-    every row: the fits' BLAS products round by memory layout."""
-    pooled = masks @ X
-    pooled /= X.shape[-2]
-    probs, _ = textmodel.forward_pooled(model, pooled)
-    if inverse is not None:
-        probs = probs.take(inverse, axis=-2)
-    return probs[..., target]
+    back at the row indices ``inverse`` if given.
+
+    X of more than one leading axis is queried one leading slice, an
+    (R, n, d) block, at a time, so a query holds no more rows than one
+    (R, n, d) explain. Every slice's rows go into one (..., rows, classes)
+    buffer before the class column is read, so the result has the strides
+    of a query of every row: the fits' BLAS products round by memory
+    layout."""
+    out = None
+    for idx in np.ndindex(X.shape[:-3]):
+        pooled = masks @ X[idx]
+        pooled /= X.shape[-2]
+        probs, _ = textmodel.forward_pooled(model, pooled)
+        if out is None:
+            rows = len(masks) if inverse is None else len(inverse)
+            out = np.empty(X.shape[:-2] + (rows, probs.shape[-1]))
+        if inverse is None:
+            out[idx] = probs
+        else:  # in range; mode "raise" would gather into a temporary
+            probs.take(inverse, axis=-2, out=out[idx], mode="clip")
+    return out[..., target]
 
 
 def _grad(model, X, target, cfg):
@@ -233,15 +245,18 @@ def _exact_coalitions(n):
 def _sampled_coalitions(n, samples, rng):
     """``samples`` coalitions: sizes drawn from the Shapley kernel's size
     distribution, then a uniform subset of each size (the row's k tokens
-    with the smallest uniform keys)."""
+    with the smallest uniform keys: those at or below its k-th smallest
+    key, or by a row-wise ``argsort`` where that key is tied)."""
     sizes = np.arange(1, n)
     size_p = np.array([_shap_kernel_weight(n, k) * math.comb(n, k)
                        for k in sizes])
     size_p /= size_p.sum()
     drawn = rng.choice(sizes, size=samples, p=size_p)
-    order = rng.random((samples, n)).argsort(axis=1)
-    Z = np.zeros((samples, n))
-    np.put_along_axis(Z, order, np.arange(n) < drawn[:, None], axis=1)
+    keys = rng.random((samples, n))
+    kth = np.take_along_axis(np.sort(keys, axis=1), drawn[:, None] - 1, 1)
+    Z = (keys <= kth).astype(float)
+    for row in np.flatnonzero(Z.sum(axis=1) != drawn):
+        Z[row, keys[row].argsort()] = np.arange(n) < drawn[row]
     return Z
 
 

@@ -1,4 +1,4 @@
-"""Command-line driver: gen-data | validate | train | audit | report.
+"""Command-line driver: gen-data | validate | audit | report.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 runtime
 failure. Every command echoes its resolved configuration before running.
@@ -42,15 +42,6 @@ def build_parser():
     v.add_argument("--dataset", required=True)
     v.add_argument("--format", default="csv", choices=["csv", "jsonl"])
     v.add_argument("--unpaired", action="store_true")
-
-    t = sub.add_parser("train", description="Train a classifier and save "
-                       "it as JSON.")
-    t.add_argument("--dataset", required=True)
-    t.add_argument("--format", default="csv", choices=["csv", "jsonl"])
-    t.add_argument("--unpaired", action="store_true")
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--epochs", type=int, default=20)
-    t.add_argument("--out", required=True)
 
     a = sub.add_parser("audit", description="Run the full disparity audit.")
     a.add_argument("--dataset", required=True)
@@ -110,20 +101,6 @@ def cmd_validate(args):
     return 0
 
 
-def cmd_train(args):
-    prep = pipeline.prepare_run(_load(args), args.seed)
-    cfg = tm.TrainConfig(epochs=args.epochs, seed=args.seed)
-    model = tm.init_model(len(prep.vocab), seed=args.seed)
-    model, log = tm.train(model, prep.train_data, cfg)
-    correct = sum(tm.predict(model, prep.vocab, t).predicted_class
-                  == prep.label_idx[lab] for _, _, t, lab in prep.test_items)
-    tm.save_model(model, prep.vocab, args.out)
-    print(f"final train loss {log[-1]['loss']:.4f}, "
-          f"test accuracy {correct / len(prep.test_items):.3f}; "
-          f"model saved to {args.out}")
-    return 0
-
-
 def cmd_audit(args):
     pipeline.check_out_dir(args.out)
     records = _load(args)
@@ -159,7 +136,7 @@ def cmd_report(args):
 
 
 _COMMANDS = {"gen-data": cmd_gen_data, "validate": cmd_validate,
-             "train": cmd_train, "audit": cmd_audit, "report": cmd_report}
+             "audit": cmd_audit, "report": cmd_report}
 
 
 def main(argv=None):

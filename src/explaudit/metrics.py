@@ -9,8 +9,10 @@ class, and sensitivity also the method and config, from the attribution.
 Token "removal" is zero-embedding throughout, keeping sequence length
 fixed and matching the masking semantics of the surrogate explainers.
 ``score_input`` scores every attribution of one input with every metric,
-the masked queries of all faithfulness cells in one batched forward call;
-``evaluate`` scores one attribution with one metric.
+the masked queries of all faithfulness cells in one batched forward call
+and all sensitivity cells on one PGD search per input (restart 0 shared,
+one gradient call per step), each cell re-explaining its whole path in
+one call; ``evaluate`` scores one attribution with one metric.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,42 +104,40 @@ def gini_index(attr):
     return float(1.0 - 2.0 * np.sum((s / total) * ((n - ranks + 0.5) / n)))
 
 
-def sensitivity(model, seq, attr, cfg=None):
-    """Worst-case relative explanation change under an L2-bounded
-    perturbation of the input embeddings, searched with PGD.
-
-    Each gradient step ascends the prediction error (descends the
-    probability of the explained class), is projected back onto the radius
-    ball, and the perturbed input is re-explained with the attribution's
-    method, class and config, all restarts as one (restarts, n, d) stack:
-    one gradient call and one re-explain per step; LIME and SHAP reuse one
-    memoized design.
-    Returns NaN when the reference explanation has zero norm.
-    """
-    cfg = cfg or MetricConfig()
-    pgd = cfg.pgd
-    X, _ = attrib.resolve_input(model, seq)
-    j = attr.target_class
-    base = np.asarray(attr.scores, dtype=float)
-    base_norm = np.linalg.norm(base)
-    if base_norm == 0:
-        return float("nan")
-
+def _pgd_scale(X, pgd):
+    """(radius, step size) of the PGD search around X."""
     radius = pgd.radius
     if radius is None:
         radius = 0.1 * float(np.mean(np.linalg.norm(X, axis=1)))
-    if radius == 0:
-        return 0.0
-    step_size = pgd.step_size if pgd.step_size is not None else radius / 5
+    return radius, pgd.step_size if pgd.step_size is not None else radius / 5
 
-    rng = np.random.default_rng(pgd.seed)
-    delta = np.zeros((pgd.restarts,) + X.shape)
-    for d_r in delta[1:]:  # restart 0 starts at X, the others on the sphere
-        d_r[...] = rng.standard_normal(X.shape)
-        d_r *= radius / max(np.linalg.norm(d_r), 1e-12)
-    worst = 0.0
-    for _ in range(pgd.steps):
-        g = textmodel.grad_wrt_embeddings_matrix(model, X + delta, j)
+
+def _pgd_points(model, X, j, pgd, seeds):
+    """The points of one PGD search per seed in ``seeds``, each a (steps,
+    restarts, n, d) array: ``X + delta`` after every step of every
+    restart.
+
+    Each step ascends the prediction error (descends the probability of
+    class j) along the gradient at ``X + delta`` and projects delta back
+    onto the radius ball. Restart 0 starts at X, the others on the sphere,
+    drawn from their seed's generator. A step never reads an explanation,
+    so restart 0 is one path for every seed: all searches run as one
+    stack, restart 0 once and the other restarts once per distinct seed,
+    with one gradient call per step.
+    """
+    radius, step_size = _pgd_scale(X, pgd)
+    distinct = list(dict.fromkeys(seeds))
+    rest = pgd.restarts - 1
+    delta = np.zeros((1 + rest * len(distinct),) + X.shape)
+    for s, seed in enumerate(distinct):
+        rng = np.random.default_rng(seed)
+        for d_r in delta[1 + s * rest:1 + (s + 1) * rest]:
+            d_r[...] = rng.standard_normal(X.shape)
+            d_r *= radius / max(np.linalg.norm(d_r), 1e-12)
+    points = np.empty((pgd.steps,) + delta.shape)
+    here = X + delta
+    for step in range(pgd.steps):
+        g = textmodel.grad_wrt_embeddings_matrix(model, here, j)
         # norms per restart: an axis-wise norm would sum in another order
         for d_r, g_r in zip(delta, g):
             g_norm = np.linalg.norm(g_r)
@@ -146,10 +146,40 @@ def sensitivity(model, seq, attr, cfg=None):
             d_norm = np.linalg.norm(d_r)
             if d_norm > radius:
                 d_r *= radius / d_norm
-        perturbed = attrib.explain(attr.method, model, X + delta, j,
-                                   attr.cfg)
-        for scores in np.asarray(perturbed.scores, dtype=float):
-            worst = max(worst, np.linalg.norm(scores - base) / base_norm)
+        here = np.add(X, delta, out=points[step])
+    return [points[:, np.r_[0, 1 + s * rest:1 + (s + 1) * rest]]
+            for s in map(distinct.index, seeds)]
+
+
+def sensitivity(model, seq, attr, cfg=None, points=None):
+    """Worst-case relative explanation change under an L2-bounded
+    perturbation of the input embeddings, searched with PGD.
+
+    The attribution's method, class and config re-explain every point of
+    the search (``_pgd_points``, seeded by ``cfg.pgd.seed``) in one
+    explain call over its (steps, restarts, n, d) stack; LIME and
+    KernelSHAP query the model one step's (restarts, n, d) block at a
+    time. ``points`` passes a search already run, as ``score_input`` does
+    for all sensitivity cells of one input.
+    Returns NaN when the reference explanation has zero norm.
+    """
+    cfg = cfg or MetricConfig()
+    X, _ = attrib.resolve_input(model, seq)
+    j = attr.target_class
+    base = np.asarray(attr.scores, dtype=float)
+    base_norm = np.linalg.norm(base)
+    if base_norm == 0:
+        return float("nan")
+    if _pgd_scale(X, cfg.pgd)[0] == 0:
+        return 0.0
+    if points is None:
+        points, = _pgd_points(model, X, j, cfg.pgd, [cfg.pgd.seed])
+    perturbed = attrib.explain(attr.method, model, points, j, attr.cfg)
+    worst = 0.0
+    # step by step, restart by restart: max skips a NaN by its position
+    for scores in np.asarray(perturbed.scores, dtype=float).reshape(
+            -1, base.size):
+        worst = max(worst, np.linalg.norm(scores - base) / base_norm)
     return float(worst)
 
 
@@ -163,8 +193,10 @@ def score_input(model, seq, attrs, metrics, cfg=None, seeds=None):
     ``mask @ X / n``, then its soft-metric rows, where X' keeps each
     embedding element with its token's retain probability
     (comprehensiveness: 1 - normalized score; sufficiency: the normalized
-    score). Each family compares against p(X) from one 1-row call. A
-    sensitivity cell is ``evaluate``'s PGD search.
+    score). Each family compares against p(X) from one 1-row call. All
+    sensitivity cells share one PGD search (``_pgd_points``: restart 0
+    once, the other restarts once per distinct seed), and each cell is
+    one ``evaluate`` call that re-explains its own path in one call.
     ``seeds[k][i]`` seeds the draw of a soft cell and the search of a
     sensitivity cell; it defaults to ``cfg.soft_seed`` and ``cfg.pgd.seed``.
     """
@@ -177,18 +209,20 @@ def score_input(model, seq, attrs, metrics, cfg=None, seeds=None):
     values = [[sparsity(attr, cfg) if metric == "sparsity"
                else gini_index(attr) if metric == "gini" else None
                for metric in metrics] for attr in attrs]
-    for k, attr in enumerate(attrs):
-        for i, metric in enumerate(metrics):
-            if metric == "sensitivity":
-                one = cfg if seeds is None else replace(
-                    cfg, pgd=replace(cfg.pgd, seed=seeds[k][i]))
-                values[k][i] = evaluate(metric, model, seq, attr, one)
+    X, _ = attrib.resolve_input(model, seq)
+    sens = [(k, i) for k in range(len(attrs))
+            for i, metric in enumerate(metrics) if metric == "sensitivity"]
+    if sens:
+        paths = _pgd_points(model, X, attrs[0].target_class, cfg.pgd, [
+            cfg.pgd.seed if seeds is None else seeds[k][i] for k, i in sens])
+        for k, i in sens:  # drop each path once explained: less peak memory
+            values[k][i] = evaluate("sensitivity", model, seq, attrs[k], cfg,
+                                    points=paths.pop(0))
     cells = [(k, i, metric) for k in range(len(attrs))
              for i, metric in enumerate(metrics) if values[k][i] is None]
     if not cells:
         return values
 
-    X, _ = attrib.resolve_input(model, seq)
     n, d = X.shape
     j = attrs[0].target_class
     thresholds = np.asarray(cfg.thresholds)[:, None]
@@ -230,12 +264,12 @@ def score_input(model, seq, attrs, metrics, cfg=None, seeds=None):
     return values
 
 
-def evaluate(metric, model, seq, attr, cfg=None):
-    """One metric of one attribution, by name: the PGD search for
-    sensitivity (``score_input`` calls it for each sensitivity cell),
-    otherwise a one-cell ``score_input``."""
+def evaluate(metric, model, seq, attr, cfg=None, points=None):
+    """One metric of one attribution, by name: ``sensitivity`` (on the
+    search ``points`` if given; ``score_input`` calls it for each
+    sensitivity cell), otherwise a one-cell ``score_input``."""
     if metric == "sensitivity":
-        return sensitivity(model, seq, attr, cfg)
+        return sensitivity(model, seq, attr, cfg, points)
     return score_input(model, seq, [attr], (metric,), cfg)[0][0]
 
 

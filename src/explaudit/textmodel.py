@@ -11,7 +11,6 @@ with any leading axes, (..., d), and so does a duck-typed model's own
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
@@ -44,15 +43,6 @@ class Vocabulary:
     def lookup(self, token):
         token = self.aliases.get(token, token)
         return self.token_to_id.get(token, UNK_ID)
-
-    def to_dict(self):
-        return {"tokens": self.id_to_token[2:], "aliases": dict(self.aliases)}
-
-    @classmethod
-    def from_dict(cls, d):
-        v = build_vocab_from_tokens(d["tokens"])
-        v.aliases = dict(d.get("aliases", {}))
-        return v
 
 
 @dataclass
@@ -385,25 +375,3 @@ def train(model, data, cfg):
                               **{k: v.copy() for k, v in params.items()})
     return trained, log
 
-
-def save_model(model, vocab, path):
-    doc = {
-        "config": {"embed_dim": model.config.embed_dim,
-                   "hidden_dim": model.config.hidden_dim,
-                   "n_classes": model.config.n_classes},
-        "vocabulary": vocab.to_dict(),
-        "parameters": {k: {"shape": list(v.shape), "data": v.ravel().tolist()}
-                       for k, v in model.params().items()},
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f)
-
-
-def load_model(path):
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    cfg = ModelConfig(**doc["config"])
-    params = {k: np.array(v["data"], dtype=float).reshape(v["shape"])
-              for k, v in doc["parameters"].items()}
-    vocab = Vocabulary.from_dict(doc["vocabulary"])
-    return ClassifierModel(config=cfg, **params), vocab

@@ -331,6 +331,21 @@ def clear_design_memos():
         cache.cache_clear()
 
 
+def reference_sampled_coalitions(n, samples, rng):
+    """KernelSHAP's coalition sampler as first written: each row's drawn
+    size, then its tokens by a row-wise ``argsort`` of uniform keys.
+    ``attrib._sampled_coalitions`` must reproduce it bit for bit."""
+    sizes = np.arange(1, n)
+    size_p = np.array([attrib._shap_kernel_weight(n, k) * math.comb(n, k)
+                       for k in sizes])
+    size_p /= size_p.sum()
+    drawn = rng.choice(sizes, size=samples, p=size_p)
+    order = rng.random((samples, n)).argsort(axis=1)
+    Z = np.zeros((samples, n))
+    np.put_along_axis(Z, order, np.arange(n) < drawn[:, None], axis=1)
+    return Z
+
+
 def reference_full_rows(method, model, X, target, cfg):
     """LIME or sampled KernelSHAP scores from one query of every mask row
     of the memoized design, then the same solve. ``attrib.explain``,

@@ -8,7 +8,8 @@ from conftest import (LinearPooledModel, ConstantModel, DeadInputModel,
                       clear_design_memos, exact_shapley, indicator_embeddings, masked_prob,
                       planted_token_model, finite_diff_input_grad,
                       random_tiny_model, all_coalition_probs,
-                      reference_full_rows, shapley_from_values)
+                      reference_full_rows, reference_sampled_coalitions,
+                      shapley_from_values)
 from explaudit import attribution as attrib
 from explaudit import textmodel as tm
 from explaudit.errors import ConfigError, NumericalError
@@ -245,6 +246,39 @@ class TestKernelShap:
             # every token is equally likely to be in a coalition
             assert np.allclose(Z.mean(axis=0), drawn.mean() / n, atol=0.05)
 
+    def test_sampled_coalitions_equal_argsort_rule(self):
+        for n in range(2, 26):
+            for seed in range(10):
+                assert np.array_equal(
+                    attrib._sampled_coalitions(
+                        n, 2048, np.random.default_rng(seed)),
+                    reference_sampled_coalitions(
+                        n, 2048, np.random.default_rng(seed)))
+
+    def test_tied_keys_keep_drawn_size(self):
+        class TiedKeys:
+            """A generator whose uniform keys take 3 values, so that most
+            rows tie at their k-th smallest key."""
+
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def choice(self, *args, **kwargs):
+                return self.rng.choice(*args, **kwargs)
+
+            def random(self, shape):
+                return np.floor(3 * self.rng.random(shape)) / 3
+
+        for n in (3, 7, 13):
+            Z = attrib._sampled_coalitions(n, 512, TiedKeys(n))
+            assert np.array_equal(
+                Z, reference_sampled_coalitions(n, 512, TiedKeys(n)))
+            sizes = np.arange(1, n)
+            p = (n - 1) / (sizes * (n - sizes))
+            drawn = np.random.default_rng(n).choice(
+                sizes, size=512, p=p / p.sum())
+            assert np.array_equal(Z.sum(axis=1), drawn)
+
     def test_sampled_accuracy_against_exact_shapley(self, rng):
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (6, 3))
@@ -458,6 +492,20 @@ class TestStackedInput:
         assert len(stacked.tokens) == n
         for X, scores in zip(stack, stacked.scores):
             alone = attrib.explain(method, model, X, 1, cfg)
+            assert np.array_equal(alone.scores, scores)
+
+    @pytest.mark.parametrize("n", [6, 13])
+    @pytest.mark.parametrize("method", attrib.METHODS)
+    def test_deeper_stack_equals_per_block_explains(self, rng, method, n):
+        # a (steps, R, n, d) stack, whose surrogate explainers query the
+        # model one (R, n, d) block at a time
+        model = random_tiny_model(rng)
+        cfg = attrib.AttributionConfig(seed=3)
+        stack = rng.uniform(-1, 1, (4, 2, n, 3))
+        stacked = attrib.explain(method, model, stack, 1, cfg)
+        assert stacked.scores.shape == (4, 2, n)
+        for block, scores in zip(stack, stacked.scores):
+            alone = attrib.explain(method, model, block, 1, cfg)
             assert np.array_equal(alone.scores, scores)
 
 

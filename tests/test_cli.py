@@ -125,17 +125,6 @@ class TestValidate:
         assert "config error" in err
 
 
-class TestTrain:
-    def test_trains_and_saves(self, none_dataset, tmp_path, capsys):
-        model_path = str(tmp_path / "model.json")
-        code, out, _ = run_cli(["train", "--dataset", none_dataset,
-                                "--epochs", "2", "--out", model_path],
-                               capsys)
-        assert code == 0
-        assert os.path.exists(model_path)
-        assert "test accuracy" in out
-
-
 class TestAudit:
     def _audit(self, dataset, out, capsys, *extra):
         return run_cli(["audit", "--dataset", dataset, "--out", out,
@@ -285,14 +274,14 @@ class TestErrorMapping:
 
     @pytest.mark.parametrize("argv", [
         ["gen-data", "--seed", "-1"],
-        ["train", "--seed", "-1"],
+        ["gen-data", "--pairs", "0"],
         ["audit", "--seed", "-1"],
         ["audit", "--alpha", "5"],
         ["audit", "--alpha", "nan"],
         ["audit", "--alpha", "-0.5"],
         ["audit", "--d-threshold", "-1"],
         ["audit", "--epochs", "0"],
-        ["train", "--epochs", "0"],
+        ["audit", "--runs", "0"],
     ])
     def test_out_of_range_argument_exit_1(self, argv, none_dataset,
                                           tmp_path, capsys):

@@ -318,6 +318,46 @@ class TestSensitivityDesignReuse:
             assert (expected == 0) == (hook and method == "GRAD")
 
 
+class TestSharedSearch:
+    """``score_input`` runs one PGD search for all sensitivity cells of an
+    input (restart 0 once, the other restarts once per distinct seed) and
+    re-explains each cell's path in one call; every cell must keep the
+    bits of ``sensitivity`` searching alone with the cell's seed."""
+
+    @pytest.mark.parametrize("seeded", [False, True])
+    @pytest.mark.parametrize("restarts", [1, 2, 3])
+    @pytest.mark.parametrize("default_model", [False, True])
+    def test_cells_equal_own_search(self, rng, default_model, restarts,
+                                    seeded):
+        n = 13  # KernelSHAP samples its coalitions
+        if default_model:
+            model = tm.init_model(20, seed=4)
+            X = tm.embed(model, tm.TokenSeq(rng.integers(2, 20, n),
+                                            [f"t{i}" for i in range(n)]))
+        else:
+            model = random_tiny_model(rng)
+            X = rng.uniform(-1, 1, (n, 3))
+        attrs = [attrib.explain(m, model, X, 1, attrib.AttributionConfig(
+                     lime_samples=200, seed=k))
+                 for k, m in enumerate(attrib.METHODS)]
+        attrs.append(_attr(np.zeros(n), "LIME"))  # zero reference: NaN
+        metrics = ("sparsity", "sensitivity")
+        cfg = met.MetricConfig(pgd=met.PGDConfig(steps=3,
+                                                 restarts=restarts))
+        # distinct seeds, but the zero attribution repeats the first
+        seeds = [[None, 30 + k % len(attrib.METHODS)]
+                 for k in range(len(attrs))] if seeded else None
+        got = met.score_input(model, X, attrs, metrics, cfg, seeds)
+        for k, attr in enumerate(attrs):
+            seed = cfg.pgd.seed if seeds is None else seeds[k][1]
+            want = met.sensitivity(model, X, attr, replace(
+                cfg, pgd=replace(cfg.pgd, seed=seed)))
+            assert got[k][1] == want or math.isnan(got[k][1]) \
+                and math.isnan(want)
+        assert math.isnan(got[-1][1])
+        assert all(row[1] > 0 for row in got[:-1])
+
+
 class TestDispatchAndIO:
     def test_dispatch_all_metrics(self, rng):
         model = random_tiny_model(rng)

@@ -35,7 +35,8 @@ def test_every_traced_boundary_resolves():
 
 def test_tracer_counts_every_explain(monkeypatch):
     # per test input: one explain per method, then six sensitivity cells,
-    # each re-explaining once per PGD step (all restarts in one call)
+    # each re-explaining its whole PGD path (every step and restart) in
+    # one call
     tracing = _load_tracing()
     for module, name, _ in tracing.BOUNDARIES:  # restored after the test
         monkeypatch.setattr(module, name, getattr(module, name))
@@ -53,7 +54,6 @@ def test_tracer_counts_every_explain(monkeypatch):
     counts = tracing.summarize(tracer.spans)
     assert inputs == 4
     for method in attrib.METHODS:
-        assert counts[f"attribution.{method}_calls"] == inputs * (1 + steps)
+        assert counts[f"attribution.{method}_calls"] == inputs * 2
     assert counts["metrics.sensitivity_calls"] == inputs * 6
-    assert counts["metrics.sensitivity_explain_calls"] \
-        == inputs * 6 * steps
+    assert counts["metrics.sensitivity_explain_calls"] == inputs * 6

@@ -326,20 +326,6 @@ class TestPredictAndPersistence:
         p2 = tm.predict(model, v, "the cat sat")
         assert np.array_equal(p1.probs, p2.probs)
 
-    def test_save_load_roundtrip(self, tmp_path, rng):
-        v = tm.build_vocab(["alpha beta gamma"], aliases={"beta": "alpha"})
-        model = random_tiny_model(rng, vocab_size=len(v))
-        path = tmp_path / "model.json"
-        tm.save_model(model, v, path)
-        loaded, v2 = tm.load_model(path)
-        for k in model.params():
-            assert np.array_equal(model.params()[k], loaded.params()[k])
-        assert v2.token_to_id == v.token_to_id
-        assert v2.aliases == v.aliases
-        p1 = tm.predict(model, v, "alpha gamma")
-        p2 = tm.predict(loaded, v2, "alpha gamma")
-        assert np.array_equal(p1.probs, p2.probs)
-
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=8),
