@@ -198,7 +198,7 @@ def _lime_design(n, samples, width, seed, ridge):
     rng = np.random.default_rng(seed)
     Z = (rng.random((samples, n)) < 0.5).astype(float)
     width = width or 0.75 * math.sqrt(n)
-    dist = n - Z.sum(axis=1)
+    dist = n - Z @ np.ones(n)  # exact counts, like Z.sum(axis=1)
     w = np.exp(-(dist**2) / width**2)
     A = np.column_stack([np.ones(samples), Z])
     AtW = A.T * w
@@ -247,17 +247,22 @@ def _sampled_coalitions(n, samples, rng):
     distribution, then a uniform subset of each size (the row's k tokens
     with the smallest uniform keys: those at or below its k-th smallest
     key, or by a row-wise ``argsort`` where that key is tied)."""
-    sizes = np.arange(1, n)
-    size_p = np.array([_shap_kernel_weight(n, k) * math.comb(n, k)
-                       for k in sizes])
-    size_p /= size_p.sum()
-    drawn = rng.choice(sizes, size=samples, p=size_p)
+    drawn = rng.choice(np.arange(1, n), size=samples, p=_size_weights(n))
     keys = rng.random((samples, n))
-    kth = np.take_along_axis(np.sort(keys, axis=1), drawn[:, None] - 1, 1)
+    srt = np.sort(keys, axis=1)
+    kth = np.take_along_axis(srt, drawn[:, None] - 1, 1)
     Z = (keys <= kth).astype(float)
-    for row in np.flatnonzero(Z.sum(axis=1) != drawn):
+    for row in np.flatnonzero(srt[np.arange(samples), drawn] == kth[:, 0]):
         Z[row, keys[row].argsort()] = np.arange(n) < drawn[row]
     return Z
+
+
+@functools.lru_cache(maxsize=None)
+def _size_weights(n):
+    """The Shapley kernel's distribution of coalition sizes 1 .. n - 1."""
+    p = np.array([_shap_kernel_weight(n, k) * math.comb(n, k)
+                  for k in range(1, n)])
+    return _read_only(p / p.sum())[0]
 
 
 def _shap_kkt(Z, w):
@@ -303,7 +308,9 @@ def _kernel_shap(model, X, target, cfg):
     """
     n = X.shape[-2]
     full = _masked_probs(model, X, np.ones((1, n)), target)[..., 0]
-    empty = _masked_probs(model, X, np.zeros((1, n)), target)[..., 0]
+    # the empty coalition pools to 0 for every X: one 1-row query per call
+    empty = textmodel.forward_pooled(model, np.zeros((1, X.shape[-1])))[0]
+    empty = np.broadcast_to(empty[0, target], X.shape[:-2])
     delta = full - empty
     if n == 1:  # the efficiency constraint alone fixes the one score
         system, rhs = np.ones((1, 1)), delta[..., None, None]
@@ -323,9 +330,14 @@ def _kernel_shap(model, X, target, cfg):
 
 def normalize_scores(attr):
     """Map scores to [0, 1] via |s_i| / max_j |s_j|; all-zero stays zero."""
-    s = np.abs(np.asarray(attr.scores, dtype=float))
-    m = s.max()
-    return s / m if m > 0 else s
+    return normalized([attr])[0]
+
+
+def normalized(attrs):
+    """``normalize_scores`` of each attribution, row by row."""
+    s = np.abs(np.array([attr.scores for attr in attrs], dtype=float))
+    m = s.max(axis=1, keepdims=True)
+    return np.divide(s, m, out=s, where=m > 0)
 
 
 _EXPLAINERS = {"GRAD": _grad, "GXI": _grad_x_input,

@@ -12,7 +12,9 @@ fixed and matching the masking semantics of the surrogate explainers.
 the masked queries of all faithfulness cells in one batched forward call
 and all sensitivity cells on one PGD search per input (restart 0 shared,
 one gradient call per step), each cell re-explaining its whole path in
-one call; ``evaluate`` scores one attribution with one metric.
+one call; ``evaluate`` scores one attribution with one metric. Loops
+over attributions, restarts and path points are whole-array numpy calls
+that keep every value's bits.
 """
 
 from __future__ import annotations
@@ -83,9 +85,7 @@ class ScoreSample:
 
 def sparsity(attr, cfg=None):
     """Share of raw scores with |s_i| >= tau (boundary inclusive)."""
-    cfg = cfg or MetricConfig()
-    s = np.abs(np.asarray(attr.scores, dtype=float))
-    return float(np.mean(s >= cfg.sparsity_tau))
+    return _row_scores("sparsity", [attr], cfg)[0]
 
 
 def gini_index(attr):
@@ -94,14 +94,30 @@ def gini_index(attr):
     Computed on the scores sorted ascending by absolute value. A zero
     attribution vector is defined as 0 (maximally non-concentrated).
     """
-    s = np.sort(np.abs(np.asarray(attr.scores, dtype=float)))
-    total = s.sum()
-    n = len(s)
-    if total == 0:
+    return _row_scores("gini", [attr])[0]
+
+
+def _row_scores(metric, attrs, cfg=None):
+    """``sparsity`` or ``gini_index`` of each attribution, row by row on
+    one array of |s|, each row reduced as alone: the bits are the same."""
+    a = np.abs(np.array([attr.scores for attr in attrs], dtype=float))
+    if metric == "sparsity":
+        return np.mean(a >= (cfg or MetricConfig()).sparsity_tau, 1).tolist()
+    a.sort(axis=1)
+    total = a.sum(axis=1, keepdims=True)
+    for _ in np.flatnonzero(total == 0):
         warnings.warn("all-zero attribution: Gini index defined as 0")
-        return 0.0
-    ranks = np.arange(1, n + 1)
-    return float(1.0 - 2.0 * np.sum((s / total) * ((n - ranks + 0.5) / n)))
+    n = a.shape[1]
+    np.divide(a, total, out=a, where=total != 0)
+    gini = 1.0 - 2.0 * np.sum(a * ((n - np.arange(1, n + 1) + 0.5) / n), 1)
+    return np.where(total[:, 0] == 0, 0.0, gini).tolist()
+
+
+def _norms(a):
+    """``np.linalg.norm`` of each a[r], bit for bit: a stacked matmul of
+    contiguous copies reaches its BLAS dot (``np.einsum`` sums otherwise)."""
+    f = np.ascontiguousarray(a.reshape(len(a), math.prod(a.shape[1:])))
+    return np.sqrt(np.matmul(f[:, None, :], f[:, :, None]))[:, 0, 0]
 
 
 def _pgd_scale(X, pgd):
@@ -130,22 +146,20 @@ def _pgd_points(model, X, j, pgd, seeds):
     rest = pgd.restarts - 1
     delta = np.zeros((1 + rest * len(distinct),) + X.shape)
     for s, seed in enumerate(distinct):
-        rng = np.random.default_rng(seed)
-        for d_r in delta[1 + s * rest:1 + (s + 1) * rest]:
-            d_r[...] = rng.standard_normal(X.shape)
-            d_r *= radius / max(np.linalg.norm(d_r), 1e-12)
+        np.random.default_rng(seed).standard_normal(
+            out=delta[1 + s * rest:1 + (s + 1) * rest])
+    delta[1:] *= (radius / np.maximum(_norms(delta[1:]), 1e-12))[:, None, None]
     points = np.empty((pgd.steps,) + delta.shape)
     here = X + delta
     for step in range(pgd.steps):
         g = textmodel.grad_wrt_embeddings_matrix(model, here, j)
-        # norms per restart: an axis-wise norm would sum in another order
-        for d_r, g_r in zip(delta, g):
-            g_norm = np.linalg.norm(g_r)
-            if g_norm > 0:
-                d_r -= step_size * g_r / g_norm  # ascend the error on class j
-            d_norm = np.linalg.norm(d_r)
-            if d_norm > radius:
-                d_r *= radius / d_norm
+        g_norm = _norms(g)[:, None, None]
+        g = step_size * g
+        np.divide(g, g_norm, out=g, where=g_norm > 0)
+        np.subtract(delta, g, out=delta, where=g_norm > 0)  # ascend error
+        d_norm = _norms(delta)[:, None, None]
+        delta *= np.divide(radius, d_norm, out=np.ones_like(d_norm),
+                           where=d_norm > radius)
         here = np.add(X, delta, out=points[step])
     return [points[:, np.r_[0, 1 + s * rest:1 + (s + 1) * rest]]
             for s in map(distinct.index, seeds)]
@@ -160,7 +174,7 @@ def sensitivity(model, seq, attr, cfg=None, points=None):
     explain call over its (steps, restarts, n, d) stack; LIME and
     KernelSHAP query the model one step's (restarts, n, d) block at a
     time. ``points`` passes a search already run, as ``score_input`` does
-    for all sensitivity cells of one input.
+    for all sensitivity cells of one input. NaN changes are skipped.
     Returns NaN when the reference explanation has zero norm.
     """
     cfg = cfg or MetricConfig()
@@ -175,12 +189,9 @@ def sensitivity(model, seq, attr, cfg=None, points=None):
     if points is None:
         points, = _pgd_points(model, X, j, cfg.pgd, [cfg.pgd.seed])
     perturbed = attrib.explain(attr.method, model, points, j, attr.cfg)
-    worst = 0.0
-    # step by step, restart by restart: max skips a NaN by its position
-    for scores in np.asarray(perturbed.scores, dtype=float).reshape(
-            -1, base.size):
-        worst = max(worst, np.linalg.norm(scores - base) / base_norm)
-    return float(worst)
+    change = _norms(np.asarray(perturbed.scores, dtype=float).reshape(
+        -1, base.size) - base) / base_norm
+    return float(np.fmax.reduce(change, initial=0.0))  # NaN changes skipped
 
 
 def score_input(model, seq, attrs, metrics, cfg=None, seeds=None):
@@ -206,9 +217,10 @@ def score_input(model, seq, attrs, metrics, cfg=None, seeds=None):
         raise ConfigError(f"unknown metric: {sorted(unknown)}")
     if len({attr.target_class for attr in attrs}) > 1:
         raise ConfigError("attributions explain different classes")
-    values = [[sparsity(attr, cfg) if metric == "sparsity"
-               else gini_index(attr) if metric == "gini" else None
-               for metric in metrics] for attr in attrs]
+    column = {m: _row_scores(m, attrs, cfg) for m in ("sparsity", "gini")
+              if m in metrics and attrs}
+    values = [[column[m][k] if m in column else None for m in metrics]
+              for k in range(len(attrs))]
     X, _ = attrib.resolve_input(model, seq)
     sens = [(k, i) for k in range(len(attrs))
             for i, metric in enumerate(metrics) if metric == "sensitivity"]
@@ -225,40 +237,41 @@ def score_input(model, seq, attrs, metrics, cfg=None, seeds=None):
 
     n, d = X.shape
     j = attrs[0].target_class
+    norms = attrib.normalized(attrs)
     thresholds = np.asarray(cfg.thresholds)[:, None]
-    norms = [attrib.normalize_scores(attr) for attr in attrs]
-    aopc, soft = [], []  # (k, i, rows) per cell
-    for k, i, metric in cells:
-        if metric == "comprehensiveness":
-            aopc.append((k, i, (norms[k] < thresholds).astype(float)))
-        elif metric == "sufficiency":
-            aopc.append((k, i, (norms[k] >= thresholds).astype(float)))
-        else:
-            retain = norms[k] if metric == "soft_sufficiency" \
+    masks = {"comprehensiveness": norms[:, None] < thresholds,
+             "sufficiency": norms[:, None] >= thresholds}
+    aopc = [(k, i) for k, i, metric in cells if metric in masks]
+    soft = [(k, i) for k, i, metric in cells if metric in SOFT_METRICS]
+    pooled, families = [], []  # rows; cells and p(X) input, per family
+    if aopc:
+        pooled.append(np.concatenate([masks[metrics[i]][k] for k, i in aopc],
+                                     dtype=float) @ X / n)
+        families.append((aopc, np.ones((1, n)) @ X / n))
+    if soft:  # draws into two buffers that every cell reuses
+        rows = np.empty((len(soft), cfg.soft_samples, d))
+        u = np.empty((cfg.soft_samples, n, d))
+        kept = np.empty(u.shape, dtype=bool)
+        for (k, i), out in zip(soft, rows):
+            retain = norms[k] if metrics[i] == "soft_sufficiency" \
                 else 1.0 - norms[k]
-            seed = cfg.soft_seed if seeds is None else seeds[k][i]
-            e = np.random.default_rng(seed).random(
-                (cfg.soft_samples, n, d)) < retain[:, None]
-            soft.append((k, i, (X[None] * e).mean(axis=1)))
-
-    pooled = [np.concatenate([r for *_, r in aopc]) @ X / n] if aopc else []
-    probs = textmodel.forward_pooled(
-        model, np.concatenate(pooled + [r for *_, r in soft]))[0][:, j]
+            np.random.default_rng(
+                cfg.soft_seed if seeds is None else seeds[k][i]).random(out=u)
+            np.less(u, retain[:, None], out=kept)
+            np.multiply(X, kept, out=u)
+            np.add.reduce(u, axis=1, out=out)
+        pooled.append(rows.reshape(-1, d) / n)
+        families.append((soft, X.mean(axis=0)))
+    probs = textmodel.forward_pooled(model, np.concatenate(pooled))[0][:, j]
     # p(X) stays a 1-row call per family, pooled as each always was: BLAS
     # takes another kernel for a 1-row product than for a row of a batch,
     # so batching it would move its last bits
     start = 0
-    for family, full in ((aopc, np.ones((1, n)) @ X / n),
-                         (soft, X.mean(axis=0))):
-        if not family:
-            continue
+    for block, (group, full) in zip(pooled, families):
         p_full = textmodel.forward_pooled(model, full)[0][..., j]
-        # all cells of a family have as many rows, each reduced in turn
-        shape = (len(family), len(family[0][2]))
-        stop = start + shape[0] * shape[1]
-        drops = np.maximum(0.0, p_full - probs[start:stop]).reshape(shape)
-        start = stop
-        for (k, i, _), mean in zip(family, drops.mean(axis=1)):
+        drops = np.maximum(0.0, p_full - probs[start:start + len(block)])
+        start += len(block)
+        for (k, i), mean in zip(group, drops.reshape(len(group), -1).mean(1)):
             flip = metrics[i] == "soft_sufficiency"
             values[k][i] = float(1.0 - mean if flip else mean)
     return values
@@ -273,17 +286,30 @@ def evaluate(metric, model, seq, attr, cfg=None, points=None):
     return score_input(model, seq, [attr], (metric,), cfg)[0][0]
 
 
-def write_scores_csv(samples, path):
+def group_values(samples):
+    """Non-NaN score values per (method, metric, subgroup), in sample order."""
+    groups = {}
+    for s in samples:
+        if not math.isnan(s.value):
+            groups.setdefault((s.method, s.metric, s.subgroup),
+                              []).append(s.value)
+    return groups
+
+
+def write_scores_csv(samples, path, pair_ids=None):
     """Score table: pair_id, subgroup, method, metric, value.
 
-    Missing values (NaN) are written as an empty field.
+    ``pair_ids``, if given, replaces each sample's pair id, in sample
+    order. Missing values (NaN) are written as an empty field.
     """
+    pairs = ((s.pair_id, s) for s in samples) if pair_ids is None \
+        else zip(pair_ids, samples)
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["pair_id", "subgroup", "method", "metric", "value"])
-        for s in samples:
-            value = "" if math.isnan(s.value) else repr(s.value)
-            w.writerow([s.pair_id, s.subgroup, s.method, s.metric, value])
+        w.writerows([pair_id, s.subgroup, s.method, s.metric,
+                     "" if math.isnan(s.value) else repr(s.value)]
+                    for pair_id, s in pairs)
 
 
 def read_scores_csv(path):

@@ -233,12 +233,7 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
         positive_class=_subgroup_class(sub_a, prep.labels, label_idx, 0),
         negative_class=_subgroup_class(sub_b, prep.labels, label_idx, 1))
 
-    # one pass groups the scores per cell and subgroup, in sample order
-    scores = {}
-    for s in samples:
-        if not math.isnan(s.value):
-            scores.setdefault((s.method, s.metric, s.subgroup),
-                              []).append(s.value)
+    scores = met.group_values(samples)
     disparity = {(method, metric): stats.disparity_test(
                      scores.get((method, metric, sub_a), []),
                      scores.get((method, metric, sub_b), []), sub_a, sub_b,
@@ -342,8 +337,10 @@ def _write_report(report, tmp_dir):
           {"config": cfg.to_dict(), "config_hash": cfg.content_hash(),
            "run_seeds": [r.seed for r in report.runs]})
     met.write_scores_csv(
-        [s for r in report.runs for s in _tag_run(r)],
-        os.path.join(tmp_dir, "scores.csv"))
+        [s for r in report.runs for s in r.samples],
+        os.path.join(tmp_dir, "scores.csv"),
+        [f"run{r.run_index}:{s.pair_id}" for r in report.runs
+         for s in r.samples])
     _dump(os.path.join(tmp_dir, "disparity.json"),
           [{"run": r.run_index, "method": m, "metric": k, **res.to_dict()}
            for r in report.runs for (m, k), res in r.disparity.items()])
@@ -361,12 +358,6 @@ def _write_report(report, tmp_dir):
     _dump(os.path.join(tmp_dir, "bias.json"),
           [{"run": r.run_index, "test_accuracy": r.test_accuracy,
             **r.bias.to_dict()} for r in report.runs])
-
-
-def _tag_run(run):
-    for s in run.samples:
-        yield met.ScoreSample(f"run{run.run_index}:{s.pair_id}", s.subgroup,
-                              s.method, s.metric, s.value)
 
 
 def _dump(path, obj):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 
 import numpy as np
@@ -211,16 +210,13 @@ def render(report_dir, fmt="table", out_dir=None):
 
     out_dir = out_dir or report_dir
     os.makedirs(out_dir, exist_ok=True)
+    values = met.group_values(samples)
     written = []
     for method in methods:
         for metric in metrics:
-            groups = {}
-            for lab in (label_a, label_b):
-                vals = [s.value for s in samples
-                        if s.method == method and s.metric == metric
-                        and s.subgroup == lab and not math.isnan(s.value)]
-                if vals:
-                    groups[lab] = vals
+            groups = {lab: values[method, metric, lab]
+                      for lab in (label_a, label_b)
+                      if (method, metric, lab) in values}
             if not groups:
                 continue
             svg = boxplot_svg(groups, title=f"{method} / {metric}")

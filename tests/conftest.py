@@ -406,6 +406,41 @@ def reference_sensitivity(model, method, X, attr, cfg, target,
     return float(worst)
 
 
+def reference_normalize(scores):
+    """``attrib.normalize_scores`` as first written, on one score vector."""
+    s = np.abs(np.asarray(scores, dtype=float))
+    m = s.max()
+    return s / m if m > 0 else s
+
+
+def reference_sparsity(scores, tau):
+    """``met.sparsity`` as first written, on one score vector."""
+    return float(np.mean(np.abs(np.asarray(scores, dtype=float)) >= tau))
+
+
+def reference_gini(scores):
+    """``met.gini_index`` as first written, on one score vector (the
+    all-zero warning left out)."""
+    s = np.sort(np.abs(np.asarray(scores, dtype=float)))
+    total = s.sum()
+    n = len(s)
+    if total == 0:
+        return 0.0
+    ranks = np.arange(1, n + 1)
+    return float(1.0 - 2.0 * np.sum((s / total) * ((n - ranks + 0.5) / n)))
+
+
+def reference_soft_rows(X, retain, seed, samples):
+    """The pooled rows of one soft-metric cell as first drawn: a fresh
+    (samples, n, d) Bernoulli draw keeping each element of token i with
+    probability ``retain[i]``, then the mean over tokens. The rows of
+    ``met.score_input``'s soft cells must equal it bit for bit."""
+    n, d = X.shape
+    e = np.random.default_rng(seed).random((samples, n, d)) \
+        < retain[:, None]
+    return (X[None] * e).mean(axis=1)
+
+
 def exact_u_distribution_p(a, b):
     """Two-sided exact Mann-Whitney p via full enumeration of rank
     assignments (tie-free inputs only)."""

@@ -1,13 +1,17 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (BoundaryModel, ConstantModel, LinearPooledModel,
-                      exact_soft_value, indicator_embeddings,
-                      planted_token_model,
-                      reference_sensitivity, random_tiny_model)
+                      _two_class, exact_soft_value, indicator_embeddings,
+                      planted_token_model, reference_gini,
+                      reference_normalize, reference_sensitivity,
+                      reference_soft_rows, reference_sparsity,
+                      random_tiny_model)
 from explaudit import attribution as attrib
 from explaudit import metrics as met
 from explaudit import textmodel as tm
@@ -316,6 +320,203 @@ class TestSensitivityDesignReuse:
             assert met.sensitivity(model, X, a, cfg) == expected
             # GRAD of a linear model is the same for every input
             assert (expected == 0) == (hook and method == "GRAD")
+
+
+class FlatBelowZeroModel:
+    """p1 = 0.5 + 0.3 max(pooled_0, 0): the gradient is zero wherever
+    pooled dimension 0 is at most 0."""
+
+    def pooled_forward(self, pooled):
+        x0 = np.asarray(pooled, dtype=float)[..., 0]
+        return _two_class(0.5 + 0.3 * np.maximum(x0, 0.0))
+
+    def pooled_grad(self, pooled, target):
+        pooled = np.asarray(pooled, dtype=float)
+        g = np.zeros_like(pooled)
+        g[..., 0] = np.where(pooled[..., 0] > 0,
+                             0.3 if target == 1 else -0.3, 0.0)
+        return g
+
+
+class NaNGradientModel:
+    """p1 = 0.5 + 0.2 pooled_0, with a NaN gradient wherever pooled
+    dimension 1 exceeds ``edge``."""
+
+    def __init__(self, edge):
+        self.edge = edge
+
+    def pooled_forward(self, pooled):
+        return _two_class(0.5 + 0.2 * np.asarray(pooled, dtype=float)[..., 0])
+
+    def pooled_grad(self, pooled, target):
+        pooled = np.asarray(pooled, dtype=float)
+        g = np.zeros_like(pooled)
+        g[..., 0] = 0.2 if target == 1 else -0.2
+        g[pooled[..., 1] > self.edge] = np.nan
+        return g
+
+
+class TestSensitivityEdgeStacks:
+    """Stacks where the per-restart norms and the path max take their
+    other branches; each must keep the bits of the per-restart loop."""
+
+    @pytest.mark.parametrize("method", ["LIME", "SHAP"])
+    def test_zero_and_nonzero_gradient_restarts(self, rng, monkeypatch,
+                                                method):
+        model = FlatBelowZeroModel()
+        X = rng.uniform(-1, 1, (6, 3))
+        X[:, 0] = np.repeat(rng.uniform(0.2, 1.0, 3), 2) * [1, -1, 1, -1,
+                                                             1, -1]
+        assert X.mean(axis=0)[0] == 0  # restart 0 starts on the flat side
+        acfg = attrib.AttributionConfig(lime_samples=64, seed=3)
+        a = attrib.explain(method, model, X, 1, acfg)
+        cfg = met.MetricConfig(pgd=met.PGDConfig(steps=3, restarts=4,
+                                                 seed=6))
+        grads = []
+        grad = tm.grad_wrt_embeddings_matrix
+
+        def spy(*args):
+            grads.append(grad(*args))
+            return grads[-1]
+
+        monkeypatch.setattr(tm, "grad_wrt_embeddings_matrix", spy)
+        got = met.sensitivity(model, X, a, cfg)
+        monkeypatch.undo()
+        assert any(not np.any(g[0]) and np.any(g[1:]) for g in grads)
+        want = reference_sensitivity(model, method, X, a, cfg, 1, acfg)
+        assert got == want and want > 0
+
+    def test_nan_rows_on_path(self, rng):
+        X = rng.uniform(-1, 1, (5, 3))
+        model = NaNGradientModel(X.mean(axis=0)[1])
+        a = attrib.explain("GXI", model, X, 1)
+        assert np.all(np.isfinite(a.scores))
+        cfg = met.MetricConfig(pgd=met.PGDConfig(steps=3, restarts=4,
+                                                 seed=5))
+        path, = met._pgd_points(model, X, 1, cfg.pgd, [cfg.pgd.seed])
+        nan_rows = np.isnan(attrib.explain("GXI", model, path, 1).scores)
+        assert nan_rows.any() and not nan_rows.all()
+        want = reference_sensitivity(model, "GXI", X, a, cfg, 1)
+        assert met.sensitivity(model, X, a, cfg) == want
+        assert 0 < want < math.inf
+
+
+class TestNorms:
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 8), st.integers(1, 30),
+                           st.integers(1, 20)),
+           broadcast=st.booleans(), exp=st.integers(-150, 150),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equal_per_slice_linalg_norm(self, shape, broadcast, exp, seed):
+        # a gradient is a broadcast (R, 1, d) -> (R, n, d) view; with
+        # d == 1 its flat rows would have stride 0 if not copied
+        rng = np.random.default_rng(seed)
+        r, n, d = shape
+        a = rng.standard_normal((r, 1 if broadcast else n, d)) * 10.0**exp
+        a = np.broadcast_to(a, shape)
+        want = [np.linalg.norm(x) for x in a]
+        assert _same_bits(met._norms(a), want)
+
+
+@st.composite
+def score_stacks(draw):
+    """(k, n) attribution scores whose rows are random, tied, constant or
+    all zero, at scales from 1e-300 to 1e6."""
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    rows = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["random", "ties", "constant", "zero"]))
+        scale = 10.0 ** draw(st.integers(-300, 6))
+        if kind == "random":
+            row = [draw(st.floats(-1, 1)) for _ in range(n)]
+        elif kind == "ties":
+            row = [draw(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 3.0]))
+                   for _ in range(n)]
+        else:
+            row = [0.0 if kind == "zero" else -1.5] * n
+        rows.append(np.array(row) * scale)
+    return np.array(rows)
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == \
+        np.asarray(b, dtype=float).tobytes()
+
+
+class TestRowWiseScores:
+    """``score_input`` computes sparsity, Gini and the normalization of
+    all attributions of an input row by row on one (k, n) array; each row
+    must keep the bits of the one-attribution formulas."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stack=score_stacks(), tau_exp=st.integers(-300, 6))
+    def test_rows_equal_one_attribution_calls(self, stack, tau_exp):
+        cfg = met.MetricConfig(sparsity_tau=10.0 ** tau_exp)
+        attrs = [_attr(row) for row in stack]
+        zero_rows = int(np.sum(~np.any(stack != 0, axis=1)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = met.score_input(None, np.zeros((stack.shape[1], 1)), attrs,
+                                  ("sparsity", "gini"), cfg)
+            ones = [(met.sparsity(a, cfg), met.gini_index(a)) for a in attrs]
+        zero_warnings = [w for w in caught if "all-zero" in str(w.message)]
+        assert len(zero_warnings) == 2 * zero_rows  # per row, in each pass
+        norms = attrib.normalized(attrs)
+        for row, attr, (sp, gi), one, norm in zip(stack, attrs, got, ones,
+                                                  norms):
+            assert _same_bits(sp, reference_sparsity(row, cfg.sparsity_tau))
+            assert _same_bits(gi, reference_gini(row))
+            assert _same_bits((sp, gi), one)
+            assert _same_bits(norm, reference_normalize(row))
+            assert _same_bits(attrib.normalize_scores(attr), norm)
+
+
+class TestSoftRows:
+    """The soft cells of ``score_input`` draw into reused buffers and
+    divide by n once; their pooled rows must equal each cell's own fresh
+    draw and mean, bit for bit."""
+
+    @pytest.mark.parametrize("default_model", [False, True])
+    def test_rows_equal_reference_draws(self, rng, monkeypatch,
+                                        default_model):
+        n, samples = 7, 8
+        if default_model:
+            model = tm.init_model(20, seed=4)
+            X = tm.embed(model, tm.TokenSeq(rng.integers(2, 20, n),
+                                            [f"t{i}" for i in range(n)]))
+        else:
+            model = random_tiny_model(rng)
+            X = rng.uniform(-1, 1, (n, 3))
+        attrs = [attrib.explain(m, model, X, 1, attrib.AttributionConfig(
+                     lime_samples=64, seed=k))
+                 for k, m in enumerate(("GXI", "LIME", "SHAP"))]
+        attrs.append(_attr(np.zeros(n)))
+        metrics = ("comprehensiveness", "soft_comprehensiveness",
+                   "sufficiency", "soft_sufficiency")
+        cfg = met.MetricConfig(soft_samples=samples)
+        seeds = [[None, 40 + k, None, 50 + k] for k in range(len(attrs))]
+        batches = []
+        forward_pooled = tm.forward_pooled
+
+        def spy(model, pooled):
+            batches.append(np.array(pooled))
+            return forward_pooled(model, pooled)
+
+        monkeypatch.setattr(tm, "forward_pooled", spy)
+        got = met.score_input(model, X, attrs, metrics, cfg, seeds)
+        monkeypatch.undo()
+        want = []
+        for k, attr in enumerate(attrs):
+            q = reference_normalize(attr.scores)
+            want += [reference_soft_rows(X, 1.0 - q, seeds[k][1], samples),
+                     reference_soft_rows(X, q, seeds[k][3], samples)]
+        aopc_rows = 2 * len(attrs) * len(cfg.thresholds)
+        assert _same_bits(batches[0][aopc_rows:], np.concatenate(want))
+        p_full = tm.forward_pooled(model, X.mean(axis=0))[0][1]
+        probs = tm.forward_pooled(model, batches[0])[0][aopc_rows:, 1]
+        drops = np.maximum(0.0, p_full - probs).reshape(-1, samples)
+        for k, (comp, suff) in enumerate(drops.mean(axis=1).reshape(-1, 2)):
+            assert got[k][1] == comp and got[k][3] == 1.0 - suff
 
 
 class TestSharedSearch:

@@ -1,9 +1,11 @@
+import math
 import os
 import shutil
 
 import pytest
 
 from explaudit import dataset as ds
+from explaudit import metrics as met
 from explaudit import pipeline, report
 from explaudit import textmodel as tm
 from explaudit.errors import ConfigError, DataError
@@ -142,6 +144,32 @@ class TestRender:
         assert len(paths) == 4  # 2 methods x 2 metrics
         names = {os.path.basename(p) for p in paths}
         assert "box_GRAD_gini.svg" in names
+
+    def test_svg_equals_per_cell_filter(self, report_dir, tmp_path):
+        # blank some scores (NaN), all FEMALE ones of one cell among them;
+        # the one grouping pass must plot what filtering every sample per
+        # cell and subgroup gives
+        copy = shutil.copytree(report_dir, tmp_path / "copy")
+        samples = met.read_scores_csv(copy / "scores.csv")
+        for k, s in enumerate(samples):
+            if k % 7 == 0 or (s.method, s.metric, s.subgroup) == (
+                    "GXI", "gini", "FEMALE"):
+                s.value = float("nan")
+        met.write_scores_csv(samples, copy / "scores.csv")
+        paths = report.render(str(copy), "svg", str(tmp_path / "svg"))
+        assert len(paths) == 4
+        for path in paths:
+            method, metric = os.path.basename(path)[4:-4].split("_", 1)
+            groups = {}
+            for lab in ("MALE", "FEMALE"):
+                vals = [s.value for s in samples
+                        if s.method == method and s.metric == metric
+                        and s.subgroup == lab and not math.isnan(s.value)]
+                if vals:
+                    groups[lab] = vals
+            with open(path, encoding="utf-8") as f:
+                assert f.read() == report.boxplot_svg(
+                    groups, title=f"{method} / {metric}")
 
     def test_unknown_format(self, report_dir):
         with pytest.raises(ConfigError):
