@@ -45,8 +45,8 @@ class AttributionConfig:
             raise ConfigError("ig_steps must be >= 1")
         if self.lime_samples < 1 or self.shap_samples < 1:
             raise ConfigError("sample counts must be >= 1")
-        if self.lime_kernel_width < 0:
-            raise ConfigError("kernel width must be positive")
+        if not 0 <= self.lime_kernel_width < math.inf:
+            raise ConfigError("kernel width must be finite and >= 0")
         if not 0 <= self.ridge < math.inf:
             raise ConfigError("ridge must be finite and >= 0")
 

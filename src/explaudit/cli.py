@@ -28,8 +28,12 @@ def build_parser():
                 description="Audit subgroup disparity in post-hoc "
                             "feature-attribution explanations.")
     sub = p.add_subparsers(dest="command", required=True)
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--dataset", required=True)
+    data.add_argument("--format", default="csv", choices=["csv", "jsonl"])
+    data.add_argument("--unpaired", action="store_true")
 
-    g = sub.add_parser("gen-data", parents=[], description="Generate a "
+    g = sub.add_parser("gen-data", description="Generate a "
                        "synthetic gendered paired dataset.")
     g.add_argument("--pairs", type=int, default=100)
     g.add_argument("--injection", default="none",
@@ -38,15 +42,10 @@ def build_parser():
     g.add_argument("--format", default="csv", choices=["csv", "jsonl"])
     g.add_argument("--out", required=True)
 
-    v = sub.add_parser("validate", description="Validate a dataset file.")
-    v.add_argument("--dataset", required=True)
-    v.add_argument("--format", default="csv", choices=["csv", "jsonl"])
-    v.add_argument("--unpaired", action="store_true")
-
-    a = sub.add_parser("audit", description="Run the full disparity audit.")
-    a.add_argument("--dataset", required=True)
-    a.add_argument("--format", default="csv", choices=["csv", "jsonl"])
-    a.add_argument("--unpaired", action="store_true")
+    sub.add_parser("validate", parents=[data],
+                   description="Validate a dataset file.")
+    a = sub.add_parser("audit", parents=[data],
+                       description="Run the full disparity audit.")
     a.add_argument("--runs", type=int, default=5)
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--methods", default=",".join(attrib.METHODS))
@@ -73,13 +72,9 @@ def _echo_config(args):
           + json.dumps(resolved, sort_keys=True))
 
 
-def _require_file(path):
-    if not os.path.exists(path):
-        raise DataError(f"dataset file not found: {path}")
-
-
 def _load(args):
-    _require_file(args.dataset)
+    if not os.path.isfile(args.dataset):
+        raise DataError(f"dataset file not found: {args.dataset}")
     if args.unpaired:
         return ds.load_unpaired(args.dataset, args.format)
     return ds.load_paired(args.dataset, args.format)
@@ -126,6 +121,9 @@ def cmd_audit(args):
 def cmd_report(args):
     if not os.path.isdir(args.report_dir):
         raise DataError(f"report directory not found: {args.report_dir}")
+    if args.format == "svg" and args.out and os.path.lexists(args.out) \
+            and not os.path.isdir(args.out):
+        raise ConfigError(f"--out exists and is not a directory: {args.out}")
     result = report.render(args.report_dir, args.format, args.out)
     if args.format == "table":
         print(result)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,8 +67,6 @@ class UnpairedRecord:
 class DatasetSplit:
     train: list
     test: list
-    seed: int
-    ratio: float
 
 
 def tied_alias_map():
@@ -97,6 +95,8 @@ def _complete(path, lineno, row):
     missing = [k for k in _FIELDS if row.get(k) is None]
     if missing:
         raise DataError(f"{path}:{lineno}: missing fields {missing}")
+    if not str(row["text"]).strip():
+        raise DataError(f"{path}:{lineno}: empty text")
     return row
 
 
@@ -146,8 +146,6 @@ def load_paired(path, fmt="csv"):
     for lineno, row in _rows(path, fmt):
         pid, sub = str(row["pair_id"]), str(row["subgroup"])
         text, label = str(row["text"]), str(row["label"])
-        if not text.strip():
-            raise DataError(f"{path}:{lineno}: empty text")
         if pid not in pairs:
             order.append(pid)
         variants = pairs.setdefault(pid, {})
@@ -178,27 +176,20 @@ def subgroup_order(sub):
 
 
 def load_unpaired(path, fmt="csv"):
-    records = []
-    for lineno, row in _rows(path, fmt):
-        text = str(row["text"])
-        if not text.strip():
-            raise DataError(f"{path}:{lineno}: empty text")
-        records.append(UnpairedRecord(text, str(row["subgroup"]),
-                                      str(row["label"])))
+    records = [UnpairedRecord(str(row["text"]), str(row["subgroup"]),
+                              str(row["label"]))
+               for _, row in _rows(path, fmt)]
     if not records:
         raise DataError(f"{path}: no records")
     return records
 
 
 def save_paired(records, path, fmt="csv"):
-    rows = []
-    for rec in records:
-        for sub, text, label in rec.variants():
-            rows.append({"pair_id": rec.pair_id, "subgroup": sub,
-                         "text": text, "label": label})
+    rows = [dict(zip(_FIELDS, (rec.pair_id, *variant)))
+            for rec in records for variant in rec.variants()]
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.DictWriter(f, ["pair_id", "subgroup", "text", "label"])
+            w = csv.DictWriter(f, _FIELDS)
             w.writeheader()
             w.writerows(rows)
     elif fmt == "jsonl":
@@ -245,7 +236,7 @@ def split(data, ratio=0.8, seed=0):
             (train if pos < n_train else test).append(bucket[idx])
     if not train or not test:
         raise DataError("split produced an empty side; need more records")
-    return DatasetSplit(train=train, test=test, seed=seed, ratio=ratio)
+    return DatasetSplit(train=train, test=test)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +272,7 @@ _SLOT_WORDS = {
 }
 
 
-def generate_synthetic_paired(n_pairs, injection="NONE", seed=0,
-                              templates=None):
+def generate_synthetic_paired(n_pairs, injection="NONE", seed=0):
     """Generate gendered sentence pairs with an optional disparity injection.
 
     NONE: the two variants differ only in gender words. LENGTH: filler
@@ -294,11 +284,11 @@ def generate_synthetic_paired(n_pairs, injection="NONE", seed=0,
         raise ConfigError(f"unknown injection: {injection}")
     if n_pairs < 1:
         raise ConfigError("n_pairs must be >= 1")
-    templates = list(templates or DEFAULT_TEMPLATES)
     rng = np.random.default_rng(seed)
     records = []
     for i in range(n_pairs):
-        template = templates[int(rng.integers(len(templates)))]
+        template = DEFAULT_TEMPLATES[
+            int(rng.integers(len(DEFAULT_TEMPLATES)))]
         fills_m, fills_f = {}, {}
         for slot in ("g0", "g1"):
             if "{" + slot + "}" in template:

@@ -45,14 +45,14 @@ class PGDConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.radius is not None and self.radius < 0:
-            raise ConfigError("radius must be >= 0")
+        if self.radius is not None and not 0 <= self.radius < math.inf:
+            raise ConfigError("radius must be finite and >= 0")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         if self.restarts < 1:
             raise ConfigError("restarts must be >= 1")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ConfigError("step_size must be > 0")
+        if self.step_size is not None and not 0 < self.step_size < math.inf:
+            raise ConfigError("step_size must be finite and > 0")
 
 
 @dataclass
@@ -65,11 +65,10 @@ class MetricConfig:
 
     def __post_init__(self):
         t = list(self.thresholds)
-        if not t or any(b <= a for a, b in zip(t, t[1:])) \
-                or t[0] <= 0 or t[-1] > 1:
+        if not t or not all(a < b <= 1 for a, b in zip([0] + t, t)):
             raise ConfigError("thresholds must be strictly increasing in (0, 1]")
-        if self.sparsity_tau <= 0:
-            raise ConfigError("sparsity threshold must be positive")
+        if not 0 < self.sparsity_tau < math.inf:
+            raise ConfigError("sparsity threshold must be finite and > 0")
         if self.soft_samples < 1:
             raise ConfigError("soft_samples must be >= 1")
 

@@ -139,18 +139,16 @@ def _expand_items(records):
     """Flatten records to (pair_id, subgroup, text, label) tuples.
 
     Paired records contribute both variants with a shared pair id;
-    unpaired records get a unique synthetic id and no pairing.
+    unpaired records get a unique synthetic id, so they pair with nothing.
     """
     items = []
-    paired = False
     for i, rec in enumerate(records):
         if isinstance(rec, ds.PairedRecord):
-            paired = True
             for sub, text, label in rec.variants():
                 items.append((rec.pair_id, sub, text, label))
         else:
             items.append((f"rec{i:06d}", rec.subgroup, rec.text, rec.label))
-    return items, paired
+    return items
 
 
 def _subgroups_of(items):
@@ -164,7 +162,6 @@ def _subgroups_of(items):
 class PreparedRun:
     train_items: list  # (pair_id, subgroup, text, label)
     test_items: list
-    paired: bool
     labels: list  # sorted; a label's index is its class
     label_idx: dict
     vocab: tm.Vocabulary
@@ -175,8 +172,8 @@ def prepare_run(records, seed, ratio=0.8, aliases=None):
     """Split, index the two labels, build the vocabulary from the
     training side and tokenize it."""
     part = ds.split(records, ratio, seed=seed)
-    train_items, _ = _expand_items(part.train)
-    test_items, paired = _expand_items(part.test)
+    train_items = _expand_items(part.train)
+    test_items = _expand_items(part.test)
     labels = sorted({lab for _, _, _, lab in train_items + test_items})
     if len(labels) != 2:
         raise DataError(f"need exactly 2 labels, found {labels}")
@@ -184,8 +181,8 @@ def prepare_run(records, seed, ratio=0.8, aliases=None):
     vocab = tm.build_vocab([t for _, _, t, _ in train_items], aliases=aliases)
     train_data = [(tm.tokenize(vocab, text), label_idx[lab])
                   for _, _, text, lab in train_items]
-    return PreparedRun(train_items, test_items, paired, labels, label_idx,
-                       vocab, train_data)
+    return PreparedRun(train_items, test_items, labels, label_idx, vocab,
+                       train_data)
 
 
 def run_single_audit(records, cfg, run_seed, run_index=0):
@@ -210,7 +207,7 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
         predictions.append(stats.LabeledPrediction(
             subgroup=sub, true_label=label_idx[lab],
             predicted_label=pred.predicted_class, probs=pred.probs,
-            pair_id=pair_id if prep.paired else None))
+            pair_id=pair_id))
         attrs = [attrib.explain(method, model, seq, pred.predicted_class,
                                 replace(cfg.attr_cfg, seed=_derive_seed(
                                     run_seed, pair_id, sub, method)))

@@ -1,9 +1,12 @@
 """Rendering of audit results: text grids and SVG box plots.
 
-The significance grid mirrors the counts-out-of-R reporting shape: one
-row per attribution method, one column per metric, each cell showing the
-number of significant runs, a ``+A``/``+B`` suffix for the subgroup with
-the higher scores, and a ``*`` for considerable effect size.
+Both formats take the subgroup labels A and B from the ``subgroup``
+column of scores.csv. The table holds two grids of one layout, one row
+per attribution method and one column per metric. The significance grid
+mirrors the counts-out-of-R reporting shape: each cell shows the number
+of significant runs, a ``+A``/``+B`` suffix for the subgroup with the
+higher scores, and a ``*`` for considerable effect size. The effect-size
+grid shows each cell's ``(k) mean±std`` over its significant runs.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from . import metrics as met
 from .errors import ConfigError, DataError
 
 
-def grid_cell(cell, label_a, label_b):
+def grid_cell(cell, label_a):
     if cell["significant_runs"] == 0:
         return "0"
     suffix = "+A" if cell["direction"] == label_a else "+B"
@@ -27,9 +30,9 @@ def grid_cell(cell, label_a, label_b):
     return f"{cell['significant_runs']}{suffix}{mark}"
 
 
-def significance_grid(cells, methods, metrics, label_a, label_b,
-                      cell_fn=grid_cell):
-    """Fixed-width text table over (method, metric) aggregate cells."""
+def significance_grid(cells, methods, metrics, cell_fn):
+    """Fixed-width text table over (method, metric) aggregate cells, each
+    shown as ``cell_fn(cell)``."""
     by_key = {(c["method"], c["metric"]): c for c in cells}
     header = ["method"] + list(metrics)
     rows = [header]
@@ -37,7 +40,7 @@ def significance_grid(cells, methods, metrics, label_a, label_b,
         row = [method]
         for metric in metrics:
             cell = by_key.get((method, metric))
-            row.append(cell_fn(cell, label_a, label_b) if cell else "-")
+            row.append(cell_fn(cell) if cell else "-")
         rows.append(row)
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     lines = []
@@ -46,13 +49,6 @@ def significance_grid(cells, methods, metrics, label_a, label_b,
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"
-
-
-def aggregate_grid(cells, methods, metrics):
-    """Grid of '(k) mean±std' / '(0) NA' aggregate cells."""
-    return significance_grid(
-        cells, methods, metrics, "", "",
-        cell_fn=lambda c, _a, _b: c["cell"])
 
 
 # ---------------------------------------------------------------------------
@@ -190,24 +186,22 @@ def render(report_dir, fmt="table", out_dir=None):
     if fmt not in ("table", "svg"):
         raise ConfigError(f"unknown report format: {fmt}")
     config, aggregate = _load_summary(report_dir)
-    if fmt == "table":
-        subgroups = _scores_subgroups(report_dir)
-    else:
-        samples = met.read_scores_csv(os.path.join(report_dir, "scores.csv"))
-        subgroups = {s.subgroup for s in samples}
     methods = config["config"]["methods"]
     metrics = config["config"]["metrics"]
-    subgroups = sorted(subgroups, key=dataset.subgroup_order)
+    subgroups = sorted(_scores_subgroups(report_dir),
+                       key=dataset.subgroup_order)
     label_a, label_b = (subgroups + ["A", "B"])[:2]
 
     if fmt == "table":
-        grid = significance_grid(aggregate["cells"], methods, metrics,
-                                 label_a, label_b)
-        agg = aggregate_grid(aggregate["cells"], methods, metrics)
+        cells = aggregate["cells"]
+        grid = significance_grid(cells, methods, metrics,
+                                 lambda c: grid_cell(c, label_a))
+        agg = significance_grid(cells, methods, metrics, lambda c: c["cell"])
         return (f"significant runs out of {aggregate['n_runs']} "
                 f"(+A={label_a}, +B={label_b}, *=considerable effect)\n"
                 f"{grid}\neffect sizes over significant runs\n{agg}")
 
+    samples = met.read_scores_csv(os.path.join(report_dir, "scores.csv"))
     out_dir = out_dir or report_dir
     os.makedirs(out_dir, exist_ok=True)
     values = met.group_values(samples)

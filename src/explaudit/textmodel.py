@@ -20,7 +20,6 @@ from .errors import ConfigError, DataError, NumericalError
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
-PAD_ID = 0
 UNK_ID = 1
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
@@ -84,7 +83,6 @@ class TrainConfig:
 class Prediction:
     probs: np.ndarray
     predicted_class: int
-    logits: np.ndarray
 
 
 @dataclass
@@ -101,36 +99,21 @@ class ClassifierModel:
                 "w2": self.w2, "b2": self.b2}
 
 
-def build_vocab_from_tokens(tokens):
-    id_to_token = [PAD_TOKEN, UNK_TOKEN]
-    token_to_id = {PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID}
-    for t in tokens:
-        if t not in token_to_id:
-            token_to_id[t] = len(id_to_token)
-            id_to_token.append(t)
-    return Vocabulary(token_to_id, id_to_token)
-
-
-def build_vocab(corpus, min_count=1, aliases=None):
-    """Build a vocabulary from an iterable of texts.
-
-    Tokens occurring fewer than ``min_count`` times are dropped (they will
-    map to UNK at tokenize time). ``aliases`` maps surface tokens onto a
-    canonical token before counting; aliased tokens share one embedding row.
+def build_vocab(corpus, aliases=None):
+    """Build a vocabulary from an iterable of texts, ids in sorted token
+    order after the pad and unknown tokens. ``aliases`` maps surface
+    tokens onto a canonical token; aliased tokens share one embedding row.
     """
     corpus = list(corpus)
     if not corpus:
         raise DataError("empty corpus")
     aliases = dict(aliases or {})
-    counts = {}
-    for text in corpus:
-        for tok in split_text(text):
-            tok = aliases.get(tok, tok)
-            counts[tok] = counts.get(tok, 0) + 1
-    kept = [t for t in sorted(counts) if counts[t] >= min_count]
-    vocab = build_vocab_from_tokens(kept)
-    vocab.aliases = aliases
-    return vocab
+    tokens = {aliases.get(tok, tok) for text in corpus
+              for tok in split_text(text)}
+    specials = [PAD_TOKEN, UNK_TOKEN]
+    id_to_token = specials + sorted(tokens - set(specials))
+    return Vocabulary({t: i for i, t in enumerate(id_to_token)},
+                      id_to_token, aliases)
 
 
 def tokenize(vocab, text):
@@ -219,11 +202,10 @@ def forward(model, embeddings):
     if not np.all(np.isfinite(embeddings)):
         raise DataError("non-finite values in input embeddings")
     pooled = embeddings.mean(axis=0)
-    probs, logits = forward_pooled(model, pooled)
+    probs, _ = forward_pooled(model, pooled)
     if not np.all(np.isfinite(probs)):
         raise NumericalError("non-finite model output")
-    return Prediction(probs=probs, predicted_class=int(np.argmax(probs)),
-                      logits=logits)
+    return Prediction(probs=probs, predicted_class=int(np.argmax(probs)))
 
 
 def pooled_grad(model, pooled, target_class):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from explaudit import attribution as attrib
-from explaudit import cli, pipeline
+from explaudit import cli, pipeline, report
+from explaudit.errors import ConfigError
 
 
 def run_cli(args, capsys):
@@ -249,8 +250,50 @@ class TestReportCommand:
         code, _, err = run_cli(["report", str(tmp_path / "nope")], capsys)
         assert code == 2
 
+    def test_svg_out_is_file_exit_1(self, audit_dir, tmp_path, capsys,
+                                    monkeypatch):
+        dest = tmp_path / "afile"
+        dest.write_text("data")
+        renders = []
+        monkeypatch.setattr(report, "render",
+                            lambda *args: renders.append(args))
+        code, _, err = run_cli(["report", audit_dir, "--format", "svg",
+                                "--out", str(dest)], capsys)
+        assert code == 1
+        assert "not a directory" in err
+        assert renders == []
+        assert dest.read_text() == "data"
+
+
+class TestDatasetOptions:
+    @pytest.mark.parametrize("command", ["validate", "audit"])
+    def test_shared_defaults_and_choices(self, command):
+        extra = ["--out", "rep"] if command == "audit" else []
+        parse = cli.build_parser().parse_args
+        args = parse([command, "--dataset", "d.csv"] + extra)
+        assert (args.dataset, args.format, args.unpaired) == \
+            ("d.csv", "csv", False)
+        args = parse([command, "--dataset", "d.jsonl", "--format", "jsonl",
+                      "--unpaired"] + extra)
+        assert (args.format, args.unpaired) == ("jsonl", True)
+        with pytest.raises(ConfigError, match="invalid choice"):
+            parse([command, "--dataset", "d.csv", "--format", "xml"]
+                  + extra)
+        with pytest.raises(ConfigError, match="--dataset"):
+            parse([command] + extra)
+
 
 class TestErrorMapping:
+    @pytest.mark.parametrize("command", ["validate", "audit"])
+    def test_dataset_is_directory_exit_2(self, command, tmp_path, capsys):
+        out = str(tmp_path / "rep")
+        extra = ["--out", out] if command == "audit" else []
+        code, _, err = run_cli([command, "--dataset", str(tmp_path)]
+                               + extra, capsys)
+        assert code == 2
+        assert "dataset file not found" in err
+        assert not os.path.exists(out)
+
     def test_unknown_flag_exit_1(self, capsys):
         code, _, err = run_cli(["audit", "--bogus"], capsys)
         assert code == 1

@@ -54,6 +54,16 @@ class TestLoadPaired:
         with pytest.raises(DataError, match=":3"):
             ds.load_paired(path)
 
+    def test_empty_jsonl_text_names_line(self, tmp_path):
+        path = _write(tmp_path / "d.jsonl",
+                      '{"pair_id": "p1", "subgroup": "MALE", '
+                      '"text": "he runs", "label": "male"}\n'
+                      '{"pair_id": "p1", "subgroup": "FEMALE", '
+                      '"text": " ", "label": "female"}\n')
+        for load in (ds.load_paired, ds.load_unpaired):
+            with pytest.raises(DataError, match=r"d\.jsonl:2: empty text"):
+                load(path, "jsonl")
+
     def test_odd_variant_count(self, tmp_path):
         path = _write(tmp_path / "d.csv", CSV_HEADER
                       + "1,MALE,he runs,male\n")
@@ -118,6 +128,13 @@ class TestLoadUnpaired:
     def test_empty_file(self, tmp_path):
         path = _write(tmp_path / "d.csv", CSV_HEADER)
         with pytest.raises(DataError, match="no records"):
+            ds.load_unpaired(path)
+
+    def test_empty_text_names_line(self, tmp_path):
+        path = _write(tmp_path / "d.csv", CSV_HEADER
+                      + ",MALE,5 priors,high\n"
+                      + ",FEMALE, ,low\n")
+        with pytest.raises(DataError, match=r"d\.csv:3: empty text"):
             ds.load_unpaired(path)
 
     def test_short_csv_row_names_line(self, tmp_path):

@@ -42,6 +42,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             met.PGDConfig(**kwargs)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda x: met.PGDConfig(radius=x),
+        lambda x: met.PGDConfig(step_size=x),
+        lambda x: met.MetricConfig(thresholds=(0.5, x)),
+        lambda x: met.MetricConfig(sparsity_tau=x),
+        lambda x: attrib.AttributionConfig(lime_kernel_width=x),
+    ], ids=["radius", "step_size", "thresholds", "sparsity_tau",
+            "lime_kernel_width"])
+    def test_non_finite_rejected(self, make, bad):
+        # a NaN compares False everywhere, so each check must fail on it
+        with pytest.raises(ConfigError):
+            make(bad)
+
 
 class TestAopcComprehensiveness:
     def test_all_zero_attribution(self, rng):

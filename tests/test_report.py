@@ -27,19 +27,19 @@ class TestGridCell:
     def test_zero(self):
         cell = {"significant_runs": 0, "considerable_runs": 0,
                 "direction": None}
-        assert report.grid_cell(cell, "MALE", "FEMALE") == "0"
+        assert report.grid_cell(cell, "MALE") == "0"
 
     def test_direction_suffixes(self):
         cell = {"significant_runs": 4, "considerable_runs": 0,
                 "direction": "MALE"}
-        assert report.grid_cell(cell, "MALE", "FEMALE") == "4+A"
+        assert report.grid_cell(cell, "MALE") == "4+A"
         cell["direction"] = "FEMALE"
-        assert report.grid_cell(cell, "MALE", "FEMALE") == "4+B"
+        assert report.grid_cell(cell, "MALE") == "4+B"
 
     def test_considerable_star(self):
         cell = {"significant_runs": 5, "considerable_runs": 2,
                 "direction": "MALE"}
-        assert report.grid_cell(cell, "MALE", "FEMALE") == "5+A*"
+        assert report.grid_cell(cell, "MALE") == "5+A*"
 
 
 class TestGrids:
@@ -52,21 +52,23 @@ class TestGrids:
     ]
 
     def test_significance_grid_layout(self):
-        grid = report.significance_grid(self.CELLS, ["IG"],
-                                        ["gini", "sparsity"],
-                                        "MALE", "FEMALE")
+        grid = report.significance_grid(
+            self.CELLS, ["IG"], ["gini", "sparsity"],
+            lambda c: report.grid_cell(c, "MALE"))
         lines = grid.splitlines()
         assert lines[0].split() == ["method", "gini", "sparsity"]
         assert lines[2].split() == ["IG", "3+B*", "0"]
 
     def test_missing_cell_dash(self):
-        grid = report.significance_grid(self.CELLS, ["IG", "SHAP"],
-                                        ["gini"], "MALE", "FEMALE")
+        grid = report.significance_grid(
+            self.CELLS, ["IG", "SHAP"], ["gini"],
+            lambda c: report.grid_cell(c, "MALE"))
         assert grid.splitlines()[3].split() == ["SHAP", "-"]
 
     def test_aggregate_grid(self):
-        grid = report.aggregate_grid(self.CELLS, ["IG"],
-                                     ["gini", "sparsity"])
+        grid = report.significance_grid(self.CELLS, ["IG"],
+                                        ["gini", "sparsity"],
+                                        lambda c: c["cell"])
         assert "(3) -.50±.10" in grid and "(0) NA" in grid
 
 

@@ -9,6 +9,7 @@ from conftest import (BoundaryModel, ConstantModel, DeadInputModel,
                       finite_diff_pooled_grad, random_tiny_model,
                       reference_forward_pooled, reference_pooled_grad,
                       reference_train)
+from explaudit import dataset as ds
 from explaudit import textmodel as tm
 from explaudit.errors import ConfigError, DataError, NumericalError
 
@@ -30,13 +31,20 @@ class TestVocab:
         assert "A" not in v.token_to_id
         assert len(v) == 3
 
-    def test_min_count(self):
-        v = tm.build_vocab(["a a b"], min_count=2)
-        assert "a" in v.token_to_id and "b" not in v.token_to_id
-
     def test_aliases_share_id(self):
         v = tm.build_vocab(["he runs", "she runs"], aliases={"she": "he"})
         assert v.lookup("she") == v.lookup("he")
+
+    def test_alias_map_ids(self):
+        # sorted canonical tokens after <pad> and <unk>; a token aliased
+        # onto <unk> takes no row of its own
+        aliases = dict(ds.tied_alias_map(), zz="<unk>")
+        v = tm.build_vocab(["She told her son .", "he and his daughter, zz!",
+                            "the queen runs"], aliases=aliases)
+        assert v.id_to_token == ["<pad>", "<unk>", "!", ",", ".", "and",
+                                 "he", "king", "runs", "son", "the", "told"]
+        assert v.token_to_id == {t: i for i, t in enumerate(v.id_to_token)}
+        assert v.lookup("zz") == tm.UNK_ID
 
 
 class TestTokenize:
