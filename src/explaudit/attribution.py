@@ -7,7 +7,8 @@ pooled gradient ``g``, which every token shares as ``g / n``: GRAD is
 ``||g|| / n`` for every token, GXI is ``x_i . g / n``, and IG and IGXI use
 the mean of ``g`` over the path (one batched ``pooled_grad`` call). LIME
 and KernelSHAP fit surrogate models on zero-masked embedding variants,
-with masks and fit matrices memoized per (n, config). Their seeded
+with masks and fit matrices memoized per (n, config); KernelSHAP's f(x)
+and f(empty) are the first two rows of its coalition query. Their seeded
 designs repeat mask rows, so the model is queried once per distinct row
 and the values are read back per mask row. The distinct rows keep the
 4-row groups in which OpenBLAS computes a product, so on the build where
@@ -15,6 +16,7 @@ this was measured each value has the bits of a query of every row
 (``_distinct_rows`` names the build). All methods also
 accept raw (..., n, d) embeddings so that robustness search can
 re-explain a stack of perturbed inputs, bit for bit per slice.
+``degenerate`` flags attributions that rank no token above another.
 """
 
 from __future__ import annotations
@@ -70,27 +72,23 @@ def resolve_input(model, seq):
 
 def _masked_probs(model, X, masks, target, inverse=None):
     """Model probability of target for each binary token mask (rows), read
-    back at the row indices ``inverse`` if given.
+    back at the row indices ``inverse`` if given, as a contiguous
+    (..., rows) array.
 
     X of more than one leading axis is queried one leading slice, an
     (R, n, d) block, at a time, so a query holds no more rows than one
-    (R, n, d) explain. Every slice's rows go into one (..., rows, classes)
-    buffer before the class column is read, so the result has the strides
-    of a query of every row: the fits' BLAS products round by memory
-    layout."""
-    out = None
+    (R, n, d) explain."""
+    out = np.empty(X.shape[:-2] + (len(masks if inverse is None
+                                       else inverse),))
     for idx in np.ndindex(X.shape[:-3]):
         pooled = masks @ X[idx]
         pooled /= X.shape[-2]
-        probs, _ = textmodel.forward_pooled(model, pooled)
-        if out is None:
-            rows = len(masks) if inverse is None else len(inverse)
-            out = np.empty(X.shape[:-2] + (rows, probs.shape[-1]))
+        probs = textmodel.forward_pooled(model, pooled)[0][..., target]
         if inverse is None:
             out[idx] = probs
         else:  # in range; mode "raise" would gather into a temporary
-            probs.take(inverse, axis=-2, out=out[idx], mode="clip")
-    return out[..., target]
+            probs.take(inverse, axis=-1, out=out[idx], mode="clip")
+    return out
 
 
 def _grad(model, X, target, cfg):
@@ -226,12 +224,13 @@ def _shap_kernel_weight(n, k):
 
 @functools.lru_cache(maxsize=None)
 def _exact_coalitions(n):
-    """All 2^n - 2 proper coalitions as 0/1 rows with their kernel weights.
+    """All 2^n coalitions as the 0/1 rows of ``_shap_queries``, with the
+    kernel weights of the 2^n - 2 proper ones.
 
-    Rows are ordered by size, and within a size as ``combinations(range(n),
-    k)`` lists them: by descending bit code with token 0 as the top bit.
-    Built once per n (n is at most log2 of the sample budget) and shared,
-    so both arrays are read-only.
+    The proper rows are ordered by size, and within a size as
+    ``combinations(range(n), k)`` lists them: by descending bit code with
+    token 0 as the top bit. Built once per n (n is at most log2 of the
+    sample budget) and shared, so both arrays are read-only.
     """
     codes = np.arange(2**n - 2, 0, -1)
     bits = (codes[:, None] >> np.arange(n - 1, -1, -1)) & 1
@@ -239,7 +238,7 @@ def _exact_coalitions(n):
     order = np.argsort(size, kind="stable")
     size_w = np.array([np.nan] + [_shap_kernel_weight(n, k)
                                   for k in range(1, n)])
-    return _read_only(bits[order].astype(float), size_w[size[order]])
+    return _read_only(_shap_queries(bits[order]), size_w[size[order]])
 
 
 def _sampled_coalitions(n, samples, rng):
@@ -265,6 +264,15 @@ def _size_weights(n):
     return _read_only(p / p.sum())[0]
 
 
+def _shap_queries(Z):
+    """KernelSHAP's query rows, as floats: the full coalition (for f(x)),
+    the empty one (for f(empty)), then the coalitions ``Z``, so that one
+    model query covers all three."""
+    n = Z.shape[1]
+    return np.concatenate([np.ones((1, n)), np.zeros((1, n)), Z],
+                          dtype=float)
+
+
 def _shap_kkt(Z, w):
     """``Z.T * w`` and the KKT matrix of KernelSHAP's constrained fit."""
     n = Z.shape[1]
@@ -279,19 +287,20 @@ def _shap_kkt(Z, w):
 
 @functools.lru_cache(maxsize=None)
 def _exact_shap_design(n):
-    """All coalitions with their ``_shap_kkt``, read-only. They depend on
-    n alone, so every input of that length shares them."""
-    Z, w = _exact_coalitions(n)
-    return (Z, *_read_only(*_shap_kkt(Z, w)))
+    """All coalitions with the ``_shap_kkt`` of the proper ones, read-only.
+    They depend on n alone, so every input of that length shares them."""
+    queries, w = _exact_coalitions(n)
+    return (queries, *_read_only(*_shap_kkt(queries[2:], w)))
 
 
 @functools.lru_cache(maxsize=1)
 def _sampled_shap_design(n, samples, seed):
-    """Sampled coalitions with their ``_shap_kkt`` and ``_distinct_rows``;
-    read-only, one slot."""
+    """The query rows of sampled coalitions with their ``_shap_kkt`` and
+    the queries' ``_distinct_rows``; read-only, one slot."""
     Z = _sampled_coalitions(n, samples, np.random.default_rng(seed))
-    return (*_read_only(Z, *_shap_kkt(Z, np.ones(samples))),
-            *_distinct_rows(Z))
+    queries = _shap_queries(Z)
+    return (*_read_only(queries, *_shap_kkt(Z, np.ones(samples))),
+            *_distinct_rows(queries))
 
 
 def _kernel_shap(model, X, target, cfg):
@@ -302,29 +311,25 @@ def _kernel_shap(model, X, target, cfg):
     the result equals exact Shapley values). Otherwise ``shap_samples``
     coalitions are drawn with unit weight: each size k from the kernel's
     size distribution, proportional to (n - 1) / (k (n - k)), then a
-    subset uniform among those of size k, seeded by ``cfg.seed``. The
+    subset uniform among those of size k, seeded by ``cfg.seed``. f(x)
+    and f(empty) are rows of the same model query as the coalitions. The
     constrained weighted least squares is solved via its KKT system so
     that sum(scores) = f(x) - f(empty) holds exactly.
     """
     n = X.shape[-2]
-    full = _masked_probs(model, X, np.ones((1, n)), target)[..., 0]
-    # the empty coalition pools to 0 for every X: one 1-row query per call
-    empty = textmodel.forward_pooled(model, np.zeros((1, X.shape[-1])))[0]
-    empty = np.broadcast_to(empty[0, target], X.shape[:-2])
-    delta = full - empty
+    if 2**n - 2 <= cfg.shap_samples:
+        queries, ZtW, system = _exact_shap_design(n)
+        y = _masked_probs(model, X, queries, target)
+    else:
+        _, ZtW, system, rows, inverse = _sampled_shap_design(
+            n, cfg.shap_samples, cfg.seed)
+        y = _masked_probs(model, X, rows, target, inverse)
+    delta = y[..., 0] - y[..., 1]
     if n == 1:  # the efficiency constraint alone fixes the one score
         system, rhs = np.ones((1, 1)), delta[..., None, None]
     else:
-        if 2**n - 2 <= cfg.shap_samples:
-            Z, ZtW, system = _exact_shap_design(n)
-            y = _masked_probs(model, X, Z, target)
-        else:
-            _, ZtW, system, rows, inverse = _sampled_shap_design(
-                n, cfg.shap_samples, cfg.seed)
-            y = _masked_probs(model, X, rows, target, inverse)
-        y = y - empty[..., None]
-        rhs = np.concatenate([ZtW @ y[..., None], delta[..., None, None]],
-                             axis=-2)
+        rhs = np.concatenate([ZtW @ (y[..., 2:] - y[..., 1, None])[..., None],
+                              delta[..., None, None]], axis=-2)
     return _solve(system, rhs)[..., :n, 0]
 
 
@@ -338,6 +343,15 @@ def normalized(attrs):
     s = np.abs(np.array([attr.scores for attr in attrs], dtype=float))
     m = s.max(axis=1, keepdims=True)
     return np.divide(s, m, out=s, where=m > 0)
+
+
+def degenerate(attrs):
+    """Whether each attribution ranks no token above another: its |s| is
+    all zero, or constant within a relative tolerance of 1e-9 (GRAD on a
+    mean-pooled model, whose tokens all share one gradient)."""
+    s = np.abs(np.array([attr.scores for attr in attrs], dtype=float))
+    top = s.max(axis=1)
+    return (top - s.min(axis=1) <= 1e-9 * top).tolist()
 
 
 _EXPLAINERS = {"GRAD": _grad, "GXI": _grad_x_input,

@@ -81,8 +81,11 @@ def _load(args):
 
 
 def cmd_gen_data(args):
+    if os.path.isdir(args.out):
+        raise ConfigError(f"--out is a directory: {args.out}")
     records = ds.generate_synthetic_paired(args.pairs, args.injection.upper(),
                                            seed=args.seed)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     ds.save_paired(records, args.out, args.format)
     print(f"wrote {2 * len(records)} rows ({len(records)} pairs) "
           f"to {args.out}")

@@ -8,13 +8,13 @@ class, and sensitivity also the method and config, from the attribution.
 
 Token "removal" is zero-embedding throughout, keeping sequence length
 fixed and matching the masking semantics of the surrogate explainers.
-``score_input`` scores every attribution of one input with every metric,
-the masked queries of all faithfulness cells in one batched forward call
-and all sensitivity cells on one PGD search per input (restart 0 shared,
-one gradient call per step), each cell re-explaining its whole path in
-one call; ``evaluate`` scores one attribution with one metric. Loops
-over attributions, restarts and path points are whole-array numpy calls
-that keep every value's bits.
+``score_input`` scores every attribution of one input with every metric
+from one random draw per input: all soft cells share one uniform array,
+and all sensitivity cells one PGD search (one gradient call per step),
+each cell re-explaining the search's whole path in one call. p(X) and
+the masked queries of all faithfulness cells go into one forward call.
+``evaluate`` scores one attribution with one metric, with the bits of
+the same cell of ``score_input`` under the same seed.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import ConfigError
 METRICS = ("comprehensiveness", "sufficiency", "soft_comprehensiveness",
            "soft_sufficiency", "sparsity", "gini", "sensitivity")
 SOFT_METRICS = ("soft_comprehensiveness", "soft_sufficiency")
-SEEDED_METRICS = SOFT_METRICS + ("sensitivity",)  # draw random numbers
 
 
 @dataclass
@@ -90,8 +89,12 @@ def sparsity(attr, cfg=None):
 def gini_index(attr):
     """Concentration of absolute scores: 0 = uniform, 1 - 1/n = one-hot.
 
-    Computed on the scores sorted ascending by absolute value. A zero
-    attribution vector is defined as 0 (maximally non-concentrated).
+    With |s| sorted ascending as s_(1) <= ... <= s_(n), the Gini index is
+    sum_k (2k - n - 1) s_(k) / (n sum_k s_(k)). Its symmetric terms are
+    paired as (n + 1 - 2k)(s_(n+1-k) - s_(k)), k <= n/2, so ties cancel
+    exactly and a constant vector gives 0; the value is clamped to
+    [0, 1 - 1/n] (Hurley & Rickard 2009). A zero attribution vector is
+    defined as 0 (maximally non-concentrated).
     """
     return _row_scores("gini", [attr])[0]
 
@@ -103,13 +106,14 @@ def _row_scores(metric, attrs, cfg=None):
     if metric == "sparsity":
         return np.mean(a >= (cfg or MetricConfig()).sparsity_tau, 1).tolist()
     a.sort(axis=1)
-    total = a.sum(axis=1, keepdims=True)
+    total = a.sum(axis=1)
     for _ in np.flatnonzero(total == 0):
         warnings.warn("all-zero attribution: Gini index defined as 0")
-    n = a.shape[1]
-    np.divide(a, total, out=a, where=total != 0)
-    gini = 1.0 - 2.0 * np.sum(a * ((n - np.arange(1, n + 1) + 0.5) / n), 1)
-    return np.where(total[:, 0] == 0, 0.0, gini).tolist()
+    n, half = a.shape[1], a.shape[1] // 2
+    spread = a[:, ::-1][:, :half] - a[:, :half]
+    gini = np.sum(spread * (n + 1.0 - 2.0 * np.arange(1, half + 1)), 1)
+    np.divide(gini, n * total, out=gini, where=total != 0)
+    return np.clip(gini, 0.0, 1.0 - 1.0 / n).tolist()
 
 
 def _norms(a):
@@ -127,26 +131,19 @@ def _pgd_scale(X, pgd):
     return radius, pgd.step_size if pgd.step_size is not None else radius / 5
 
 
-def _pgd_points(model, X, j, pgd, seeds):
-    """The points of one PGD search per seed in ``seeds``, each a (steps,
-    restarts, n, d) array: ``X + delta`` after every step of every
-    restart.
+def _pgd_points(model, X, j, pgd, seed):
+    """The points of the PGD search around X, a (steps, restarts, n, d)
+    array: ``X + delta`` after every step of every restart.
 
     Each step ascends the prediction error (descends the probability of
     class j) along the gradient at ``X + delta`` and projects delta back
-    onto the radius ball. Restart 0 starts at X, the others on the sphere,
-    drawn from their seed's generator. A step never reads an explanation,
-    so restart 0 is one path for every seed: all searches run as one
-    stack, restart 0 once and the other restarts once per distinct seed,
-    with one gradient call per step.
+    onto the radius ball. Restart 0 starts at X, the others on the
+    sphere, drawn from one generator seeded by ``seed``. The restarts run
+    as one stack, with one gradient call per step.
     """
     radius, step_size = _pgd_scale(X, pgd)
-    distinct = list(dict.fromkeys(seeds))
-    rest = pgd.restarts - 1
-    delta = np.zeros((1 + rest * len(distinct),) + X.shape)
-    for s, seed in enumerate(distinct):
-        np.random.default_rng(seed).standard_normal(
-            out=delta[1 + s * rest:1 + (s + 1) * rest])
+    delta = np.zeros((pgd.restarts,) + X.shape)
+    np.random.default_rng(seed).standard_normal(out=delta[1:])
     delta[1:] *= (radius / np.maximum(_norms(delta[1:]), 1e-12))[:, None, None]
     points = np.empty((pgd.steps,) + delta.shape)
     here = X + delta
@@ -160,8 +157,7 @@ def _pgd_points(model, X, j, pgd, seeds):
         delta *= np.divide(radius, d_norm, out=np.ones_like(d_norm),
                            where=d_norm > radius)
         here = np.add(X, delta, out=points[step])
-    return [points[:, np.r_[0, 1 + s * rest:1 + (s + 1) * rest]]
-            for s in map(distinct.index, seeds)]
+    return points
 
 
 def sensitivity(model, seq, attr, cfg=None, points=None):
@@ -186,29 +182,39 @@ def sensitivity(model, seq, attr, cfg=None, points=None):
     if _pgd_scale(X, cfg.pgd)[0] == 0:
         return 0.0
     if points is None:
-        points, = _pgd_points(model, X, j, cfg.pgd, [cfg.pgd.seed])
+        points = _pgd_points(model, X, j, cfg.pgd, cfg.pgd.seed)
     perturbed = attrib.explain(attr.method, model, points, j, attr.cfg)
     change = _norms(np.asarray(perturbed.scores, dtype=float).reshape(
         -1, base.size) - base) / base_norm
     return float(np.fmax.reduce(change, initial=0.0))  # NaN changes skipped
 
 
-def score_input(model, seq, attrs, metrics, cfg=None, seeds=None):
+def _body(rows):
+    """``rows`` rounded up to a multiple of 4 (see ``score_input``)."""
+    return rows + -rows % 4
+
+
+def score_input(model, seq, attrs, metrics, cfg=None, seed=None):
     """Every metric in ``metrics`` of every attribution in ``attrs`` of one
     input; returns ``values[k][i]`` for attribution k and metric i. All
     attributions must explain the same class (else ConfigError).
 
-    The masked model queries of all faithfulness cells go into one batched
-    forward call: each attribution's AOPC threshold masks, pooled as
-    ``mask @ X / n``, then its soft-metric rows, where X' keeps each
-    embedding element with its token's retain probability
-    (comprehensiveness: 1 - normalized score; sufficiency: the normalized
-    score). Each family compares against p(X) from one 1-row call. All
-    sensitivity cells share one PGD search (``_pgd_points``: restart 0
-    once, the other restarts once per distinct seed), and each cell is
-    one ``evaluate`` call that re-explains its own path in one call.
-    ``seeds[k][i]`` seeds the draw of a soft cell and the search of a
-    sensitivity cell; it defaults to ``cfg.soft_seed`` and ``cfg.pgd.seed``.
+    ``seed`` seeds the input's two random draws, in place of
+    ``cfg.soft_seed`` and ``cfg.pgd.seed``. The soft cells share one
+    (soft_samples, n, d) uniform draw: X' keeps each embedding element
+    whose draw lies below its token's retain probability
+    (comprehensiveness: 1 - normalized score; sufficiency: the
+    normalized score). The sensitivity cells share one PGD search
+    (``_pgd_points``), and each is one ``evaluate`` call that re-explains
+    the search's whole path in one call.
+
+    The masked model queries of all faithfulness cells and p(X) go into
+    one forward call: the full input and each attribution's AOPC
+    threshold masks, pooled as ``mask @ X / n``, then the soft rows. Both
+    the pooling product and the forward are padded to a multiple of 4
+    rows, so every row goes through a BLAS product's 4-row body (see
+    ``attrib._distinct_rows``): a cell's bits depend only on the input,
+    its attribution and the seed, not on the cells scored with it.
     """
     cfg = cfg or MetricConfig()
     unknown = set(metrics) - set(METRICS)
@@ -224,11 +230,11 @@ def score_input(model, seq, attrs, metrics, cfg=None, seeds=None):
     sens = [(k, i) for k in range(len(attrs))
             for i, metric in enumerate(metrics) if metric == "sensitivity"]
     if sens:
-        paths = _pgd_points(model, X, attrs[0].target_class, cfg.pgd, [
-            cfg.pgd.seed if seeds is None else seeds[k][i] for k, i in sens])
-        for k, i in sens:  # drop each path once explained: less peak memory
+        path = _pgd_points(model, X, attrs[0].target_class, cfg.pgd,
+                           cfg.pgd.seed if seed is None else seed)
+        for k, i in sens:
             values[k][i] = evaluate("sensitivity", model, seq, attrs[k], cfg,
-                                    points=paths.pop(0))
+                                    points=path)
     cells = [(k, i, metric) for k in range(len(attrs))
              for i, metric in enumerate(metrics) if values[k][i] is None]
     if not cells:
@@ -237,42 +243,42 @@ def score_input(model, seq, attrs, metrics, cfg=None, seeds=None):
     n, d = X.shape
     j = attrs[0].target_class
     norms = attrib.normalized(attrs)
-    thresholds = np.asarray(cfg.thresholds)[:, None]
-    masks = {"comprehensiveness": norms[:, None] < thresholds,
-             "sufficiency": norms[:, None] >= thresholds}
-    aopc = [(k, i) for k, i, metric in cells if metric in masks]
+    aopc = [(k, i) for k, i, metric in cells
+            if metric in ("comprehensiveness", "sufficiency")]
     soft = [(k, i) for k, i, metric in cells if metric in SOFT_METRICS]
-    pooled, families = [], []  # rows; cells and p(X) input, per family
-    if aopc:
-        pooled.append(np.concatenate([masks[metrics[i]][k] for k, i in aopc],
-                                     dtype=float) @ X / n)
-        families.append((aopc, np.ones((1, n)) @ X / n))
-    if soft:  # draws into two buffers that every cell reuses
-        rows = np.empty((len(soft), cfg.soft_samples, d))
-        u = np.empty((cfg.soft_samples, n, d))
+    t, samples = len(cfg.thresholds), cfg.soft_samples
+    aopc_end = 1 + len(aopc) * t  # row 0 is p(X), then the AOPC rows
+    soft_start = _body(aopc_end)
+    soft_end = soft_start + len(soft) * samples
+    masks = np.zeros((soft_start, n))
+    masks[0] = 1.0
+    if aopc:  # comprehensiveness keeps the tokens below each threshold
+        below = norms[:, None] < np.asarray(cfg.thresholds)[:, None]
+        masks[1:aopc_end] = np.concatenate([
+            below[k] if metrics[i] == "comprehensiveness" else ~below[k]
+            for k, i in aopc])
+    pooled = np.zeros((_body(soft_end), d))
+    np.matmul(masks, X, out=pooled[:soft_start])
+    if soft:  # one draw, and two buffers that every cell reuses
+        u = np.random.default_rng(cfg.soft_seed if seed is None else seed) \
+            .random((samples, n, d))
         kept = np.empty(u.shape, dtype=bool)
-        for (k, i), out in zip(soft, rows):
+        masked = np.empty(u.shape)
+        for (k, i), out in zip(soft, pooled[soft_start:soft_end].reshape(
+                len(soft), samples, d)):
             retain = norms[k] if metrics[i] == "soft_sufficiency" \
                 else 1.0 - norms[k]
-            np.random.default_rng(
-                cfg.soft_seed if seeds is None else seeds[k][i]).random(out=u)
             np.less(u, retain[:, None], out=kept)
-            np.multiply(X, kept, out=u)
-            np.add.reduce(u, axis=1, out=out)
-        pooled.append(rows.reshape(-1, d) / n)
-        families.append((soft, X.mean(axis=0)))
-    probs = textmodel.forward_pooled(model, np.concatenate(pooled))[0][:, j]
-    # p(X) stays a 1-row call per family, pooled as each always was: BLAS
-    # takes another kernel for a 1-row product than for a row of a batch,
-    # so batching it would move its last bits
-    start = 0
-    for block, (group, full) in zip(pooled, families):
-        p_full = textmodel.forward_pooled(model, full)[0][..., j]
-        drops = np.maximum(0.0, p_full - probs[start:start + len(block)])
-        start += len(block)
-        for (k, i), mean in zip(group, drops.reshape(len(group), -1).mean(1)):
-            flip = metrics[i] == "soft_sufficiency"
-            values[k][i] = float(1.0 - mean if flip else mean)
+            np.multiply(X, kept, out=masked)
+            np.add.reduce(masked, axis=1, out=out)
+    pooled /= n
+    probs = textmodel.forward_pooled(model, pooled)[0][:, j]
+    drops = np.maximum(0.0, probs[0] - probs)
+    means = [*drops[1:aopc_end].reshape(len(aopc), t).mean(1),
+             *drops[soft_start:soft_end].reshape(len(soft), samples).mean(1)]
+    for (k, i), mean in zip(aopc + soft, means):
+        flip = metrics[i] == "soft_sufficiency"
+        values[k][i] = float(1.0 - mean if flip else mean)
     return values
 
 

@@ -3,10 +3,13 @@
 One audit runs R independent repetitions. Each repetition splits the
 data, trains a fresh classifier, explains every test input once per
 attribution method, scores every explanation with every metric, and runs
-the subgroup disparity test per (method, metric) cell. Aggregation
-reports, per cell, how many runs were significant, how many also had a
-considerable effect size, the mean effect size over significant runs,
-and the majority direction.
+the subgroup disparity test per (method, metric) cell. A degenerate
+attribution (``attrib.degenerate``) keeps its scores but enters no test,
+and a cell where a subgroup keeps fewer than 2 scores is ``deg``, not
+tested. Aggregation reports, per cell, how many runs were significant,
+how many also had a considerable effect size, the mean effect size over
+significant runs, and the majority direction; the significant and
+considerable fractions count tested cells only.
 """
 
 from __future__ import annotations
@@ -90,6 +93,7 @@ class RunResult:
     bias: stats.BiasReport
     test_accuracy: float
     train_log: list
+    subgroups: tuple  # labels A and B
 
 
 @dataclass
@@ -99,9 +103,13 @@ class CellAggregate:
     mean_d: float | None
     std_d: float | None
     direction: str | None  # majority direction over significant runs
+    deg_runs: int = 0  # runs in which the cell was not tested
 
     def format_cell(self):
-        """Paper-style aggregate cell: '(3) -.42±.10' or '(0) NA'."""
+        """Paper-style aggregate cell: '(3) -.42±.10', '(0) NA', or 'deg'
+        when the cell was tested in no run."""
+        if self.deg_runs and self.direction is None:
+            return "deg"
         if self.significant_runs == 0:
             return "(0) NA"
         return (f"({self.significant_runs}) "
@@ -118,8 +126,9 @@ def _short(x):
 class RunAggregate:
     cells: dict  # (method, metric) -> CellAggregate
     n_runs: int
-    significant_fraction: float
-    considerable_fraction: float
+    significant_fraction: float | None  # None when no cell was tested
+    considerable_fraction: float | None
+    deg_cells: int = 0  # (cell, run) pairs not tested
 
 
 @dataclass
@@ -198,7 +207,7 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
 
     predictions = []
     correct = 0
-    samples = []
+    samples, tested = [], []
     for pair_id, sub, text, lab in test_items:
         seq = tm.tokenize(prep.vocab, text)
         X = tm.embed(model, seq)
@@ -212,15 +221,16 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
                                 replace(cfg.attr_cfg, seed=_derive_seed(
                                     run_seed, pair_id, sub, method)))
                  for method in cfg.methods]
-        seeds = [[_derive_seed(run_seed, pair_id, sub, method, metric)
-                  if metric in met.SEEDED_METRICS else None
-                  for metric in cfg.metrics] for method in cfg.methods]
         values = met.score_input(model, X, attrs, cfg.metrics,
-                                 cfg.metric_cfg, seeds)
-        for method, row in zip(cfg.methods, values):
+                                 cfg.metric_cfg,
+                                 _derive_seed(run_seed, pair_id, sub))
+        for method, row, flat in zip(cfg.methods, values,
+                                     attrib.degenerate(attrs)):
             for metric, value in zip(cfg.metrics, row):
                 samples.append(met.ScoreSample(pair_id, sub, method, metric,
                                                float(value)))
+                if not flat:
+                    tested.append(samples[-1])
     test_accuracy = correct / len(test_items)
 
     # label convention for TPR/TNR: subgroup A's own label when the task is
@@ -230,16 +240,21 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
         positive_class=_subgroup_class(sub_a, prep.labels, label_idx, 0),
         negative_class=_subgroup_class(sub_b, prep.labels, label_idx, 1))
 
-    scores = met.group_values(samples)
-    disparity = {(method, metric): stats.disparity_test(
-                     scores.get((method, metric, sub_a), []),
-                     scores.get((method, metric, sub_b), []), sub_a, sub_b,
-                     cfg.alpha, cfg.d_threshold)
-                 for method in cfg.methods for metric in cfg.metrics}
+    scores = met.group_values(tested)
+    disparity = {}
+    for method in cfg.methods:
+        for metric in cfg.metrics:
+            a = scores.get((method, metric, sub_a), [])
+            b = scores.get((method, metric, sub_b), [])
+            disparity[method, metric] = stats.disparity_test(
+                a, b, sub_a, sub_b, cfg.alpha, cfg.d_threshold) \
+                if min(len(a), len(b)) >= 2 \
+                else stats.DisparityResult.untested(len(a), len(b))
 
     return RunResult(run_index=run_index, seed=run_seed, samples=samples,
                      disparity=disparity, bias=bias,
-                     test_accuracy=test_accuracy, train_log=train_log)
+                     test_accuracy=test_accuracy, train_log=train_log,
+                     subgroups=(sub_a, sub_b))
 
 
 def _subgroup_class(sub, labels, label_idx, fallback):
@@ -263,29 +278,34 @@ def aggregate_reports(runs):
     if not runs:
         raise DataError("no run reports to aggregate")
     cells = {}
-    n_sig = n_cons = 0
+    n_sig = n_cons = n_deg = 0
     keys = list(runs[0].disparity)
     for key in keys:
         results = [r.disparity[key] for r in runs]
-        sig = [r for r in results if r.significant]
-        cons = [r for r in results if r.considerable]
+        tested = [r for r in results if r.mode != "deg"]
+        sig = [r for r in tested if r.significant]
+        cons = [r for r in tested if r.considerable]
         n_sig += len(sig)
         n_cons += len(cons)
+        n_deg += len(results) - len(tested)
         ds_ = [r.cohens_d for r in sig
                if r.cohens_d is not None and math.isfinite(r.cohens_d)]
         mean_d = float(np.mean(ds_)) if ds_ else None
         std_d = float(np.std(ds_)) if ds_ else None
         votes = {}
-        for r in sig or results:  # never empty: runs is not
+        for r in sig or tested:  # empty only for a cell tested in no run
             votes[r.direction] = votes.get(r.direction, 0) + 1
-        direction = max(sorted(votes), key=votes.get)
+        direction = max(sorted(votes), key=votes.get) if votes else None
         cells[key] = CellAggregate(
             significant_runs=len(sig), considerable_runs=len(cons),
-            mean_d=mean_d, std_d=std_d, direction=direction)
-    total = len(keys) * len(runs)
+            mean_d=mean_d, std_d=std_d, direction=direction,
+            deg_runs=len(results) - len(tested))
+    tested = len(keys) * len(runs) - n_deg
+    sig_frac, cons_frac = (n_sig / tested, n_cons / tested) if tested \
+        else (None, None)
     return RunAggregate(cells=cells, n_runs=len(runs),
-                        significant_fraction=n_sig / total,
-                        considerable_fraction=n_cons / total)
+                        significant_fraction=sig_frac,
+                        considerable_fraction=cons_frac, deg_cells=n_deg)
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +364,14 @@ def _write_report(report, tmp_dir):
     agg = report.aggregate
     _dump(os.path.join(tmp_dir, "aggregate.json"), {
         "n_runs": agg.n_runs,
+        "subgroups": list(report.runs[0].subgroups),
         "significant_fraction": agg.significant_fraction,
         "considerable_fraction": agg.considerable_fraction,
+        "deg_cells": agg.deg_cells,
         "cells": [{"method": m, "metric": k,
                    "significant_runs": c.significant_runs,
                    "considerable_runs": c.considerable_runs,
+                   "deg_runs": c.deg_runs,
                    "mean_d": c.mean_d, "std_d": c.std_d,
                    "direction": c.direction, "cell": c.format_cell()}
                   for (m, k), c in agg.cells.items()]})

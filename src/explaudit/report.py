@@ -1,28 +1,30 @@
 """Rendering of audit results: text grids and SVG box plots.
 
-Both formats take the subgroup labels A and B from the ``subgroup``
-column of scores.csv. The table holds two grids of one layout, one row
+Both formats take the subgroup labels A and B from aggregate.json. The
+table holds two grids of one layout, one row
 per attribution method and one column per metric. The significance grid
 mirrors the counts-out-of-R reporting shape: each cell shows the number
 of significant runs, a ``+A``/``+B`` suffix for the subgroup with the
 higher scores, and a ``*`` for considerable effect size. The effect-size
-grid shows each cell's ``(k) mean±std`` over its significant runs.
+grid shows each cell's ``(k) mean±std`` over its significant runs. A
+cell tested in no run (a subgroup kept fewer than 2 scores of
+non-degenerate attributions) shows ``deg`` in both grids.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 
 import numpy as np
 
-from . import dataset
 from . import metrics as met
 from .errors import ConfigError, DataError
 
 
 def grid_cell(cell, label_a):
+    if cell.get("cell") == "deg":
+        return "deg"
     if cell["significant_runs"] == 0:
         return "0"
     suffix = "+A" if cell["direction"] == label_a else "+B"
@@ -163,34 +165,21 @@ def _load_summary(report_dir):
     return config, aggregate
 
 
-def _scores_subgroups(report_dir):
-    """The distinct subgroup labels of scores.csv, read from that column
-    alone."""
-    with open(os.path.join(report_dir, "scores.csv"), newline="",
-              encoding="utf-8") as f:
-        rows = csv.reader(f)
-        header = next(rows, ["subgroup"])
-        if "subgroup" not in header:
-            raise DataError("malformed scores.csv: no subgroup column")
-        col = header.index("subgroup")
-        return {row[col] for row in rows if len(row) > col}
-
-
 def render(report_dir, fmt="table", out_dir=None):
     """Render a persisted report as a text grid or SVG box plots.
 
     Returns the rendered text for 'table', or the list of written paths
-    for 'svg'. The table needs only the subgroup labels of scores.csv;
-    the plots parse every score.
+    for 'svg'. The table reads only config.json and aggregate.json; the
+    plots parse every score.
     """
     if fmt not in ("table", "svg"):
         raise ConfigError(f"unknown report format: {fmt}")
     config, aggregate = _load_summary(report_dir)
     methods = config["config"]["methods"]
     metrics = config["config"]["metrics"]
-    subgroups = sorted(_scores_subgroups(report_dir),
-                       key=dataset.subgroup_order)
-    label_a, label_b = (subgroups + ["A", "B"])[:2]
+    if len(aggregate.get("subgroups", ())) != 2:
+        raise DataError("malformed aggregate.json: no subgroup labels")
+    label_a, label_b = aggregate["subgroups"]
 
     if fmt == "table":
         cells = aggregate["cells"]

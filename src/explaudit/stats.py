@@ -22,15 +22,20 @@ EXACT_LIMIT = 12  # max n_a + n_b for exact U-test enumeration
 
 @dataclass
 class DisparityResult:
-    u_statistic: float
-    p_value: float
+    u_statistic: float | None
+    p_value: float | None
     cohens_d: float | None
     significant: bool
     considerable: bool
-    direction: str  # label of the subgroup with the larger mean
+    direction: str | None  # label of the subgroup with the larger mean
     n_a: int
     n_b: int
-    mode: str  # "exact" or "asymptotic"
+    mode: str  # "exact", "asymptotic" or "deg" (not tested)
+
+    @classmethod
+    def untested(cls, n_a, n_b):
+        """A ``deg`` cell: a subgroup kept too few scores for a test."""
+        return cls(None, None, None, False, False, None, n_a, n_b, "deg")
 
     def to_dict(self):
         return {"U": self.u_statistic, "p": self.p_value,

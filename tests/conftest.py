@@ -91,6 +91,22 @@ class LinearPooledModel:
         return np.where(live, self.w if target == 1 else -self.w, 0.0)
 
 
+class TailRoundingModel:
+    """Target-class probability 1e-9 * exp(z), z the first logit of a
+    random d -> 32 -> 2 tanh layer. On OpenBLAS the (32 -> 2) logit product
+    rounds a call's rows past a multiple of 4 (and a 1-row call) through
+    other kernels; scaling, not shifting, the logit keeps those last bits
+    in the probability, where a softmax over two logits drops them."""
+
+    def __init__(self, rng, d=16, h=32):
+        self.w1 = rng.uniform(-1, 1, (d, h))
+        self.w2 = rng.uniform(-1, 1, (h, 2))
+
+    def pooled_forward(self, pooled):
+        z = np.tanh(np.asarray(pooled, dtype=float) @ self.w1) @ self.w2
+        return _two_class(1e-9 * np.exp(z[..., 0]))
+
+
 def indicator_embeddings(n):
     """(n, n) embeddings with X = n * I so the mean-pooled vector equals
     the token presence mask."""
@@ -348,9 +364,10 @@ def reference_sampled_coalitions(n, samples, rng):
 
 def reference_full_rows(method, model, X, target, cfg):
     """LIME or sampled KernelSHAP scores from one query of every mask row
-    of the memoized design, then the same solve. ``attrib.explain``,
-    which queries each distinct row once, must reproduce it bit for
-    bit."""
+    of the memoized design (for KernelSHAP: the full and the empty
+    coalition, then the sampled ones), then the same solve.
+    ``attrib.explain``, which queries each distinct row once, must
+    reproduce it bit for bit."""
     X = np.asarray(X, dtype=float)
     n = X.shape[-2]
     if method == "LIME":
@@ -358,13 +375,12 @@ def reference_full_rows(method, model, X, target, cfg):
             n, cfg.lime_samples, cfg.lime_kernel_width, cfg.seed, cfg.ridge)
         y = attrib._masked_probs(model, X, Z, target)
         return attrib._solve(system, AtW @ y[..., None])[..., 1:, 0]
-    full = attrib._masked_probs(model, X, np.ones((1, n)), target)[..., 0]
-    empty = attrib._masked_probs(model, X, np.zeros((1, n)), target)[..., 0]
-    Z, ZtW, system, _, _ = attrib._sampled_shap_design(n, cfg.shap_samples,
-                                                       cfg.seed)
-    y = attrib._masked_probs(model, X, Z, target) - empty[..., None]
-    rhs = np.concatenate([ZtW @ y[..., None], (full - empty)[..., None, None]],
-                         axis=-2)
+    queries, ZtW, system, _, _ = attrib._sampled_shap_design(
+        n, cfg.shap_samples, cfg.seed)
+    y = attrib._masked_probs(model, X, queries, target)
+    full, empty = y[..., 0], y[..., 1]
+    rhs = np.concatenate([ZtW @ (y[..., 2:] - empty[..., None])[..., None],
+                          (full - empty)[..., None, None]], axis=-2)
     return attrib._solve(system, rhs)[..., :n, 0]
 
 
@@ -419,15 +435,17 @@ def reference_sparsity(scores, tau):
 
 
 def reference_gini(scores):
-    """``met.gini_index`` as first written, on one score vector (the
-    all-zero warning left out)."""
+    """``met.gini_index`` on one score vector (the all-zero warning left
+    out): the sorted form sum_k (2k - n - 1) s_(k) / (n sum s) with each
+    pair of symmetric terms as one difference, clamped to [0, 1 - 1/n]."""
     s = np.sort(np.abs(np.asarray(scores, dtype=float)))
     total = s.sum()
     n = len(s)
     if total == 0:
         return 0.0
-    ranks = np.arange(1, n + 1)
-    return float(1.0 - 2.0 * np.sum((s / total) * ((n - ranks + 0.5) / n)))
+    k = np.arange(1, n // 2 + 1)
+    pairs = (s[::-1][:n // 2] - s[:n // 2]) * (n + 1 - 2 * k)
+    return float(min(max(np.sum(pairs) / (n * total), 0.0), 1 - 1 / n))
 
 
 def reference_soft_rows(X, retain, seed, samples):

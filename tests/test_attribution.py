@@ -223,7 +223,8 @@ class TestKernelShap:
             w_ref = np.array([attrib._shap_kernel_weight(n, int(z.sum()))
                               for z in Z_ref])
             Z, w = attrib._exact_coalitions(n)
-            assert np.array_equal(Z, Z_ref)
+            assert np.array_equal(Z[:2], [[1.0] * n, [0.0] * n])
+            assert np.array_equal(Z[2:], Z_ref)
             assert np.array_equal(w, w_ref)
 
     def test_exact_coalitions_cached_read_only(self):
@@ -447,9 +448,11 @@ class TestDistinctRows:
         if method == "LIME":
             *_, rows, _ = attrib._lime_design(
                 n, samples, cfg.lime_kernel_width, cfg.seed, cfg.ridge)
+            queried = samples
         else:
             *_, rows, _ = attrib._sampled_shap_design(n, samples, cfg.seed)
-        body = len(rows) - samples % 4
+            queried = samples + 2  # f(x) and f(empty) come first
+        body = len(rows) - queried % 4
         assert len(rows) < samples and body % 4 == 0
         assert len(np.unique(rows[:body], axis=0)) > body - 4
 
@@ -507,6 +510,31 @@ class TestStackedInput:
         for block, scores in zip(stack, stacked.scores):
             alone = attrib.explain(method, model, block, 1, cfg)
             assert np.array_equal(alone.scores, scores)
+
+
+class TestDegenerate:
+    def test_constant_or_zero_magnitudes(self):
+        rows = ([0.0, 0.0, 0.0], [2.0, -2.0, 2.0], [1.0, 1.0 + 1e-12, 1.0],
+                [1e-300, -1e-300, 1e-300], [3.0], [1.0, 0.5, 1.0],
+                [1.0, 1.0 + 1e-6, 1.0])
+        attrs = [attrib.Attribution("GXI", [f"t{i}" for i in range(len(r))],
+                                    np.array(r), 1) for r in rows]
+        flags = [attrib.degenerate([a])[0] for a in attrs]
+        assert flags == [True, True, True, True, True, False, False]
+
+    @pytest.mark.parametrize("hook", [False, True])
+    def test_only_grad_degenerate_on_pooled_model(self, rng, hook):
+        # every token of a mean-pooled input shares one gradient, so GRAD
+        # gives each token ||g|| / n; the other methods rank tokens
+        if hook:
+            model = LinearPooledModel(rng.uniform(-0.1, 0.1, 3), base=0.5)
+        else:
+            model = random_tiny_model(rng)
+        X = rng.uniform(-1, 1, (6, 3))
+        cfg = attrib.AttributionConfig(lime_samples=200)
+        attrs = [attrib.explain(m, model, X, 1, cfg) for m in attrib.METHODS]
+        assert attrib.degenerate(attrs) == [m == "GRAD"
+                                            for m in attrib.METHODS]
 
 
 class TestNormalize:

@@ -56,6 +56,19 @@ class TestGenData:
         assert counts["FEMALE"] > counts["MALE"]
 
 
+    def test_out_directory_is_config_error(self, tmp_path, capsys):
+        code, _, err = run_cli(["gen-data", "--out", str(tmp_path)], capsys)
+        assert code == 1 and "is a directory" in err
+        assert os.listdir(tmp_path) == []
+
+    def test_out_creates_missing_parents(self, tmp_path, capsys):
+        path = tmp_path / "data" / "sets" / "d.csv"
+        code, _, _ = run_cli(["gen-data", "--pairs", "3", "--out", str(path)],
+                             capsys)
+        assert code == 0
+        assert len(path.read_text().splitlines()) == 7  # header + 6 rows
+
+
 class TestValidate:
     def test_ok(self, none_dataset, capsys):
         code, out, _ = run_cli(["validate", "--dataset", none_dataset],
@@ -141,8 +154,9 @@ class TestAudit:
         grid_rows = [line for line in out.splitlines()
                      if line.startswith(("GRAD", "GXI"))]
         assert len(grid_rows) >= 2
-        for row in grid_rows[:2]:  # significance grid rows
-            assert row.split()[1:] == ["0", "0"]
+        # significance grid rows; every GRAD attribution is degenerate
+        assert grid_rows[0].split() == ["GRAD", "deg", "deg"]
+        assert grid_rows[1].split() == ["GXI", "0", "0"]
 
     def test_metric_selection_controls_columns(self, none_dataset, tmp_path,
                                                capsys):

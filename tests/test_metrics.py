@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (BoundaryModel, ConstantModel, LinearPooledModel,
-                      _two_class, exact_soft_value, indicator_embeddings,
-                      planted_token_model, reference_gini,
+                      TailRoundingModel, _two_class, exact_soft_value,
+                      indicator_embeddings, planted_token_model,
+                      reference_gini,
                       reference_normalize, reference_sensitivity,
                       reference_soft_rows, reference_sparsity,
                       random_tiny_model)
@@ -170,22 +171,21 @@ class TestScoreInput:
     @pytest.mark.parametrize("metrics", [
         met.METRICS[:-1], ("soft_sufficiency", "gini", "sufficiency")])
     def test_batch_matches_one_attribution_calls(self, model, metrics, rng):
+        # every cell is a one-cell evaluate seeded by the input seed
         X = indicator_embeddings(3)
         attrs = [_attr(rng.uniform(-1, 1, 3)) for _ in range(4)]
         cfg = met.MetricConfig(soft_samples=8)
-        seeds = [[10 * k + i for i in range(len(metrics))]
-                 for k in range(len(attrs))]
-        got = met.score_input(model, X, attrs, metrics, cfg, seeds)
+        got = met.score_input(model, X, attrs, metrics, cfg, seed=7)
         assert len(got) == len(attrs)
+        one = replace(cfg, soft_seed=7)
         for k, attr in enumerate(attrs):
             for i, metric in enumerate(metrics):
-                one = met.MetricConfig(soft_samples=8, soft_seed=seeds[k][i])
-                want = met.evaluate(metric, model, X, attr, one)
-                assert got[k][i] == pytest.approx(want, abs=1e-12)
+                assert got[k][i] == met.evaluate(metric, model, X, attr, one)
 
     def test_sensitivity_cell_is_evaluate(self, rng):
-        # a sensitivity cell is evaluate's PGD search with the cell's seed
-        # as its PGD seed and the attribution's own method and config
+        # a sensitivity cell is evaluate's PGD search with the input seed
+        # as its PGD seed and the attribution's own method and config; a
+        # soft cell is evaluate's draw with the input seed as soft seed
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (5, 3))
         attrs = [attrib.explain(m, model, X, 1, attrib.AttributionConfig(
@@ -193,14 +193,39 @@ class TestScoreInput:
                  for m, s in zip(("GXI", "LIME", "SHAP"), (1, 2, 3))]
         metrics = ("gini", "sensitivity", "soft_sufficiency")
         cfg = met.MetricConfig(soft_samples=4, pgd=met.PGDConfig(steps=3))
-        seeds = [[None, 7 + k, 20 + k] for k in range(len(attrs))]
-        got = met.score_input(model, X, attrs, metrics, cfg, seeds)
+        got = met.score_input(model, X, attrs, metrics, cfg, seed=7)
+        one = replace(cfg, soft_seed=7, pgd=replace(cfg.pgd, seed=7))
         for k, attr in enumerate(attrs):
-            one = replace(cfg, pgd=replace(cfg.pgd, seed=seeds[k][1]))
             want = met.evaluate("sensitivity", model, X, attr, one)
             assert got[k][1] == want
             assert got[k][1] != met.evaluate("sensitivity", model, X, attr,
                                              cfg)
+            assert got[k][2] == met.evaluate("soft_sufficiency", model, X,
+                                             attr, one)
+
+    @pytest.mark.parametrize("kind", ["tiny", "tail"])
+    def test_cell_independent_of_other_cells(self, rng, kind):
+        # a cell's bits depend only on the input, its attribution and the
+        # seed: scoring it with more or fewer other cells never moves it
+        n = 9
+        metrics = met.METRICS if kind == "tiny" else met.METRICS[:-1]
+        cfg = met.MetricConfig(soft_samples=5, pgd=met.PGDConfig(steps=2))
+        for _ in range(5):
+            if kind == "tiny":
+                model, X = random_tiny_model(rng), rng.uniform(-1, 1, (n, 3))
+            else:
+                model = TailRoundingModel(rng)
+                X = rng.uniform(-1, 1, (n, 16))
+            attrs = [_attr(rng.uniform(-1, 1, n)) for _ in range(6)]
+            full = met.score_input(model, X, attrs, metrics, cfg, seed=3)
+            for keep in ([1], [0, 4], [2, 3, 5], [5]):
+                for some in (metrics[:4], metrics[2:], metrics[3:4],
+                             ("sufficiency", "soft_comprehensiveness")):
+                    got = met.score_input(model, X, [attrs[k] for k in keep],
+                                          some, cfg, seed=3)
+                    for row, k in zip(got, keep):
+                        assert row == [full[k][metrics.index(m)]
+                                       for m in some]
 
     def test_mixed_target_classes_rejected(self, rng):
         model = random_tiny_model(rng)
@@ -270,6 +295,13 @@ class TestGini:
 
     def test_sign_invariant(self):
         assert met.gini_index(_attr([-3.0, 1.0])) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("value", [0.1, -3.7, 1e-300, 7e5])
+    def test_constant_is_exactly_zero(self, value):
+        # the paired terms of a constant vector cancel exactly, where the
+        # rank form read about 1e-16
+        for n in range(1, 41):
+            assert met.gini_index(_attr([value] * n)) == 0.0
 
     def test_all_zero_warns(self):
         with pytest.warns(UserWarning):
@@ -407,7 +439,7 @@ class TestSensitivityEdgeStacks:
         assert np.all(np.isfinite(a.scores))
         cfg = met.MetricConfig(pgd=met.PGDConfig(steps=3, restarts=4,
                                                  seed=5))
-        path, = met._pgd_points(model, X, 1, cfg.pgd, [cfg.pgd.seed])
+        path = met._pgd_points(model, X, 1, cfg.pgd, cfg.pgd.seed)
         nan_rows = np.isnan(attrib.explain("GXI", model, path, 1).scores)
         assert nan_rows.any() and not nan_rows.all()
         want = reference_sensitivity(model, "GXI", X, a, cfg, 1)
@@ -486,9 +518,9 @@ class TestRowWiseScores:
 
 
 class TestSoftRows:
-    """The soft cells of ``score_input`` draw into reused buffers and
-    divide by n once; their pooled rows must equal each cell's own fresh
-    draw and mean, bit for bit."""
+    """The soft cells of ``score_input`` share one draw of the input seed
+    and go with p(X) and the AOPC rows into one forward call; their pooled
+    rows must equal each cell's own fresh draw and mean, bit for bit."""
 
     @pytest.mark.parametrize("default_model", [False, True])
     def test_rows_equal_reference_draws(self, rng, monkeypatch,
@@ -508,7 +540,6 @@ class TestSoftRows:
         metrics = ("comprehensiveness", "soft_comprehensiveness",
                    "sufficiency", "soft_sufficiency")
         cfg = met.MetricConfig(soft_samples=samples)
-        seeds = [[None, 40 + k, None, 50 + k] for k in range(len(attrs))]
         batches = []
         forward_pooled = tm.forward_pooled
 
@@ -517,27 +548,31 @@ class TestSoftRows:
             return forward_pooled(model, pooled)
 
         monkeypatch.setattr(tm, "forward_pooled", spy)
-        got = met.score_input(model, X, attrs, metrics, cfg, seeds)
+        got = met.score_input(model, X, attrs, metrics, cfg, seed=40)
         monkeypatch.undo()
+        assert len(batches) == 1  # p(X) is a row of the one batch
         want = []
-        for k, attr in enumerate(attrs):
+        for attr in attrs:
             q = reference_normalize(attr.scores)
-            want += [reference_soft_rows(X, 1.0 - q, seeds[k][1], samples),
-                     reference_soft_rows(X, q, seeds[k][3], samples)]
-        aopc_rows = 2 * len(attrs) * len(cfg.thresholds)
-        assert _same_bits(batches[0][aopc_rows:], np.concatenate(want))
-        p_full = tm.forward_pooled(model, X.mean(axis=0))[0][1]
-        probs = tm.forward_pooled(model, batches[0])[0][aopc_rows:, 1]
-        drops = np.maximum(0.0, p_full - probs).reshape(-1, samples)
-        for k, (comp, suff) in enumerate(drops.mean(axis=1).reshape(-1, 2)):
+            want += [reference_soft_rows(X, 1.0 - q, 40, samples),
+                     reference_soft_rows(X, q, 40, samples)]
+        start = 1 + 2 * len(attrs) * len(cfg.thresholds)  # p(X), AOPC
+        start += -start % 4
+        end = start + len(want) * samples
+        assert len(batches[0]) % 4 == 0
+        assert _same_bits(batches[0][start:end], np.concatenate(want))
+        probs = tm.forward_pooled(model, batches[0])[0][:, 1]
+        drops = np.maximum(0.0, probs[0] - probs[start:end])
+        for k, (comp, suff) in enumerate(
+                drops.reshape(-1, samples).mean(axis=1).reshape(-1, 2)):
             assert got[k][1] == comp and got[k][3] == 1.0 - suff
 
 
 class TestSharedSearch:
-    """``score_input`` runs one PGD search for all sensitivity cells of an
-    input (restart 0 once, the other restarts once per distinct seed) and
-    re-explains each cell's path in one call; every cell must keep the
-    bits of ``sensitivity`` searching alone with the cell's seed."""
+    """``score_input`` runs one PGD search per input for all its
+    sensitivity cells and re-explains each cell's path in one call; every
+    cell must keep the bits of ``sensitivity`` searching alone with the
+    input seed (``cfg.pgd.seed`` when none is given)."""
 
     @pytest.mark.parametrize("seeded", [False, True])
     @pytest.mark.parametrize("restarts", [1, 2, 3])
@@ -559,14 +594,12 @@ class TestSharedSearch:
         metrics = ("sparsity", "sensitivity")
         cfg = met.MetricConfig(pgd=met.PGDConfig(steps=3,
                                                  restarts=restarts))
-        # distinct seeds, but the zero attribution repeats the first
-        seeds = [[None, 30 + k % len(attrib.METHODS)]
-                 for k in range(len(attrs))] if seeded else None
-        got = met.score_input(model, X, attrs, metrics, cfg, seeds)
+        seed = 30 if seeded else None
+        got = met.score_input(model, X, attrs, metrics, cfg, seed)
+        one = cfg if seed is None else replace(cfg, pgd=replace(cfg.pgd,
+                                                                seed=seed))
         for k, attr in enumerate(attrs):
-            seed = cfg.pgd.seed if seeds is None else seeds[k][1]
-            want = met.sensitivity(model, X, attr, replace(
-                cfg, pgd=replace(cfg.pgd, seed=seed)))
+            want = met.sensitivity(model, X, attr, one)
             assert got[k][1] == want or math.isnan(got[k][1]) \
                 and math.isnan(want)
         assert math.isnan(got[-1][1])

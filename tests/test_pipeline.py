@@ -79,9 +79,9 @@ class TestRunSingleAudit:
         assert len(run.samples) == 4 * n_test_inputs
 
     def test_batched_scores_match_single_cell_evaluate(self):
-        # every cell of the per-input scoring equals a one-cell
-        # met.evaluate with that cell's derived seed as its soft seed and
-        # PGD seed, and the method's explainer config
+        # every cell of the per-input scoring equals, bit for bit, a
+        # one-cell met.evaluate with the input's derived seed as its soft
+        # seed and PGD seed, and the method's explainer config
         records = ds.generate_synthetic_paired(10, "LENGTH", seed=5)
         attr_cfg = attrib.AttributionConfig(ig_steps=4, lime_samples=32,
                                             shap_samples=64)
@@ -103,11 +103,10 @@ class TestRunSingleAudit:
                 a_cfg = replace(attr_cfg, seed=pipeline._derive_seed(
                     6, pair_id, sub, method))
                 attr = attrib.explain(method, model, seq, target, a_cfg)
+                seed = pipeline._derive_seed(6, pair_id, sub)
+                m_cfg = replace(metric_cfg, soft_seed=seed,
+                                pgd=replace(metric_cfg.pgd, seed=seed))
                 for metric in cfg.metrics:
-                    seed = pipeline._derive_seed(6, pair_id, sub, method,
-                                                 metric)
-                    m_cfg = replace(metric_cfg, soft_seed=seed,
-                                    pgd=replace(metric_cfg.pgd, seed=seed))
                     expected.append((pair_id, sub, method, metric,
                                      met.evaluate(metric, model, X, attr,
                                                   m_cfg)))
@@ -118,7 +117,28 @@ class TestRunSingleAudit:
                                                             expected):
             assert (s.pair_id, s.subgroup, s.method, s.metric) == \
                 (pair_id, sub, method, metric)
-            assert s.value == pytest.approx(value, abs=1e-12)
+            assert s.value == value or math.isnan(s.value) \
+                and math.isnan(value)
+
+    def test_cells_independent_of_other_methods_and_metrics(self):
+        # a cell's value depends only on the input, its attribution and
+        # the input seed, never on which other cells the audit scores
+        records = ds.generate_synthetic_paired(10, "LENGTH", seed=5)
+        fixed = dict(attr_cfg=attrib.AttributionConfig(
+                         ig_steps=4, lime_samples=32, shap_samples=64),
+                     metric_cfg=met.MetricConfig(pgd=met.PGDConfig(steps=2)))
+        full = pipeline.run_single_audit(records, _fast_cfg(
+            methods=attrib.METHODS, metrics=met.METRICS, **fixed), 6)
+        part = pipeline.run_single_audit(records, _fast_cfg(
+            methods=("SHAP", "GXI"), metrics=(
+                "soft_sufficiency", "sensitivity", "comprehensiveness"),
+            **fixed), 6)
+        values = {(s.pair_id, s.subgroup, s.method, s.metric): s.value
+                  for s in full.samples}
+        assert part.samples
+        for s in part.samples:
+            want = values[s.pair_id, s.subgroup, s.method, s.metric]
+            assert s.value == want or math.isnan(s.value) and math.isnan(want)
 
     def test_tied_embeddings_null(self):
         # weight tying makes paired variants tokenize identically, so all
@@ -226,6 +246,59 @@ class TestAggregation:
                               _fake_result(True, 0.6, "MALE")})]
         agg = pipeline.aggregate_reports(runs)
         assert agg.cells[("IG", "gini")].mean_d == pytest.approx(0.6)
+
+
+class TestDegenerateCells:
+    def test_grad_cells_deg_on_pooled_model(self, tmp_path):
+        # every GRAD attribution is degenerate: its scores stay in the
+        # report but enter no U test, so every GRAD cell is deg
+        records = ds.generate_synthetic_paired(20, "LENGTH", seed=0)
+        cfg = _fast_cfg(methods=("GRAD", "GXI"),
+                        metrics=("comprehensiveness", "gini"), runs=2)
+        audit = pipeline.run_audit(records, cfg)
+        for run in audit.runs:
+            for (method, _), res in run.disparity.items():
+                assert (res.mode == "deg") == (method == "GRAD")
+            assert {s.method for s in run.samples} == {"GRAD", "GXI"}
+        agg = audit.aggregate
+        assert agg.deg_cells == 4
+        tested = [c for (m, _), c in agg.cells.items() if m == "GXI"]
+        assert agg.significant_fraction == \
+            sum(c.significant_runs for c in tested) / 4
+        out = tmp_path / "rep"
+        pipeline.save_report(audit, str(out))
+        doc = json.loads((out / "aggregate.json").read_text())
+        assert doc["deg_cells"] == 4
+        assert doc["subgroups"] == ["MALE", "FEMALE"]
+        for cell in doc["cells"]:
+            if cell["method"] == "GRAD":
+                assert (cell["significant_runs"], cell["direction"],
+                        cell["cell"], cell["deg_runs"]) == (0, None, "deg", 2)
+            else:
+                assert cell["cell"] != "deg" and cell["deg_runs"] == 0
+
+    def test_deg_runs_leave_the_denominator(self):
+        deg = stats.DisparityResult.untested(1, 0)
+        runs = [_fake_run(0, {("IG", "gini"): _fake_result(True, 0.5, "MALE"),
+                              ("GRAD", "gini"): deg}),
+                _fake_run(1, {("IG", "gini"): deg,
+                              ("GRAD", "gini"): deg})]
+        agg = pipeline.aggregate_reports(runs)
+        assert agg.deg_cells == 3
+        assert agg.significant_fraction == agg.considerable_fraction == 1.0
+        ig, grad = agg.cells["IG", "gini"], agg.cells["GRAD", "gini"]
+        assert (ig.deg_runs, ig.format_cell()) == (1, "(1) .50±.00")
+        assert (grad.deg_runs, grad.direction, grad.format_cell()) == \
+            (2, None, "deg")
+
+    def test_too_few_scores_is_deg(self):
+        # one test pair: each subgroup keeps one score per cell
+        records = ds.generate_synthetic_paired(2, seed=0)
+        run = pipeline.run_single_audit(
+            records, _fast_cfg(methods=("GXI",), split_ratio=0.5), 1)
+        for res in run.disparity.values():
+            assert (res.mode, res.n_a, res.n_b, res.significant,
+                    res.p_value) == ("deg", 1, 1, False, None)
 
 
 class TestCellFormatting:

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import shutil
@@ -35,6 +36,11 @@ class TestGridCell:
         assert report.grid_cell(cell, "MALE") == "4+A"
         cell["direction"] = "FEMALE"
         assert report.grid_cell(cell, "MALE") == "4+B"
+
+    def test_deg(self):
+        cell = {"significant_runs": 0, "considerable_runs": 0,
+                "direction": None, "cell": "deg"}
+        assert report.grid_cell(cell, "MALE") == "deg"
 
     def test_considerable_star(self):
         cell = {"significant_runs": 5, "considerable_runs": 2,
@@ -125,6 +131,13 @@ class TestRender:
         assert "+A=MALE" in text and "+B=FEMALE" in text
         assert "GRAD" in text and "gini" in text
 
+    def test_table_marks_deg_cells(self, report_dir):
+        # GRAD attributions are degenerate on the pooled classifier
+        rows = [line.split() for line in
+                report.render(report_dir, "table").splitlines()
+                if line.startswith("GRAD")]
+        assert rows == [["GRAD", "deg", "deg"]] * 2
+
     def test_table_reads_only_subgroup_labels(self, report_dir,
                                               monkeypatch):
         expected = report.render(report_dir, "table")
@@ -135,10 +148,12 @@ class TestRender:
         monkeypatch.setattr(report.met, "read_scores_csv", no_full_parse)
         assert report.render(report_dir, "table") == expected
 
-    def test_table_needs_subgroup_column(self, report_dir, tmp_path):
+    def test_table_needs_subgroup_labels(self, report_dir, tmp_path):
         copy = shutil.copytree(report_dir, tmp_path / "copy")
-        (copy / "scores.csv").write_text("pair_id,method\np1,GRAD\n")
-        with pytest.raises(DataError, match="no subgroup column"):
+        aggregate = json.loads((copy / "aggregate.json").read_text())
+        assert aggregate.pop("subgroups") == ["MALE", "FEMALE"]
+        (copy / "aggregate.json").write_text(json.dumps(aggregate))
+        with pytest.raises(DataError, match="no subgroup labels"):
             report.render(str(copy), "table")
 
     def test_svg_per_cell(self, report_dir, tmp_path):
