@@ -6,16 +6,14 @@ mean-pools its input, so the gradient methods need only the model's
 pooled gradient ``g``, which every token shares as ``g / n``: GRAD is
 ``||g|| / n`` for every token, GXI is ``x_i . g / n``, and IG and IGXI use
 the mean of ``g`` over the path (one batched ``pooled_grad`` call). LIME
-and KernelSHAP fit surrogate models on zero-masked embedding variants,
-with masks and fit matrices memoized per (n, config); KernelSHAP's f(x)
-and f(empty) are the first two rows of its coalition query. Their seeded
-designs repeat mask rows, so the model is queried once per distinct row
-and the values are read back per mask row. The distinct rows keep the
-4-row groups in which OpenBLAS computes a product, so on the build where
-this was measured each value has the bits of a query of every row
-(``_distinct_rows`` names the build). All methods also
-accept raw (..., n, d) embeddings so that robustness search can
-re-explain a stack of perturbed inputs, bit for bit per slice.
+and KernelSHAP are linear in the model outputs they fit: each design
+(LIME's masks, KernelSHAP's exact or sampled coalitions with f(x) and
+f(empty)) is built once per (n, config) with one read-only map ``W``, and
+both explain as ``W @ p(rows)`` through ``_surrogate``, querying each
+distinct mask row once (``_distinct_rows``). All methods also accept raw
+(..., n, d) embeddings so that robustness search can re-explain a stack
+of perturbed inputs, each slice bit for bit as its own 2-D call (checked
+on the SkylakeX, Haswell, Sandybridge and Prescott kernels).
 ``degenerate`` flags attributions that rank no token above another.
 """
 
@@ -70,24 +68,21 @@ def resolve_input(model, seq):
     return X, [f"tok{i}" for i in range(X.shape[-2])]
 
 
-def _masked_probs(model, X, masks, target, inverse=None):
-    """Model probability of target for each binary token mask (rows), read
-    back at the row indices ``inverse`` if given, as a contiguous
-    (..., rows) array.
+def _masked_probs(model, X, rows, target, inverse):
+    """Model probability of target for each binary token mask ``rows``,
+    read back at the row indices ``inverse``, as a contiguous
+    (..., len(inverse)) array.
 
     X of more than one leading axis is queried one leading slice, an
     (R, n, d) block, at a time, so a query holds no more rows than one
     (R, n, d) explain."""
-    out = np.empty(X.shape[:-2] + (len(masks if inverse is None
-                                       else inverse),))
+    out = np.empty(X.shape[:-2] + (len(inverse),))
     for idx in np.ndindex(X.shape[:-3]):
-        pooled = masks @ X[idx]
+        pooled = rows @ X[idx]
         pooled /= X.shape[-2]
         probs = textmodel.forward_pooled(model, pooled)[0][..., target]
-        if inverse is None:
-            out[idx] = probs
-        else:  # in range; mode "raise" would gather into a temporary
-            probs.take(inverse, axis=-1, out=out[idx], mode="clip")
+        # in range; mode "raise" would gather into a temporary
+        probs.take(inverse, axis=-1, out=out[idx], mode="clip")
     return out
 
 
@@ -129,22 +124,29 @@ def _read_only(*arrays):
     return arrays
 
 
-def _solve(system, rhs):
-    """Solution of a surrogate fit's linear system (LIME's ridge normal
-    equations, KernelSHAP's KKT system) for a stack of right-hand sides.
-
-    Raises NumericalError when ``rhs`` is not finite, which is how a
-    non-finite model output shows, or when the system is singular.
-    """
-    if not np.all(np.isfinite(rhs)):
-        raise NumericalError("non-finite model output in surrogate fit")
+def _fit_map(system, rhs):
+    """``inv(system) @ rhs``, read-only: the linear map of a surrogate fit
+    (LIME's ridge normal equations, KernelSHAP's KKT system) from query
+    values to coefficients. Raises NumericalError when the system is
+    singular."""
     try:
-        x = np.linalg.solve(system, rhs)
+        W = np.linalg.inv(system) @ rhs
     except np.linalg.LinAlgError:
-        x = None
-    if x is None or not np.all(np.isfinite(x)):
+        W = None
+    if W is None or not np.all(np.isfinite(W)):
         raise NumericalError("singular surrogate fit system")
-    return x
+    return _read_only(W)[0]
+
+
+def _surrogate(model, X, target, design):
+    """Scores ``W @ p(rows)`` of a LIME or KernelSHAP design
+    ``(rows, inverse, W)``; a non-finite model output raises
+    NumericalError."""
+    rows, inverse, W = design
+    y = _masked_probs(model, X, rows, target, inverse)
+    if not np.all(np.isfinite(y)):
+        raise NumericalError("non-finite model output in surrogate fit")
+    return np.matmul(W, y[..., None])[..., 0]
 
 
 def _distinct_rows(Z):
@@ -154,19 +156,17 @@ def _distinct_rows(Z):
 
     The rows are the distinct rows of the first ``len(Z) - len(Z) % 4``
     mask rows (the body), padded to a multiple of 4 with copies of one of
-    them, then the other rows (the tail) unchanged. On the BLAS where
-    this was measured (numpy 2.4.6 with scipy-openblas 0.3.31,
-    DYNAMIC_ARCH, SkylakeX core kernels, on a 2-vCPU Intel Xeon), a
-    product's body rows go through one kernel and its tail rows through
-    others, and a row's bits depend only on which of the two it is in.
-    Other OpenBLAS cores or other BLAS libraries may group rows
-    differently; there the values can differ from a query of every row
-    in the last bits, and ``TestDistinctRows`` fails. (Except
-    where a product's output has 1 to 4 columns past a multiple of 8 and
-    its inner size is 16 or more: there the kernel also changes near
-    10^6 multiply-adds. The default 16 x 32 classifier has no such
-    product at the default sample counts.) Rows are told apart by integer
-    codes of 52 bits per word, exact in a float product.
+    them, then the other rows (the tail) unchanged. OpenBLAS computes a
+    product's body rows with one kernel and its tail rows with others,
+    and a row's bits depend only on which of the two it is in, so the
+    values equal a query of every row bit for bit (``TestDistinctRows``:
+    numpy 2.4.6, scipy-openblas 0.3.31, on the SkylakeX, Haswell and
+    Sandybridge kernels). Prescott, or another BLAS, may group rows
+    otherwise and move last bits. (On SkylakeX, where a product's output
+    has 1 to 4 columns past a multiple of 8 and its inner size is 16 or
+    more, the kernel also changes near 10^6 multiply-adds; the default
+    16 x 32 classifier has no such product.) Rows are told apart by
+    integer codes of 52 bits per word, exact in a float product.
     """
     body = len(Z) - len(Z) % 4
     bit = np.arange(Z.shape[1])
@@ -188,11 +188,11 @@ def _distinct_rows(Z):
 
 @functools.lru_cache(maxsize=1)
 def _lime_design(n, samples, width, seed, ridge):
-    """LIME's masks ``Z`` with ``A.T * w`` and the ridge system
-    ``A.T * w @ A + ridge * P`` of their kernel-weighted fit, where
-    ``A = [1 | Z]`` and ``P`` leaves the intercept unpenalized, then
-    ``_distinct_rows(Z)``; read-only. One slot: the PGD search re-explains
-    one (n, config) at every step."""
+    """LIME's masks ``Z`` as ``_distinct_rows(Z)`` and the map of their
+    kernel-weighted ridge fit, ``inv(A.T * w @ A + ridge * P) @ (A.T * w)``
+    without the intercept row, where ``A = [1 | Z]`` and ``P`` leaves the
+    intercept unpenalized; read-only. One slot: the PGD search
+    re-explains one (n, config) at every step."""
     rng = np.random.default_rng(seed)
     Z = (rng.random((samples, n)) < 0.5).astype(float)
     width = width or 0.75 * math.sqrt(n)
@@ -200,9 +200,8 @@ def _lime_design(n, samples, width, seed, ridge):
     w = np.exp(-(dist**2) / width**2)
     A = np.column_stack([np.ones(samples), Z])
     AtW = A.T * w
-    penalty = np.diag([0.0] + [1.0] * n)
-    return (*_read_only(Z, AtW, AtW @ A + ridge * penalty),
-            *_distinct_rows(Z))
+    system = AtW @ A + ridge * np.diag([0.0] + [1.0] * n)
+    return (*_distinct_rows(Z), _fit_map(system, AtW)[1:])
 
 
 def _lime(model, X, target, cfg):
@@ -211,34 +210,13 @@ def _lime(model, X, target, cfg):
     Mask distance is the Hamming distance to the all-ones mask; masked
     tokens have their embedding rows zeroed.
     """
-    _, AtW, system, rows, inverse = _lime_design(
+    return _surrogate(model, X, target, _lime_design(
         X.shape[-2], cfg.lime_samples, cfg.lime_kernel_width, cfg.seed,
-        cfg.ridge)
-    y = _masked_probs(model, X, rows, target, inverse)
-    return _solve(system, AtW @ y[..., None])[..., 1:, 0]
+        cfg.ridge))
 
 
 def _shap_kernel_weight(n, k):
     return (n - 1) / (math.comb(n, k) * k * (n - k))
-
-
-@functools.lru_cache(maxsize=None)
-def _exact_coalitions(n):
-    """All 2^n coalitions as the 0/1 rows of ``_shap_queries``, with the
-    kernel weights of the 2^n - 2 proper ones.
-
-    The proper rows are ordered by size, and within a size as
-    ``combinations(range(n), k)`` lists them: by descending bit code with
-    token 0 as the top bit. Built once per n (n is at most log2 of the
-    sample budget) and shared, so both arrays are read-only.
-    """
-    codes = np.arange(2**n - 2, 0, -1)
-    bits = (codes[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    size = bits.sum(axis=1)
-    order = np.argsort(size, kind="stable")
-    size_w = np.array([np.nan] + [_shap_kernel_weight(n, k)
-                                  for k in range(1, n)])
-    return _read_only(_shap_queries(bits[order]), size_w[size[order]])
 
 
 def _sampled_coalitions(n, samples, rng):
@@ -264,43 +242,44 @@ def _size_weights(n):
     return _read_only(p / p.sum())[0]
 
 
-def _shap_queries(Z):
-    """KernelSHAP's query rows, as floats: the full coalition (for f(x)),
-    the empty one (for f(empty)), then the coalitions ``Z``, so that one
-    model query covers all three."""
-    n = Z.shape[1]
-    return np.concatenate([np.ones((1, n)), np.zeros((1, n)), Z],
-                          dtype=float)
-
-
-def _shap_kkt(Z, w):
-    """``Z.T * w`` and the KKT matrix of KernelSHAP's constrained fit."""
+def _shap_design(Z, w):
+    """KernelSHAP's design for coalitions ``Z`` of weights ``w``: the
+    ``_distinct_rows`` of its queries (the full coalition, the empty one,
+    then ``Z``) and the map from their values to the scores, the first n
+    rows of ``inv(K) @ B``. K is the KKT matrix of the weighted least
+    squares ``Z @ phi ~ f(Z) - f(empty)`` subject to ``sum(phi) = f(x) -
+    f(empty)``, and B builds its right-hand side from the values."""
     n = Z.shape[1]
     ZtW = Z.T * w
-    # minimize weighted SSE subject to 1^T phi = delta
-    kkt = np.zeros((n + 1, n + 1))
-    kkt[:n, :n] = ZtW @ Z + 1e-10 * np.eye(n)
-    kkt[:n, n] = 0.5
-    kkt[n, :n] = 1.0
-    return ZtW, kkt
+    K = np.zeros((n + 1, n + 1))
+    K[:n, :n] = ZtW @ Z + 1e-10 * np.eye(n)
+    K[:n, n] = 0.5
+    K[n, :n] = 1.0
+    B = np.zeros((n + 1, len(Z) + 2))
+    B[:n, 1] = -ZtW.sum(axis=1)
+    B[:n, 2:] = ZtW
+    B[n, :2] = 1.0, -1.0
+    queries = np.concatenate([np.ones((1, n)), np.zeros((1, n)), Z])
+    return (*_distinct_rows(queries), _fit_map(K, B)[:n])
 
 
 @functools.lru_cache(maxsize=None)
 def _exact_shap_design(n):
-    """All coalitions with the ``_shap_kkt`` of the proper ones, read-only.
-    They depend on n alone, so every input of that length shares them."""
-    queries, w = _exact_coalitions(n)
-    return (queries, *_read_only(*_shap_kkt(queries[2:], w)))
+    """The design of all 2^n - 2 proper coalitions, in bit-code order
+    (token i is bit i), each with its kernel weight. It depends on n
+    alone (at most log2 of the sample budget), so every input of that
+    length shares it."""
+    bits = (np.arange(1, 2**n - 1)[:, None] >> np.arange(n)) & 1
+    size_w = np.array([np.nan] + [_shap_kernel_weight(n, k)
+                                  for k in range(1, n)])
+    return _shap_design(bits.astype(float), size_w[bits.sum(axis=1)])
 
 
 @functools.lru_cache(maxsize=1)
 def _sampled_shap_design(n, samples, seed):
-    """The query rows of sampled coalitions with their ``_shap_kkt`` and
-    the queries' ``_distinct_rows``; read-only, one slot."""
+    """The design of ``samples`` sampled unit-weight coalitions; one slot."""
     Z = _sampled_coalitions(n, samples, np.random.default_rng(seed))
-    queries = _shap_queries(Z)
-    return (*_read_only(queries, *_shap_kkt(Z, np.ones(samples))),
-            *_distinct_rows(queries))
+    return _shap_design(Z, np.ones(samples))
 
 
 def _kernel_shap(model, X, target, cfg):
@@ -312,25 +291,13 @@ def _kernel_shap(model, X, target, cfg):
     coalitions are drawn with unit weight: each size k from the kernel's
     size distribution, proportional to (n - 1) / (k (n - k)), then a
     subset uniform among those of size k, seeded by ``cfg.seed``. f(x)
-    and f(empty) are rows of the same model query as the coalitions. The
-    constrained weighted least squares is solved via its KKT system so
-    that sum(scores) = f(x) - f(empty) holds exactly.
+    and f(empty) are rows of the same model query as the coalitions, and
+    sum(scores) = f(x) - f(empty) holds by construction of the map.
     """
     n = X.shape[-2]
-    if 2**n - 2 <= cfg.shap_samples:
-        queries, ZtW, system = _exact_shap_design(n)
-        y = _masked_probs(model, X, queries, target)
-    else:
-        _, ZtW, system, rows, inverse = _sampled_shap_design(
-            n, cfg.shap_samples, cfg.seed)
-        y = _masked_probs(model, X, rows, target, inverse)
-    delta = y[..., 0] - y[..., 1]
-    if n == 1:  # the efficiency constraint alone fixes the one score
-        system, rhs = np.ones((1, 1)), delta[..., None, None]
-    else:
-        rhs = np.concatenate([ZtW @ (y[..., 2:] - y[..., 1, None])[..., None],
-                              delta[..., None, None]], axis=-2)
-    return _solve(system, rhs)[..., :n, 0]
+    design = _exact_shap_design(n) if 2**n - 2 <= cfg.shap_samples \
+        else _sampled_shap_design(n, cfg.shap_samples, cfg.seed)
+    return _surrogate(model, X, target, design)
 
 
 def normalize_scores(attr):

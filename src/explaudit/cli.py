@@ -80,9 +80,20 @@ def _load(args):
     return ds.load_paired(args.dataset, args.format)
 
 
+def _check_parent(out):
+    """ConfigError when the nearest existing path above ``out`` is not a
+    directory, so that ``out``'s missing parents cannot be created."""
+    parent = os.path.dirname(os.path.abspath(out))
+    while not os.path.lexists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out is below a non-directory: {parent}")
+
+
 def cmd_gen_data(args):
     if os.path.isdir(args.out):
         raise ConfigError(f"--out is a directory: {args.out}")
+    _check_parent(args.out)
     records = ds.generate_synthetic_paired(args.pairs, args.injection.upper(),
                                            seed=args.seed)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
@@ -101,6 +112,7 @@ def cmd_validate(args):
 
 def cmd_audit(args):
     pipeline.check_out_dir(args.out)
+    _check_parent(args.out)
     records = _load(args)
     metric_list = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if args.with_sensitivity and "sensitivity" not in metric_list:

@@ -14,7 +14,8 @@ and all sensitivity cells one PGD search (one gradient call per step),
 each cell re-explaining the search's whole path in one call. p(X) and
 the masked queries of all faithfulness cells go into one forward call.
 ``evaluate`` scores one attribution with one metric, with the bits of
-the same cell of ``score_input`` under the same seed.
+the same cell of ``score_input`` under the same seed (checked on the
+SkylakeX, Haswell, Sandybridge and Prescott kernels).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import attribution as attrib
 from . import textmodel
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 METRICS = ("comprehensiveness", "sufficiency", "soft_comprehensiveness",
            "soft_sufficiency", "sparsity", "gini", "sensitivity")
@@ -118,7 +119,9 @@ def _row_scores(metric, attrs, cfg=None):
 
 def _norms(a):
     """``np.linalg.norm`` of each a[r], bit for bit: a stacked matmul of
-    contiguous copies reaches its BLAS dot (``np.einsum`` sums otherwise)."""
+    contiguous copies reaches its BLAS dot (``np.einsum`` sums otherwise).
+    Checked on the SkylakeX, Haswell and Sandybridge kernels; Prescott's
+    dot rounds by the operands' 16-byte alignment."""
     f = np.ascontiguousarray(a.reshape(len(a), math.prod(a.shape[1:])))
     return np.sqrt(np.matmul(f[:, None, :], f[:, :, None]))[:, 0, 0]
 
@@ -214,7 +217,8 @@ def score_input(model, seq, attrs, metrics, cfg=None, seed=None):
     the pooling product and the forward are padded to a multiple of 4
     rows, so every row goes through a BLAS product's 4-row body (see
     ``attrib._distinct_rows``): a cell's bits depend only on the input,
-    its attribution and the seed, not on the cells scored with it.
+    its attribution and the seed, not on the cells scored with it
+    (checked on the SkylakeX, Haswell, Sandybridge and Prescott kernels).
     """
     cfg = cfg or MetricConfig()
     unknown = set(metrics) - set(METRICS)
@@ -301,6 +305,9 @@ def group_values(samples):
     return groups
 
 
+SCORE_HEADER = ["pair_id", "subgroup", "method", "metric", "value"]
+
+
 def write_scores_csv(samples, path, pair_ids=None):
     """Score table: pair_id, subgroup, method, metric, value.
 
@@ -311,16 +318,22 @@ def write_scores_csv(samples, path, pair_ids=None):
         else zip(pair_ids, samples)
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
-        w.writerow(["pair_id", "subgroup", "method", "metric", "value"])
+        w.writerow(SCORE_HEADER)
         w.writerows([pair_id, s.subgroup, s.method, s.metric,
                      "" if math.isnan(s.value) else repr(s.value)]
                     for pair_id, s in pairs)
 
 
 def read_scores_csv(path):
+    """The samples of a ``write_scores_csv`` table; DataError if its header
+    is not ``SCORE_HEADER``."""
     out = []
     with open(path, newline="", encoding="utf-8") as f:
-        for row in csv.DictReader(f):
+        reader = csv.DictReader(f)
+        if reader.fieldnames != SCORE_HEADER:
+            raise DataError(f"malformed report dir: {path} has no header "
+                            + ",".join(SCORE_HEADER))
+        for row in reader:
             value = float(row["value"]) if row["value"] else float("nan")
             out.append(ScoreSample(row["pair_id"], row["subgroup"],
                                    row["method"], row["metric"], value))

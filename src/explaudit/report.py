@@ -150,19 +150,31 @@ def boxplot_svg(groups, title=""):
 # Rendering a persisted report directory
 
 
+def _read_json(report_dir, name):
+    with open(os.path.join(report_dir, name), encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except ValueError as e:
+            raise DataError(f"malformed report dir: {name} is not JSON: "
+                            f"{e}") from e
+
+
 def _load_summary(report_dir):
-    """Check that every report file exists; return config and aggregate."""
+    """Check that every report file exists; return the method and metric
+    lists and the aggregate."""
     required = ("config.json", "scores.csv", "aggregate.json",
                 "disparity.json", "bias.json")
     for name in required:
         if not os.path.exists(os.path.join(report_dir, name)):
             raise DataError(f"malformed report dir: missing {name}")
-    with open(os.path.join(report_dir, "config.json"), encoding="utf-8") as f:
-        config = json.load(f)
-    with open(os.path.join(report_dir, "aggregate.json"),
-              encoding="utf-8") as f:
-        aggregate = json.load(f)
-    return config, aggregate
+    config = _read_json(report_dir, "config.json")
+    try:
+        methods = config["config"]["methods"]
+        metrics = config["config"]["metrics"]
+    except (KeyError, TypeError) as e:
+        raise DataError("malformed report dir: config.json has no "
+                        "config.methods and config.metrics") from e
+    return methods, metrics, _read_json(report_dir, "aggregate.json")
 
 
 def render(report_dir, fmt="table", out_dir=None):
@@ -174,9 +186,7 @@ def render(report_dir, fmt="table", out_dir=None):
     """
     if fmt not in ("table", "svg"):
         raise ConfigError(f"unknown report format: {fmt}")
-    config, aggregate = _load_summary(report_dir)
-    methods = config["config"]["methods"]
-    metrics = config["config"]["metrics"]
+    methods, metrics, aggregate = _load_summary(report_dir)
     if len(aggregate.get("subgroups", ())) != 2:
         raise DataError("malformed aggregate.json: no subgroup labels")
     label_a, label_b = aggregate["subgroups"]

@@ -343,7 +343,7 @@ def clear_design_memos():
     """Forget every memoized LIME and KernelSHAP design, so the next
     explain builds its own."""
     for cache in (attrib._lime_design, attrib._sampled_shap_design,
-                  attrib._exact_shap_design, attrib._exact_coalitions):
+                  attrib._exact_shap_design):
         cache.cache_clear()
 
 
@@ -365,23 +365,66 @@ def reference_sampled_coalitions(n, samples, rng):
 def reference_full_rows(method, model, X, target, cfg):
     """LIME or sampled KernelSHAP scores from one query of every mask row
     of the memoized design (for KernelSHAP: the full and the empty
-    coalition, then the sampled ones), then the same solve.
+    coalition, then the sampled ones), then the design's map.
     ``attrib.explain``, which queries each distinct row once, must
     reproduce it bit for bit."""
     X = np.asarray(X, dtype=float)
     n = X.shape[-2]
     if method == "LIME":
-        Z, AtW, system, _, _ = attrib._lime_design(
+        rows, inverse, W = attrib._lime_design(
             n, cfg.lime_samples, cfg.lime_kernel_width, cfg.seed, cfg.ridge)
-        y = attrib._masked_probs(model, X, Z, target)
-        return attrib._solve(system, AtW @ y[..., None])[..., 1:, 0]
-    queries, ZtW, system, _, _ = attrib._sampled_shap_design(
-        n, cfg.shap_samples, cfg.seed)
-    y = attrib._masked_probs(model, X, queries, target)
-    full, empty = y[..., 0], y[..., 1]
-    rhs = np.concatenate([ZtW @ (y[..., 2:] - empty[..., None])[..., None],
+    else:
+        rows, inverse, W = attrib._sampled_shap_design(
+            n, cfg.shap_samples, cfg.seed)
+    every = np.arange(len(inverse))
+    y = attrib._masked_probs(model, X, rows[inverse], target, every)
+    return np.matmul(W, y[..., None])[..., 0]
+
+
+def _reference_probs(model, X, masks, target):
+    """Target-class probability of every mask row, per (n, d) slice."""
+    return tm.forward_pooled(model, masks @ X / X.shape[-2])[0][..., target]
+
+
+def reference_surrogate(method, model, X, target, cfg):
+    """LIME or KernelSHAP scores as first written: every mask row queried,
+    then one ``np.linalg.solve`` per input of LIME's ridge normal
+    equations or of KernelSHAP's KKT system, exact coalitions listed by
+    size as ``combinations`` gives them, and one token fixed by the
+    efficiency constraint alone. ``attrib.explain``'s fitted map must
+    agree with it to rounding."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[-2]
+    if method == "LIME":
+        rng = np.random.default_rng(cfg.seed)
+        Z = (rng.random((cfg.lime_samples, n)) < 0.5).astype(float)
+        width = cfg.lime_kernel_width or 0.75 * math.sqrt(n)
+        w = np.exp(-((n - Z.sum(axis=1)) ** 2) / width**2)
+        A = np.column_stack([np.ones(len(Z)), Z])
+        system = A.T * w @ A + cfg.ridge * np.diag([0.0] + [1.0] * n)
+        y = _reference_probs(model, X, Z, target)
+        return np.linalg.solve(system, (A.T * w @ y[..., None]))[..., 1:, 0]
+    full = _reference_probs(model, X, np.ones((1, n)), target)[..., 0]
+    empty = _reference_probs(model, X, np.zeros((1, n)), target)[..., 0]
+    if n == 1:
+        return (full - empty)[..., None]
+    if 2**n - 2 <= cfg.shap_samples:
+        Z = np.array([[1.0 if i in c else 0.0 for i in range(n)]
+                      for k in range(1, n) for c in combinations(range(n), k)])
+        w = np.array([attrib._shap_kernel_weight(n, int(z.sum()))
+                      for z in Z])
+    else:
+        Z = attrib._sampled_coalitions(n, cfg.shap_samples,
+                                       np.random.default_rng(cfg.seed))
+        w = np.ones(len(Z))
+    kkt = np.zeros((n + 1, n + 1))
+    kkt[:n, :n] = Z.T * w @ Z + 1e-10 * np.eye(n)
+    kkt[:n, n] = 0.5
+    kkt[n, :n] = 1.0
+    y = _reference_probs(model, X, Z, target) - empty[..., None]
+    rhs = np.concatenate([Z.T * w @ y[..., None],
                           (full - empty)[..., None, None]], axis=-2)
-    return attrib._solve(system, rhs)[..., :n, 0]
+    return np.linalg.solve(kkt, rhs)[..., :n, 0]
 
 
 def reference_sensitivity(model, method, X, attr, cfg, target,

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (LinearPooledModel, ConstantModel, DeadInputModel,
-                      clear_design_memos, exact_shapley, indicator_embeddings, masked_prob,
-                      planted_token_model, finite_diff_input_grad,
-                      random_tiny_model, all_coalition_probs,
-                      reference_full_rows, reference_sampled_coalitions,
+                      clear_design_memos, exact_shapley, indicator_embeddings,
+                      masked_prob, planted_token_model,
+                      finite_diff_input_grad, random_tiny_model,
+                      all_coalition_probs, reference_full_rows,
+                      reference_sampled_coalitions, reference_surrogate,
                       shapley_from_values)
 from explaudit import attribution as attrib
 from explaudit import textmodel as tm
@@ -214,25 +215,49 @@ class TestKernelShap:
         a = attrib.explain("SHAP", model, X, 1)
         assert a.scores == pytest.approx([0.25], abs=1e-9)
 
-    def test_exact_coalitions_match_combinations(self):
-        # reference: the itertools construction, row by row
+    def test_exact_coalitions_match_combinations(self, rng):
+        # reference: the KKT solve over the itertools construction, row by
+        # row, on random values of every coalition (indexed by bit code)
         for n in range(2, 12):
             Z_ref = np.array([[1.0 if i in c else 0.0 for i in range(n)]
                               for k in range(1, n)
                               for c in combinations(range(n), k)])
             w_ref = np.array([attrib._shap_kernel_weight(n, int(z.sum()))
                               for z in Z_ref])
-            Z, w = attrib._exact_coalitions(n)
-            assert np.array_equal(Z[:2], [[1.0] * n, [0.0] * n])
-            assert np.array_equal(Z[2:], Z_ref)
-            assert np.array_equal(w, w_ref)
+            kkt = np.zeros((n + 1, n + 1))
+            kkt[:n, :n] = Z_ref.T * w_ref @ Z_ref + 1e-10 * np.eye(n)
+            kkt[:n, n] = 0.5
+            kkt[n, :n] = 1.0
+            v = rng.uniform(0, 1, 2**n)
+            full, empty = v[-1], v[0]
+            coalition = v[(Z_ref @ 2 ** np.arange(n)).astype(int)]
+            want = np.linalg.solve(kkt, np.append(
+                Z_ref.T * w_ref @ (coalition - empty), full - empty))[:n]
+            rows, inverse, W = attrib._exact_shap_design(n)
+            codes = (rows[inverse] @ 2 ** np.arange(n)).astype(int)
+            assert np.allclose(W @ v[codes], want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 11])
+    def test_exact_design_queries_each_coalition_once(self, n):
+        class Counting(LinearPooledModel):
+            def pooled_forward(self, pooled):
+                queried.append(pooled.copy())
+                return super().pooled_forward(pooled)
+
+        queried = []
+        attrib.explain("SHAP", Counting(np.full(n, 0.01)),
+                       indicator_embeddings(n), 1)
+        assert len(queried) == 1 and len(queried[0]) == 2**n
+        codes = np.rint(queried[0] @ 2.0 ** np.arange(n)).astype(int)
+        assert np.array_equal(np.sort(codes), np.arange(2**n))
 
     def test_exact_coalitions_cached_read_only(self):
-        Z, w = attrib._exact_coalitions(6)
-        assert attrib._exact_coalitions(6)[0] is Z
-        assert not Z.flags.writeable and not w.flags.writeable
+        design = attrib._exact_shap_design(6)
+        assert attrib._exact_shap_design(6) is design
+        for a in design:
+            assert not a.flags.writeable
         with pytest.raises(ValueError):
-            Z[0, 0] = 1.0
+            design[2][0, 0] = 1.0
 
     def test_sampled_rows_have_drawn_size(self):
         for n in (3, 12, 14, 18):
@@ -308,28 +333,35 @@ class TestKernelShap:
         assert np.array_equal(a.scores, b.scores)
 
 
-def _ridge_system(Z, w, ridge):
-    """LIME's ``A.T * w`` and ridge system for masks Z and weights w."""
-    A = np.column_stack([np.ones(len(Z)), Z])
-    penalty = np.eye(A.shape[1])
-    penalty[0, 0] = 0.0
-    return A.T * w, A.T * w @ A + ridge * penalty
-
-
 class TestWeightedRidge:
-    """The checked solve that LIME and KernelSHAP share."""
-
-    def test_non_finite_target_rejected(self):
-        y = np.array([0.2, np.nan, 0.4, 0.1])
-        AtW, system = _ridge_system(np.eye(4), np.ones(4), 1e-3)
-        with pytest.raises(NumericalError, match="non-finite"):
-            attrib._solve(system, AtW @ y[:, None])
+    """The fitted map that LIME's ridge fit and KernelSHAP's constrained
+    fit share, built once per design."""
 
     def test_unsolvable_system_gives_up(self):
-        # zero weights leave the intercept unidentified for any ridge
-        AtW, system = _ridge_system(np.eye(4), np.zeros(4), 1e-3)
+        # a kernel this narrow gives every mask but the all-ones one zero
+        # weight, and no mask is all ones here, so the intercept is
+        # unidentified for any ridge
+        cfg = attrib.AttributionConfig(lime_kernel_width=1e-10,
+                                       lime_samples=8)
         with pytest.raises(NumericalError, match="singular"):
-            attrib._solve(system, AtW @ np.ones((4, 1)))
+            attrib.explain("LIME", ConstantModel(0.5),
+                           indicator_embeddings(13), 1, cfg)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("method, n, samples", [
+        ("LIME", 1, 1000), ("LIME", 6, 1000), ("LIME", 13, 999),
+        *[("SHAP", n, 2048) for n in range(1, 12)],
+        ("SHAP", 12, 2048), ("SHAP", 15, 2047), ("SHAP", 6, 30)])
+    def test_equals_per_input_solve(self, rng, method, n, samples,
+                                    stacked):
+        model = random_tiny_model(rng)
+        cfg = attrib.AttributionConfig(lime_samples=samples,
+                                       shap_samples=samples, seed=4)
+        X = rng.uniform(-1, 1, (3, n, 3) if stacked else (n, 3))
+        got = attrib.explain(method, model, X, 1, cfg).scores
+        want = reference_surrogate(method, model, X, 1, cfg)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("method", ["LIME", "SHAP"])
     @pytest.mark.parametrize("n", [1, 4, 13])  # SHAP: 1 token, exact, sampled
@@ -446,11 +478,11 @@ class TestDistinctRows:
         assert np.allclose(got, want, rtol=0, atol=1e-12)
         assert np.array_equal(got, want), self.BLAS_RULE
         if method == "LIME":
-            *_, rows, _ = attrib._lime_design(
+            rows, _, _ = attrib._lime_design(
                 n, samples, cfg.lime_kernel_width, cfg.seed, cfg.ridge)
             queried = samples
         else:
-            *_, rows, _ = attrib._sampled_shap_design(n, samples, cfg.seed)
+            rows, _, _ = attrib._sampled_shap_design(n, samples, cfg.seed)
             queried = samples + 2  # f(x) and f(empty) come first
         body = len(rows) - queried % 4
         assert len(rows) < samples and body % 4 == 0

@@ -1,9 +1,11 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from conftest import ConstantModel
 from explaudit import attribution as attrib
 from explaudit import cli, pipeline, report
 from explaudit.errors import ConfigError
@@ -67,6 +69,14 @@ class TestGenData:
                              capsys)
         assert code == 0
         assert len(path.read_text().splitlines()) == 7  # header + 6 rows
+
+    def test_out_below_regular_file_exit_1(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("data")
+        code, _, err = run_cli(["gen-data", "--pairs", "3", "--out",
+                                str(tmp_path / "afile" / "x.csv")], capsys)
+        assert code == 1
+        assert "below a non-directory" in err
+        assert (tmp_path / "afile").read_text() == "data"
 
 
 class TestValidate:
@@ -237,6 +247,21 @@ class TestAudit:
                 if p.is_file()} == before
 
 
+    def test_out_below_regular_file_exit_1(self, none_dataset, tmp_path,
+                                           capsys, monkeypatch):
+        # refused before any work, not after the whole audit
+        (tmp_path / "afile").write_text("data")
+        audits = []
+        monkeypatch.setattr(pipeline, "run_audit",
+                            lambda *args: audits.append(args))
+        code, _, err = self._audit(none_dataset,
+                                   str(tmp_path / "afile" / "rep"), capsys)
+        assert code == 1
+        assert "below a non-directory" in err
+        assert audits == []
+        assert (tmp_path / "afile").read_text() == "data"
+
+
 class TestReportCommand:
     @pytest.fixture
     def audit_dir(self, none_dataset, tmp_path, capsys):
@@ -263,6 +288,41 @@ class TestReportCommand:
     def test_missing_dir_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(["report", str(tmp_path / "nope")], capsys)
         assert code == 2
+
+    def _malformed(self, audit_dir, tmp_path, name, edit, capsys,
+                   fmt="table"):
+        copy = shutil.copytree(audit_dir, tmp_path / "copy")
+        path = copy / name
+        path.write_text(edit(path.read_text()))
+        code, _, err = run_cli(["report", str(copy), "--format", fmt,
+                                "--out", str(tmp_path / "plots")], capsys)
+        assert code == 2
+        assert "data error: malformed report dir" in err
+        assert not os.path.exists(tmp_path / "plots")
+        return err
+
+    def test_config_without_methods_exit_2(self, audit_dir, tmp_path,
+                                           capsys):
+        def drop_methods(text):
+            config = json.loads(text)
+            del config["config"]["methods"]
+            return json.dumps(config)
+
+        err = self._malformed(audit_dir, tmp_path, "config.json",
+                              drop_methods, capsys)
+        assert "config.methods" in err
+
+    def test_aggregate_not_json_exit_2(self, audit_dir, tmp_path, capsys):
+        err = self._malformed(audit_dir, tmp_path, "aggregate.json",
+                              lambda text: text[:len(text) // 2], capsys)
+        assert "aggregate.json is not JSON" in err
+
+    def test_svg_scores_without_header_exit_2(self, audit_dir, tmp_path,
+                                              capsys):
+        err = self._malformed(audit_dir, tmp_path, "scores.csv",
+                              lambda text: text.split("\n", 1)[1], capsys,
+                              fmt="svg")
+        assert "pair_id,subgroup,method,metric,value" in err
 
     def test_svg_out_is_file_exit_1(self, audit_dir, tmp_path, capsys,
                                     monkeypatch):
@@ -352,7 +412,7 @@ class TestErrorMapping:
     def test_numerical_failure_exit_3(self, none_dataset, tmp_path, capsys,
                                       monkeypatch):
         def failing_audit(records, cfg):
-            attrib._solve(np.eye(2), np.array([[np.nan], [0.0]]))
+            attrib.explain("LIME", ConstantModel(np.nan), np.eye(3), 1)
 
         monkeypatch.setattr(pipeline, "run_audit", failing_audit)
         code, _, err = run_cli(["audit", "--dataset", none_dataset,

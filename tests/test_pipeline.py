@@ -165,14 +165,23 @@ class TestRunSingleAudit:
             pipeline.run_single_audit(records, cfg, run_seed=0)
 
     @pytest.mark.parametrize("methods", [("SHAP",), ("GRAD", "IG")])
-    def test_non_finite_model_output_raises_numerical_error(self, methods):
-        # training ends with finite parameters near 1e300, but the model's
-        # probabilities are NaN; the audit used to explain class 0, drop
-        # every NaN score and stop with a DataError about empty samples
+    def test_non_finite_model_output_raises_numerical_error(self, methods,
+                                                            monkeypatch):
+        # a trained model whose parameters are finite (up to 1e308) but
+        # whose probabilities are NaN: both logits overflow to inf. The
+        # audit used to explain class 0, drop every NaN score and stop
+        # with a DataError about empty samples. The model is built here,
+        # not by training at a huge learning rate, because whether such
+        # training ends with finite parameters depends on the BLAS kernel
+        def exploded(model, data, cfg):
+            model.w1[:] = 0.0
+            model.b1[:] = 1.0
+            model.w2[:] = 1e308
+            return model, []
+
+        monkeypatch.setattr(tm, "train", exploded)
         records = ds.generate_synthetic_paired(10, "LENGTH", seed=0)
-        cfg = _fast_cfg(methods=methods, model_cfg=tm.ModelConfig(),
-                        train_cfg=tm.TrainConfig(
-                            epochs=2, warmup_steps=1, learning_rate=1e300))
+        cfg = _fast_cfg(methods=methods)
         with pytest.raises(NumericalError, match="non-finite model output"):
             pipeline.run_single_audit(records, cfg, run_seed=0)
 
