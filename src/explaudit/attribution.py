@@ -7,14 +7,15 @@ pooled gradient ``g``, which every token shares as ``g / n``: GRAD is
 ``||g|| / n`` for every token, GXI is ``x_i . g / n``, and IG and IGXI use
 the mean of ``g`` over the path (one batched ``pooled_grad`` call). LIME
 and KernelSHAP are linear in the model outputs they fit: each design
-(LIME's masks, KernelSHAP's exact or sampled coalitions with f(x) and
-f(empty)) is built once per (n, config) with one read-only map ``W``, and
-both explain as ``W @ p(rows)`` through ``_surrogate``, querying each
-distinct mask row once (``_distinct_rows``). All methods also accept raw
-(..., n, d) embeddings so that robustness search can re-explain a stack
-of perturbed inputs, each slice bit for bit as its own 2-D call (checked
-on the SkylakeX, Haswell, Sandybridge and Prescott kernels).
-``degenerate`` flags attributions that rank no token above another.
+(LIME's masks, KernelSHAP's sampled coalitions with f(x) and f(empty),
+or all 2^n coalitions for exact Shapley values in closed form) is built
+once per (n, config) with one read-only map ``W``, and both explain as
+``W @ p(rows)`` through ``_surrogate``, querying each distinct mask row
+once (``_distinct_rows``). All methods also accept raw (..., n, d)
+embeddings so that robustness search can re-explain a stack of perturbed
+inputs, each slice bit for bit as its own 2-D call (checked on the
+SkylakeX, Haswell, Sandybridge and Prescott kernels). ``degenerate``
+flags attributions that rank no token above another.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from . import textmodel
 from .errors import ConfigError, NumericalError
 
 METHODS = ("GRAD", "GXI", "IG", "IGXI", "LIME", "SHAP")
+TIE = 1e-9  # normalized scores closer than this rank as tied
 
 
 @dataclass
@@ -127,8 +129,7 @@ def _read_only(*arrays):
 def _fit_map(system, rhs):
     """``inv(system) @ rhs``, read-only: the linear map of a surrogate fit
     (LIME's ridge normal equations, KernelSHAP's KKT system) from query
-    values to coefficients. Raises NumericalError when the system is
-    singular."""
+    values to coefficients; NumericalError if the system is singular."""
     try:
         W = np.linalg.inv(system) @ rhs
     except np.linalg.LinAlgError:
@@ -150,40 +151,21 @@ def _surrogate(model, X, target, design):
 
 
 def _distinct_rows(Z):
-    """The rows to query for mask rows ``Z`` and each mask row's index
+    """The distinct rows of mask rows ``Z`` and each mask row's index
     among them, so that ``f(rows)[..., inverse]`` is ``f(Z)`` for a
-    row-wise model query ``f``; read-only.
-
-    The rows are the distinct rows of the first ``len(Z) - len(Z) % 4``
-    mask rows (the body), padded to a multiple of 4 with copies of one of
-    them, then the other rows (the tail) unchanged. OpenBLAS computes a
-    product's body rows with one kernel and its tail rows with others,
-    and a row's bits depend only on which of the two it is in, so the
-    values equal a query of every row bit for bit (``TestDistinctRows``:
-    numpy 2.4.6, scipy-openblas 0.3.31, on the SkylakeX, Haswell and
-    Sandybridge kernels). Prescott, or another BLAS, may group rows
-    otherwise and move last bits. (On SkylakeX, where a product's output
-    has 1 to 4 columns past a multiple of 8 and its inner size is 16 or
-    more, the kernel also changes near 10^6 multiply-adds; the default
-    16 x 32 classifier has no such product.) Rows are told apart by
-    integer codes of 52 bits per word, exact in a float product.
-    """
-    body = len(Z) - len(Z) % 4
+    row-wise model query ``f``; read-only. Rows are told apart by integer
+    codes of 52 bits per word, exact in a float product."""
     bit = np.arange(Z.shape[1])
     weights = np.zeros((len(bit), bit[-1] // 52 + 1))
     weights[bit, bit // 52] = 2.0 ** (bit % 52)
-    codes = (Z[:body] @ weights).T
+    codes = (Z @ weights).T
     _, inverse = np.unique(codes[0], return_inverse=True)
     for word in codes[1:]:
         _, rank = np.unique(word, return_inverse=True)
-        _, inverse = np.unique(inverse * body + rank, return_inverse=True)
-    distinct = np.empty(inverse.max(initial=-1) + 1, dtype=np.intp)
-    distinct[inverse] = np.arange(body)  # any row of each code will do
-    pad = -len(distinct) % 4
-    take = np.concatenate([distinct, np.repeat(distinct[-1:], pad),
-                           np.arange(body, len(Z))])
-    tail = len(distinct) + pad + np.arange(len(Z) - body)
-    return _read_only(Z.take(take, axis=0), np.concatenate([inverse, tail]))
+        _, inverse = np.unique(inverse * len(Z) + rank, return_inverse=True)
+    distinct = np.empty(inverse.max() + 1, dtype=np.intp)
+    distinct[inverse] = np.arange(len(Z))  # any row of each code will do
+    return _read_only(Z.take(distinct, axis=0), inverse)
 
 
 @functools.lru_cache(maxsize=1)
@@ -208,8 +190,7 @@ def _lime(model, X, target, cfg):
     """LIME with Bernoulli(0.5) token masks and an exponential kernel.
 
     Mask distance is the Hamming distance to the all-ones mask; masked
-    tokens have their embedding rows zeroed.
-    """
+    tokens have their embedding rows zeroed."""
     return _surrogate(model, X, target, _lime_design(
         X.shape[-2], cfg.lime_samples, cfg.lime_kernel_width, cfg.seed,
         cfg.ridge))
@@ -242,58 +223,54 @@ def _size_weights(n):
     return _read_only(p / p.sum())[0]
 
 
-def _shap_design(Z, w):
-    """KernelSHAP's design for coalitions ``Z`` of weights ``w``: the
-    ``_distinct_rows`` of its queries (the full coalition, the empty one,
-    then ``Z``) and the map from their values to the scores, the first n
-    rows of ``inv(K) @ B``. K is the KKT matrix of the weighted least
+@functools.lru_cache(maxsize=None)
+def _exact_shap_design(n):
+    """The Shapley formula as a design: all 2^n coalitions T in bit-code
+    order (token i is bit i), each queried once, and the map
+    ``W[i, T] = w(|T| - 1)`` if i is in T, else ``-w(|T|)``, with the
+    Shapley weights ``w(k) = k! (n - k - 1)! / n!`` and ``w(n) = 0``. It
+    depends on n alone (at most log2 of the sample budget), so every input
+    of that length shares it."""
+    bits = (np.arange(2**n) >> np.arange(n)[:, None]) & 1
+    size = bits.sum(axis=0)
+    w = np.append([1 / (n * math.comb(n - 1, k)) for k in range(n)], 0.0)
+    W = np.where(bits, w[size - 1], -w[size])
+    rows = np.ascontiguousarray(bits.T, dtype=float)
+    return _read_only(rows, np.arange(2**n), W)
+
+
+@functools.lru_cache(maxsize=1)
+def _sampled_shap_design(n, samples, seed):
+    """The design of ``samples`` sampled unit-weight coalitions ``Z``: the
+    ``_distinct_rows`` of its queries (full, empty, then ``Z``) and the
+    first n rows of ``inv(K) @ B``, with K the KKT matrix of the least
     squares ``Z @ phi ~ f(Z) - f(empty)`` subject to ``sum(phi) = f(x) -
-    f(empty)``, and B builds its right-hand side from the values."""
-    n = Z.shape[1]
-    ZtW = Z.T * w
+    f(empty)`` and B the operator that builds its right-hand side from
+    the values. One slot."""
+    Z = _sampled_coalitions(n, samples, np.random.default_rng(seed))
     K = np.zeros((n + 1, n + 1))
-    K[:n, :n] = ZtW @ Z + 1e-10 * np.eye(n)
+    K[:n, :n] = Z.T @ Z + 1e-10 * np.eye(n)
     K[:n, n] = 0.5
     K[n, :n] = 1.0
-    B = np.zeros((n + 1, len(Z) + 2))
-    B[:n, 1] = -ZtW.sum(axis=1)
-    B[:n, 2:] = ZtW
+    B = np.zeros((n + 1, samples + 2))
+    B[:n, 1] = -Z.sum(axis=0)
+    B[:n, 2:] = Z.T
     B[n, :2] = 1.0, -1.0
     queries = np.concatenate([np.ones((1, n)), np.zeros((1, n)), Z])
     return (*_distinct_rows(queries), _fit_map(K, B)[:n])
 
 
-@functools.lru_cache(maxsize=None)
-def _exact_shap_design(n):
-    """The design of all 2^n - 2 proper coalitions, in bit-code order
-    (token i is bit i), each with its kernel weight. It depends on n
-    alone (at most log2 of the sample budget), so every input of that
-    length shares it."""
-    bits = (np.arange(1, 2**n - 1)[:, None] >> np.arange(n)) & 1
-    size_w = np.array([np.nan] + [_shap_kernel_weight(n, k)
-                                  for k in range(1, n)])
-    return _shap_design(bits.astype(float), size_w[bits.sum(axis=1)])
-
-
-@functools.lru_cache(maxsize=1)
-def _sampled_shap_design(n, samples, seed):
-    """The design of ``samples`` sampled unit-weight coalitions; one slot."""
-    Z = _sampled_coalitions(n, samples, np.random.default_rng(seed))
-    return _shap_design(Z, np.ones(samples))
-
-
 def _kernel_shap(model, X, target, cfg):
     """KernelSHAP with the efficiency constraint enforced exactly.
 
-    Proper coalitions are enumerated exhaustively when the sampling budget
-    covers all 2^n - 2 of them, each weighted by the Shapley kernel (then
-    the result equals exact Shapley values). Otherwise ``shap_samples``
-    coalitions are drawn with unit weight: each size k from the kernel's
-    size distribution, proportional to (n - 1) / (k (n - k)), then a
-    subset uniform among those of size k, seeded by ``cfg.seed``. f(x)
-    and f(empty) are rows of the same model query as the coalitions, and
-    sum(scores) = f(x) - f(empty) holds by construction of the map.
-    """
+    When the sampling budget covers all 2^n - 2 proper coalitions, the
+    scores are exact Shapley values, by the Shapley formula over all 2^n
+    coalitions. Otherwise ``shap_samples`` coalitions are drawn with unit
+    weight (each size k from the kernel's size distribution, proportional
+    to (n - 1) / (k (n - k)), then a subset uniform among those of size
+    k, seeded by ``cfg.seed``) and fitted under the constraint. f(x) and
+    f(empty) are rows of the same model query as the coalitions, and
+    sum(scores) = f(x) - f(empty) holds by construction of the map."""
     n = X.shape[-2]
     design = _exact_shap_design(n) if 2**n - 2 <= cfg.shap_samples \
         else _sampled_shap_design(n, cfg.shap_samples, cfg.seed)
@@ -314,11 +291,11 @@ def normalized(attrs):
 
 def degenerate(attrs):
     """Whether each attribution ranks no token above another: its |s| is
-    all zero, or constant within a relative tolerance of 1e-9 (GRAD on a
-    mean-pooled model, whose tokens all share one gradient)."""
+    all zero, or constant within a relative tolerance of ``TIE`` (GRAD on
+    a mean-pooled model, whose tokens all share one gradient)."""
     s = np.abs(np.array([attr.scores for attr in attrs], dtype=float))
     top = s.max(axis=1)
-    return (top - s.min(axis=1) <= 1e-9 * top).tolist()
+    return (top - s.min(axis=1) <= TIE * top).tolist()
 
 
 _EXPLAINERS = {"GRAD": _grad, "GXI": _grad_x_input,

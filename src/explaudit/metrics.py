@@ -193,7 +193,14 @@ def sensitivity(model, seq, attr, cfg=None, points=None):
 
 
 def _body(rows):
-    """``rows`` rounded up to a multiple of 4 (see ``score_input``)."""
+    """``rows`` rounded up to a multiple of 4. OpenBLAS computes a
+    product's 4-row body with one kernel and its ``rows % 4`` tail rows
+    with others, and a row's bits depend only on which of the two it is
+    in (numpy 2.4.6, scipy-openblas 0.3.31), so rows padded into the body
+    keep their bits whatever rows share the call. (On SkylakeX, where a
+    product's output has 1 to 4 columns past a multiple of 8 and its
+    inner size is 16 or more, the kernel also changes near 10^6
+    multiply-adds; the default 16 x 32 classifier has no such product.)"""
     return rows + -rows % 4
 
 
@@ -216,9 +223,11 @@ def score_input(model, seq, attrs, metrics, cfg=None, seed=None):
     threshold masks, pooled as ``mask @ X / n``, then the soft rows. Both
     the pooling product and the forward are padded to a multiple of 4
     rows, so every row goes through a BLAS product's 4-row body (see
-    ``attrib._distinct_rows``): a cell's bits depend only on the input,
-    its attribution and the seed, not on the cells scored with it
-    (checked on the SkylakeX, Haswell, Sandybridge and Prescott kernels).
+    ``_body``): a cell's bits depend only on the input, its attribution
+    and the seed, not on the cells scored with it (checked on the
+    SkylakeX, Haswell, Sandybridge and Prescott kernels). An AOPC mask
+    removes the tokens whose normalized score is within ``attrib.TIE``
+    of a threshold or above it, so tied top tokens go together.
     """
     cfg = cfg or MetricConfig()
     unknown = set(metrics) - set(METRICS)
@@ -257,7 +266,8 @@ def score_input(model, seq, attrs, metrics, cfg=None, seed=None):
     masks = np.zeros((soft_start, n))
     masks[0] = 1.0
     if aopc:  # comprehensiveness keeps the tokens below each threshold
-        below = norms[:, None] < np.asarray(cfg.thresholds)[:, None]
+        below = norms[:, None] < np.asarray(cfg.thresholds)[:, None] \
+            - attrib.TIE
         masks[1:aopc_end] = np.concatenate([
             below[k] if metrics[i] == "comprehensiveness" else ~below[k]
             for k, i in aopc])

@@ -171,10 +171,19 @@ def _load_summary(report_dir):
     try:
         methods = config["config"]["methods"]
         metrics = config["config"]["metrics"]
+        if not (isinstance(methods, list) and isinstance(metrics, list)):
+            raise TypeError("not lists")
     except (KeyError, TypeError) as e:
         raise DataError("malformed report dir: config.json has no "
-                        "config.methods and config.metrics") from e
-    return methods, metrics, _read_json(report_dir, "aggregate.json")
+                        "config.methods and config.metrics lists") from e
+    aggregate = _read_json(report_dir, "aggregate.json")
+    if not isinstance(aggregate, dict) or not isinstance(
+            aggregate.get("cells"), list):
+        raise DataError("malformed report dir: aggregate.json has no cells")
+    if len(aggregate.get("subgroups", ())) != 2:
+        raise DataError("malformed report dir: aggregate.json has no "
+                        "subgroup labels")
+    return methods, metrics, aggregate
 
 
 def render(report_dir, fmt="table", out_dir=None):
@@ -187,8 +196,6 @@ def render(report_dir, fmt="table", out_dir=None):
     if fmt not in ("table", "svg"):
         raise ConfigError(f"unknown report format: {fmt}")
     methods, metrics, aggregate = _load_summary(report_dir)
-    if len(aggregate.get("subgroups", ())) != 2:
-        raise DataError("malformed aggregate.json: no subgroup labels")
     label_a, label_b = aggregate["subgroups"]
 
     if fmt == "table":

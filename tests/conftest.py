@@ -366,8 +366,8 @@ def reference_full_rows(method, model, X, target, cfg):
     """LIME or sampled KernelSHAP scores from one query of every mask row
     of the memoized design (for KernelSHAP: the full and the empty
     coalition, then the sampled ones), then the design's map.
-    ``attrib.explain``, which queries each distinct row once, must
-    reproduce it bit for bit."""
+    ``attrib.explain``, which queries each distinct row once, must agree
+    with it to rounding."""
     X = np.asarray(X, dtype=float)
     n = X.shape[-2]
     if method == "LIME":
@@ -387,12 +387,10 @@ def _reference_probs(model, X, masks, target):
 
 
 def reference_surrogate(method, model, X, target, cfg):
-    """LIME or KernelSHAP scores as first written: every mask row queried,
-    then one ``np.linalg.solve`` per input of LIME's ridge normal
-    equations or of KernelSHAP's KKT system, exact coalitions listed by
-    size as ``combinations`` gives them, and one token fixed by the
-    efficiency constraint alone. ``attrib.explain``'s fitted map must
-    agree with it to rounding."""
+    """LIME or sampled KernelSHAP scores as first written: every mask row
+    queried, then one ``np.linalg.solve`` per input of LIME's ridge
+    normal equations or of KernelSHAP's KKT system. ``attrib.explain``'s
+    fitted map must agree with it to rounding."""
     X = np.asarray(X, dtype=float)
     n = X.shape[-2]
     if method == "LIME":
@@ -406,23 +404,14 @@ def reference_surrogate(method, model, X, target, cfg):
         return np.linalg.solve(system, (A.T * w @ y[..., None]))[..., 1:, 0]
     full = _reference_probs(model, X, np.ones((1, n)), target)[..., 0]
     empty = _reference_probs(model, X, np.zeros((1, n)), target)[..., 0]
-    if n == 1:
-        return (full - empty)[..., None]
-    if 2**n - 2 <= cfg.shap_samples:
-        Z = np.array([[1.0 if i in c else 0.0 for i in range(n)]
-                      for k in range(1, n) for c in combinations(range(n), k)])
-        w = np.array([attrib._shap_kernel_weight(n, int(z.sum()))
-                      for z in Z])
-    else:
-        Z = attrib._sampled_coalitions(n, cfg.shap_samples,
-                                       np.random.default_rng(cfg.seed))
-        w = np.ones(len(Z))
+    Z = attrib._sampled_coalitions(n, cfg.shap_samples,
+                                   np.random.default_rng(cfg.seed))
     kkt = np.zeros((n + 1, n + 1))
-    kkt[:n, :n] = Z.T * w @ Z + 1e-10 * np.eye(n)
+    kkt[:n, :n] = Z.T @ Z + 1e-10 * np.eye(n)
     kkt[:n, n] = 0.5
     kkt[n, :n] = 1.0
     y = _reference_probs(model, X, Z, target) - empty[..., None]
-    rhs = np.concatenate([Z.T * w @ y[..., None],
+    rhs = np.concatenate([Z.T @ y[..., None],
                           (full - empty)[..., None, None]], axis=-2)
     return np.linalg.solve(kkt, rhs)[..., :n, 0]
 

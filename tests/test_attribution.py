@@ -1,5 +1,3 @@
-from itertools import combinations
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,26 +214,14 @@ class TestKernelShap:
         assert a.scores == pytest.approx([0.25], abs=1e-9)
 
     def test_exact_coalitions_match_combinations(self, rng):
-        # reference: the KKT solve over the itertools construction, row by
-        # row, on random values of every coalition (indexed by bit code)
-        for n in range(2, 12):
-            Z_ref = np.array([[1.0 if i in c else 0.0 for i in range(n)]
-                              for k in range(1, n)
-                              for c in combinations(range(n), k)])
-            w_ref = np.array([attrib._shap_kernel_weight(n, int(z.sum()))
-                              for z in Z_ref])
-            kkt = np.zeros((n + 1, n + 1))
-            kkt[:n, :n] = Z_ref.T * w_ref @ Z_ref + 1e-10 * np.eye(n)
-            kkt[:n, n] = 0.5
-            kkt[n, :n] = 1.0
+        # the exact design's map on random values of every coalition
+        # (indexed by bit code) against the Shapley formula, token by token
+        for n in range(1, 12):
             v = rng.uniform(0, 1, 2**n)
-            full, empty = v[-1], v[0]
-            coalition = v[(Z_ref @ 2 ** np.arange(n)).astype(int)]
-            want = np.linalg.solve(kkt, np.append(
-                Z_ref.T * w_ref @ (coalition - empty), full - empty))[:n]
             rows, inverse, W = attrib._exact_shap_design(n)
             codes = (rows[inverse] @ 2 ** np.arange(n)).astype(int)
-            assert np.allclose(W @ v[codes], want, rtol=0, atol=1e-12)
+            assert np.allclose(W @ v[codes], shapley_from_values(v, n),
+                               rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 11])
     def test_exact_design_queries_each_coalition_once(self, n):
@@ -359,6 +345,12 @@ class TestWeightedRidge:
                                        shap_samples=samples, seed=4)
         X = rng.uniform(-1, 1, (3, n, 3) if stacked else (n, 3))
         got = attrib.explain(method, model, X, 1, cfg).scores
+        if method == "SHAP" and 2**n - 2 <= samples:  # exact Shapley values
+            want = np.array([shapley_from_values(
+                all_coalition_probs(model, x), n)
+                for x in X.reshape(-1, n, 3)])
+            assert np.allclose(got.reshape(-1, n), want, rtol=0, atol=1e-14)
+            return
         want = reference_surrogate(method, model, X, 1, cfg)
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=0, atol=1e-12)
@@ -443,16 +435,7 @@ class TestPreparedDesign:
 
 class TestDistinctRows:
     """LIME and sampled KernelSHAP query each distinct mask row once and
-    read the values back per mask row, with the bits of a query of every
-    row: the measured OpenBLAS build rounds a row by whether it falls in
-    a product's 4-row body or its ``rows % 4`` tail, so the distinct body
-    rows are padded to a multiple of 4 and the tail rows are queried
-    last, unchanged."""
-
-    BLAS_RULE = ("distinct-row query differs from the query of every row: "
-                 "if the scores agree to ~1e-15, this BLAS does not round "
-                 "rows by the 4-row body/tail rule (see "
-                 "attribution._distinct_rows), not a logic error")
+    read the values back per mask row."""
 
     MODELS = {
         "tiny": lambda rng: random_tiny_model(rng),
@@ -476,35 +459,27 @@ class TestDistinctRows:
         got = attrib.explain(method, model, X, 1, cfg).scores
         want = reference_full_rows(method, model, X, 1, cfg)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
-        assert np.array_equal(got, want), self.BLAS_RULE
         if method == "LIME":
-            rows, _, _ = attrib._lime_design(
+            rows, inverse, _ = attrib._lime_design(
                 n, samples, cfg.lime_kernel_width, cfg.seed, cfg.ridge)
-            queried = samples
         else:
-            rows, _, _ = attrib._sampled_shap_design(n, samples, cfg.seed)
-            queried = samples + 2  # f(x) and f(empty) come first
-        body = len(rows) - queried % 4
-        assert len(rows) < samples and body % 4 == 0
-        assert len(np.unique(rows[:body], axis=0)) > body - 4
+            rows, inverse, _ = attrib._sampled_shap_design(
+                n, samples, cfg.seed)
+        assert len(rows) < len(inverse)
+        assert len(np.unique(rows[inverse], axis=0)) == len(rows)
+        assert len(np.unique(rows, axis=0)) == len(rows)
 
     @pytest.mark.parametrize("samples, n", [
         (1000, 8), (1003, 8), (3, 5), (4, 1), (400, 60), (402, 60)])
     def test_rows_cover_every_mask_row(self, rng, samples, n):
-        # n = 60 spans two 52-bit code words; rows repeat within and
-        # across the body and tail
+        # n = 60 spans two 52-bit code words; rows repeat
         Z = (rng.random((samples, n)) < 0.5).astype(float)
         Z[samples // 2:] = Z[:samples - samples // 2]
         Z[:, 10:50] = 1.0
         rows, inverse = attrib._distinct_rows(Z)
         assert np.array_equal(rows[inverse], Z)
-        tail = samples % 4
-        body = len(rows) - tail
-        assert body % 4 == 0
-        assert np.array_equal(rows[body:], Z[samples - tail:])
-        distinct = np.unique(Z[:samples - tail], axis=0)
-        assert body - 4 < len(distinct) <= body
-        assert len(np.unique(rows[:body], axis=0)) == len(distinct)
+        assert len(rows) == len(np.unique(Z, axis=0))
+        assert len(np.unique(rows, axis=0)) == len(rows)
         assert not rows.flags.writeable and not inverse.flags.writeable
 
 

@@ -317,6 +317,33 @@ class TestReportCommand:
                               lambda text: text[:len(text) // 2], capsys)
         assert "aggregate.json is not JSON" in err
 
+    def test_aggregate_without_cells_exit_2(self, audit_dir, tmp_path,
+                                            capsys):
+        def drop_cells(text):
+            aggregate = json.loads(text)
+            del aggregate["cells"]
+            return json.dumps(aggregate)
+
+        err = self._malformed(audit_dir, tmp_path, "aggregate.json",
+                              drop_cells, capsys)
+        assert "aggregate.json has no cells" in err
+
+    def test_aggregate_list_exit_2(self, audit_dir, tmp_path, capsys):
+        err = self._malformed(audit_dir, tmp_path, "aggregate.json",
+                              lambda text: "[" + text + "]", capsys)
+        assert "aggregate.json has no cells" in err
+
+    def test_config_methods_string_exit_2(self, audit_dir, tmp_path,
+                                          capsys):
+        def methods_string(text):
+            config = json.loads(text)
+            config["config"]["methods"] = "GXI"
+            return json.dumps(config)
+
+        err = self._malformed(audit_dir, tmp_path, "config.json",
+                              methods_string, capsys)
+        assert "config.methods" in err
+
     def test_svg_scores_without_header_exit_2(self, audit_dir, tmp_path,
                                               capsys):
         err = self._malformed(audit_dir, tmp_path, "scores.csv",

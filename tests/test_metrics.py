@@ -111,6 +111,19 @@ class TestAopcSufficiency:
         assert v == pytest.approx(0.3, abs=1e-9)
 
 
+class TestAopcTies:
+    @pytest.mark.parametrize("metric", ["comprehensiveness", "sufficiency"])
+    def test_top_scores_one_ulp_apart_count_as_tied(self, metric):
+        # both top tokens carry effect, so removing one of them alone at
+        # threshold 1.0 would move the value
+        model = planted_token_model([0.3, 0.2, 0.0])
+        X = indicator_embeddings(3)
+        tied = met.evaluate(metric, model, X, _attr([1.0, 1.0, 0.2]))
+        apart = met.evaluate(metric, model, X,
+                             _attr([1.0, np.nextafter(1.0, 0.0), 0.2]))
+        assert tied == apart
+
+
 class TestSoftMetrics:
     def test_retain_everything(self, rng):
         model = random_tiny_model(rng)
