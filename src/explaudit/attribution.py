@@ -11,7 +11,9 @@ and KernelSHAP are linear in the model outputs they fit: each design
 or all 2^n coalitions for exact Shapley values in closed form) is built
 once per (n, config) with one read-only map ``W``, and both explain as
 ``W @ p(rows)`` through ``_surrogate``, querying each distinct mask row
-once (``_distinct_rows``). All methods also accept raw (..., n, d)
+once (``_distinct_rows``) with ``textmodel.masked_probs``, which folds
+the mean pool into the first layer and builds no pooled rows. All
+methods also accept raw (..., n, d)
 embeddings so that robustness search can re-explain a stack of perturbed
 inputs, each slice bit for bit as its own 2-D call (checked on the
 SkylakeX, Haswell, Sandybridge and Prescott kernels). ``degenerate``
@@ -71,7 +73,8 @@ def resolve_input(model, seq):
 
 
 def _masked_probs(model, X, rows, target, inverse):
-    """Model probability of target for each binary token mask ``rows``,
+    """Model probability of target for each binary token mask ``rows``
+    (``textmodel.masked_probs``, one first-layer product per input),
     read back at the row indices ``inverse``, as a contiguous
     (..., len(inverse)) array.
 
@@ -80,9 +83,7 @@ def _masked_probs(model, X, rows, target, inverse):
     (R, n, d) explain."""
     out = np.empty(X.shape[:-2] + (len(inverse),))
     for idx in np.ndindex(X.shape[:-3]):
-        pooled = rows @ X[idx]
-        pooled /= X.shape[-2]
-        probs = textmodel.forward_pooled(model, pooled)[0][..., target]
+        probs = textmodel.masked_probs(model, X[idx], rows, target)
         # in range; mode "raise" would gather into a temporary
         probs.take(inverse, axis=-1, out=out[idx], mode="clip")
     return out

@@ -102,7 +102,8 @@ def gini_index(attr):
 
 def _row_scores(metric, attrs, cfg=None):
     """``sparsity`` or ``gini_index`` of each attribution, row by row on
-    one array of |s|, each row reduced as alone: the bits are the same."""
+    one array of |s|, each row reduced as alone: the bits are the same
+    (checked on the SkylakeX, Haswell, Sandybridge and Prescott kernels)."""
     a = np.abs(np.array([attr.scores for attr in attrs], dtype=float))
     if metric == "sparsity":
         return np.mean(a >= (cfg or MetricConfig()).sparsity_tau, 1).tolist()
@@ -197,7 +198,8 @@ def _body(rows):
     product's 4-row body with one kernel and its ``rows % 4`` tail rows
     with others, and a row's bits depend only on which of the two it is
     in (numpy 2.4.6, scipy-openblas 0.3.31), so rows padded into the body
-    keep their bits whatever rows share the call. (On SkylakeX, where a
+    keep their bits whatever rows share the call; that is checked on the
+    SkylakeX, Haswell, Sandybridge and Prescott kernels. (On SkylakeX, where a
     product's output has 1 to 4 columns past a multiple of 8 and its
     inner size is 16 or more, the kernel also changes near 10^6
     multiply-adds; the default 16 x 32 classifier has no such product.)"""

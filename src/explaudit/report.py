@@ -183,6 +183,14 @@ def _load_summary(report_dir):
     if len(aggregate.get("subgroups", ())) != 2:
         raise DataError("malformed report dir: aggregate.json has no "
                         "subgroup labels")
+    if "n_runs" not in aggregate:
+        raise DataError("malformed report dir: aggregate.json has no n_runs")
+    keys = {"method", "metric", "cell", "significant_runs",
+            "considerable_runs", "direction"}  # what the table reads
+    if not all(isinstance(c, dict) and keys <= c.keys()
+               for c in aggregate["cells"]):
+        raise DataError("malformed report dir: an aggregate.json cell is "
+                        "not an object with keys " + ", ".join(sorted(keys)))
     return methods, metrics, aggregate
 
 

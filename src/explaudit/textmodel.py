@@ -7,6 +7,9 @@ attribution methods rely on. Every model query is a function of the
 pooled vector: ``forward_pooled`` and ``pooled_grad`` take pooled rows
 with any leading axes, (..., d), and so does a duck-typed model's own
 ``pooled_forward`` and ``pooled_grad``, which stand in for the MLP.
+Masked-input queries (LIME's and KernelSHAP's mask rows) skip the
+pooled rows: pooling is linear, so ``masked_probs`` folds it into the
+first layer, ``[masks | 1] @ [X @ w1 / n ; b1]``, one product per input.
 """
 
 from __future__ import annotations
@@ -150,7 +153,8 @@ def _softmax(logits):
     The row max and row sum run over the class columns one at a time,
     which is cheaper than a numpy reduction over a short axis. For fewer
     than 8 classes numpy adds in that same order, so the bits equal
-    ``e / e.sum(axis=-1)``.
+    ``e / e.sum(axis=-1)`` (checked on the SkylakeX, Haswell, Sandybridge
+    and Prescott kernels).
     """
     classes = range(1, logits.shape[-1])
     top = logits[..., 0].copy()
@@ -169,7 +173,8 @@ def _hidden_logits(pooled, w1, b1, w2, b2):
     """tanh hidden layer and logits, computed in one (rows, h) buffer.
 
     A second live (rows, h) temporary would land on fresh pages on large
-    batches and cost page faults; in place, the bits are the same.
+    batches and cost page faults; in place, the bits are the same
+    (checked on the SkylakeX, Haswell, Sandybridge and Prescott kernels).
     """
     hidden = pooled @ w1
     hidden += b1
@@ -191,6 +196,40 @@ def forward_pooled(model, pooled):
     _, logits = _hidden_logits(pooled, model.w1, model.b1, model.w2,
                                model.b2)
     return _softmax(logits), logits
+
+
+def masked_probs(model, X, masks, target):
+    """p(target) of X (..., n, d) under each binary token mask row of
+    ``masks`` (rows, n), shape (..., rows), without pooled rows.
+
+    Pooling is linear, so the first layer folds into one product,
+    ``[masks | 1] @ [X @ w1 / n ; b1]``; then ``tanh`` in place, and
+    ``p_t = 1 / sum_c exp(l_c - l_t)`` from the logit differences
+    ``hidden @ (w2 - w2[:, t]) + (b2 - b2[t])``, any class count. A
+    logit gap past exp's range gives p = 0, the limit. A duck-typed
+    model's own ``pooled_forward`` is used on ``masks @ X / n``.
+    """
+    n = X.shape[-2]
+    custom = getattr(model, "pooled_forward", None)
+    if custom is not None:
+        pooled = masks @ X
+        pooled /= n
+        return custom(pooled)[0][..., target]
+    first = np.empty(X.shape[:-2] + (n + 1, len(model.b1)))
+    np.matmul(X, model.w1, out=first[..., :n, :])
+    first[..., :n, :] /= n
+    first[..., n, :] = model.b1
+    masks1 = np.empty((len(masks), n + 1))  # [masks | 1]
+    masks1[:, :n] = masks
+    masks1[:, n] = 1.0
+    hidden = masks1 @ first
+    np.tanh(hidden, out=hidden)
+    gaps = hidden @ (model.w2 - model.w2[:, target, None])
+    gaps += model.b2 - model.b2[target]
+    with np.errstate(over="ignore"):
+        np.exp(gaps, out=gaps)
+    total = gaps @ np.ones(gaps.shape[-1])
+    return np.reciprocal(total, out=total)
 
 
 def forward(model, embeddings):

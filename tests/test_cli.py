@@ -333,6 +333,40 @@ class TestReportCommand:
                               lambda text: "[" + text + "]", capsys)
         assert "aggregate.json has no cells" in err
 
+    def test_aggregate_without_n_runs_exit_2(self, audit_dir, tmp_path,
+                                             capsys):
+        def drop_n_runs(text):
+            aggregate = json.loads(text)
+            del aggregate["n_runs"]
+            return json.dumps(aggregate)
+
+        err = self._malformed(audit_dir, tmp_path, "aggregate.json",
+                              drop_n_runs, capsys)
+        assert "aggregate.json has no n_runs" in err
+
+    @pytest.mark.parametrize("key", ["cell", "method", "metric"])
+    def test_aggregate_cell_without_key_exit_2(self, audit_dir, tmp_path,
+                                               capsys, key):
+        def drop_key(text):
+            aggregate = json.loads(text)
+            del aggregate["cells"][-1][key]
+            return json.dumps(aggregate)
+
+        err = self._malformed(audit_dir, tmp_path, "aggregate.json",
+                              drop_key, capsys)
+        assert "aggregate.json cell is not an object" in err
+
+    def test_aggregate_cells_hold_non_object_exit_2(self, audit_dir,
+                                                    tmp_path, capsys):
+        def add_number(text):
+            aggregate = json.loads(text)
+            aggregate["cells"].append(3)
+            return json.dumps(aggregate)
+
+        err = self._malformed(audit_dir, tmp_path, "aggregate.json",
+                              add_number, capsys)
+        assert "aggregate.json cell is not an object" in err
+
     def test_config_methods_string_exit_2(self, audit_dir, tmp_path,
                                           capsys):
         def methods_string(text):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -324,6 +325,58 @@ class TestForwardMatchesReference:
             assert np.array_equal(
                 tm.pooled_grad(model, pooled, target),
                 reference_pooled_grad(model, pooled, target))
+
+
+class TestMaskedProbs:
+    """The masked-input query folds pooling into the first layer and reads
+    p(target) from logit differences; it agrees with a forward pass on
+    the pooled rows ``masks @ X / n``."""
+
+    @staticmethod
+    def _masks(rng, n):
+        return (rng.random((37, n)) < 0.5).astype(float)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_agrees_with_forward_pooled(self, rng, stacked, n_classes):
+        model = _mlp(rng, n_classes=n_classes)
+        model.w1 *= 0.25  # logits of order one, so rounding stays relative
+        model.w2 *= 0.25
+        n = 9
+        X = rng.normal(size=(4, n, 16) if stacked else (n, 16))
+        masks = self._masks(rng, n)
+        probs = tm.forward_pooled(model, masks @ X / n)[0]
+        for target in range(n_classes):
+            got = tm.masked_probs(model, X, masks, target)
+            assert got.shape == X.shape[:-2] + (len(masks),)
+            assert np.allclose(got, probs[..., target], atol=0,
+                               rtol=16 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_extreme_logits_finite(self, rng, n_classes):
+        model = _mlp(rng, n_classes=n_classes)
+        model.w2 *= 1e4  # logit gaps far past exp's range
+        n = 6
+        X = rng.normal(size=(n, 16))
+        masks = self._masks(rng, n)
+        probs = tm.forward_pooled(model, masks @ X / n)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.array([tm.masked_probs(model, X, masks, t)
+                            for t in range(n_classes)]).T
+        assert np.all(np.isfinite(got))
+        assert np.any(got == 0.0) and np.any(got == 1.0)
+        assert np.allclose(got, probs, rtol=0, atol=1e-12)
+
+    def test_duck_model_uses_pooled_forward(self, rng):
+        model = LinearPooledModel(rng.uniform(-0.1, 0.1, 3), base=0.5)
+        n = 5
+        X = rng.uniform(-1, 1, (2, n, 3))
+        masks = self._masks(rng, n)
+        for target in (0, 1):
+            want = model.pooled_forward(masks @ X / n)[0][..., target]
+            assert np.array_equal(tm.masked_probs(model, X, masks, target),
+                                  want)
 
 
 class TestPredictAndPersistence:
