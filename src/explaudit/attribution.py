@@ -9,11 +9,12 @@ the mean of ``g`` over the path (one batched ``pooled_grad`` call). LIME
 and KernelSHAP are linear in the model outputs they fit: each design
 (LIME's masks, KernelSHAP's sampled coalitions with f(x) and f(empty),
 or all 2^n coalitions for exact Shapley values in closed form) is built
-once per (n, config) with one read-only map ``W``, and both explain as
-``W @ p(rows)`` through ``_surrogate``, querying each distinct mask row
-once (``_distinct_rows``) with ``textmodel.masked_probs``, which folds
-the mean pool into the first layer and builds no pooled rows. All
-methods also accept raw (..., n, d)
+once per (n, config) as its distinct rows and one read-only map ``W``
+over them: a least-squares fit over rows that repeat is the fit over the
+distinct rows (``_distinct_rows``) with each weight times the row's
+count. Both explain as ``W @ p(rows)`` through ``_surrogate``, with
+``textmodel.masked_probs``, which folds the mean pool into the first
+layer and builds no pooled rows. All methods also accept raw (..., n, d)
 embeddings so that robustness search can re-explain a stack of perturbed
 inputs, each slice bit for bit as its own 2-D call (checked on the
 SkylakeX, Haswell, Sandybridge and Prescott kernels). ``degenerate``
@@ -72,23 +73,6 @@ def resolve_input(model, seq):
     return X, [f"tok{i}" for i in range(X.shape[-2])]
 
 
-def _masked_probs(model, X, rows, target, inverse):
-    """Model probability of target for each binary token mask ``rows``
-    (``textmodel.masked_probs``, one first-layer product per input),
-    read back at the row indices ``inverse``, as a contiguous
-    (..., len(inverse)) array.
-
-    X of more than one leading axis is queried one leading slice, an
-    (R, n, d) block, at a time, so a query holds no more rows than one
-    (R, n, d) explain."""
-    out = np.empty(X.shape[:-2] + (len(inverse),))
-    for idx in np.ndindex(X.shape[:-3]):
-        probs = textmodel.masked_probs(model, X[idx], rows, target)
-        # in range; mode "raise" would gather into a temporary
-        probs.take(inverse, axis=-1, out=out[idx], mode="clip")
-    return out
-
-
 def _grad(model, X, target, cfg):
     g = textmodel.grad_wrt_embeddings_matrix(model, X, target)
     return np.linalg.norm(g, axis=-1)
@@ -141,20 +125,23 @@ def _fit_map(system, rhs):
 
 
 def _surrogate(model, X, target, design):
-    """Scores ``W @ p(rows)`` of a LIME or KernelSHAP design
-    ``(rows, inverse, W)``; a non-finite model output raises
+    """Scores ``W @ p(rows)`` of a LIME or KernelSHAP design ``(rows, W)``,
+    querying X one (R, n, d) block at a time, so that a query holds no
+    more rows than one (R, n, d) explain; a non-finite model output raises
     NumericalError."""
-    rows, inverse, W = design
-    y = _masked_probs(model, X, rows, target, inverse)
+    rows, W = design
+    y = np.empty(X.shape[:-2] + (len(rows),))
+    for idx in np.ndindex(X.shape[:-3]):
+        y[idx] = textmodel.masked_probs(model, X[idx], rows, target)
     if not np.all(np.isfinite(y)):
         raise NumericalError("non-finite model output in surrogate fit")
     return np.matmul(W, y[..., None])[..., 0]
 
 
 def _distinct_rows(Z):
-    """The distinct rows of mask rows ``Z`` and each mask row's index
-    among them, so that ``f(rows)[..., inverse]`` is ``f(Z)`` for a
-    row-wise model query ``f``; read-only. Rows are told apart by integer
+    """The distinct rows of mask rows ``Z`` and each one's count in ``Z``,
+    read-only: a least-squares fit over ``Z`` is the fit over the rows with
+    each weight times the row's count. Rows are told apart by integer
     codes of 52 bits per word, exact in a float product."""
     bit = np.arange(Z.shape[1])
     weights = np.zeros((len(bit), bit[-1] // 52 + 1))
@@ -166,25 +153,26 @@ def _distinct_rows(Z):
         _, inverse = np.unique(inverse * len(Z) + rank, return_inverse=True)
     distinct = np.empty(inverse.max() + 1, dtype=np.intp)
     distinct[inverse] = np.arange(len(Z))  # any row of each code will do
-    return _read_only(Z.take(distinct, axis=0), inverse)
+    return _read_only(Z.take(distinct, axis=0), np.bincount(inverse))
 
 
 @functools.lru_cache(maxsize=1)
 def _lime_design(n, samples, width, seed, ridge):
-    """LIME's masks ``Z`` as ``_distinct_rows(Z)`` and the map of their
+    """LIME's masks as their distinct ``rows`` and the map of the
     kernel-weighted ridge fit, ``inv(A.T * w @ A + ridge * P) @ (A.T * w)``
-    without the intercept row, where ``A = [1 | Z]`` and ``P`` leaves the
-    intercept unpenalized; read-only. One slot: the PGD search
-    re-explains one (n, config) at every step."""
-    rng = np.random.default_rng(seed)
-    Z = (rng.random((samples, n)) < 0.5).astype(float)
+    without the intercept row, where ``A = [1 | rows]``, ``w`` is the
+    kernel times each row's count and ``P`` leaves the intercept
+    unpenalized; read-only. One slot: the PGD search re-explains one
+    (n, config) at every step."""
+    Z = np.random.default_rng(seed).random((samples, n)) < 0.5
+    rows, counts = _distinct_rows(Z.astype(float))
     width = width or 0.75 * math.sqrt(n)
-    dist = n - Z @ np.ones(n)  # exact counts, like Z.sum(axis=1)
-    w = np.exp(-(dist**2) / width**2)
-    A = np.column_stack([np.ones(samples), Z])
+    dist = n - rows @ np.ones(n)  # exact integers, like rows.sum(axis=1)
+    w = counts * np.exp(-(dist**2) / width**2)
+    A = np.column_stack([np.ones(len(rows)), rows])
     AtW = A.T * w
     system = AtW @ A + ridge * np.diag([0.0] + [1.0] * n)
-    return (*_distinct_rows(Z), _fit_map(system, AtW)[1:])
+    return rows, _fit_map(system, AtW)[1:]
 
 
 def _lime(model, X, target, cfg):
@@ -236,29 +224,31 @@ def _exact_shap_design(n):
     size = bits.sum(axis=0)
     w = np.append([1 / (n * math.comb(n - 1, k)) for k in range(n)], 0.0)
     W = np.where(bits, w[size - 1], -w[size])
-    rows = np.ascontiguousarray(bits.T, dtype=float)
-    return _read_only(rows, np.arange(2**n), W)
+    return _read_only(bits.T.astype(float, order="C"), W)
 
 
 @functools.lru_cache(maxsize=1)
 def _sampled_shap_design(n, samples, seed):
-    """The design of ``samples`` sampled unit-weight coalitions ``Z``: the
-    ``_distinct_rows`` of its queries (full, empty, then ``Z``) and the
-    first n rows of ``inv(K) @ B``, with K the KKT matrix of the least
-    squares ``Z @ phi ~ f(Z) - f(empty)`` subject to ``sum(phi) = f(x) -
+    """The design of ``samples`` sampled unit-weight coalitions ``Z``: its
+    queries (full, empty, then the distinct rows of ``Z``) and the first n
+    rows of ``inv(K) @ B``, with K the KKT matrix of the least squares
+    ``Z @ phi ~ f(Z) - f(empty)`` subject to ``sum(phi) = f(x) -
     f(empty)`` and B the operator that builds its right-hand side from
-    the values. One slot."""
-    Z = _sampled_coalitions(n, samples, np.random.default_rng(seed))
+    the values. Each distinct row enters both by its integer count, so K
+    is ``Z.T @ Z`` bit for bit. One slot."""
+    rows, counts = _distinct_rows(
+        _sampled_coalitions(n, samples, np.random.default_rng(seed)))
+    Zc = rows.T * counts
     K = np.zeros((n + 1, n + 1))
-    K[:n, :n] = Z.T @ Z + 1e-10 * np.eye(n)
+    K[:n, :n] = Zc @ rows + 1e-10 * np.eye(n)
     K[:n, n] = 0.5
     K[n, :n] = 1.0
-    B = np.zeros((n + 1, samples + 2))
-    B[:n, 1] = -Z.sum(axis=0)
-    B[:n, 2:] = Z.T
+    B = np.zeros((n + 1, len(rows) + 2))
+    B[:n, 1] = -Zc.sum(axis=1)
+    B[:n, 2:] = Zc
     B[n, :2] = 1.0, -1.0
-    queries = np.concatenate([np.ones((1, n)), np.zeros((1, n)), Z])
-    return (*_distinct_rows(queries), _fit_map(K, B)[:n])
+    queries = np.concatenate([np.ones((1, n)), np.zeros((1, n)), rows])
+    return _read_only(queries, _fit_map(K, B)[:n])
 
 
 def _kernel_shap(model, X, target, cfg):

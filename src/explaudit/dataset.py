@@ -141,13 +141,10 @@ def load_paired(path, fmt="csv"):
     Errors (missing column or field, malformed JSONL line, duplicate
     pair/subgroup, empty text) name the offending line.
     """
-    pairs = {}
-    order = []
+    pairs = {}  # in order of first appearance
     for lineno, row in _rows(path, fmt):
         pid, sub = str(row["pair_id"]), str(row["subgroup"])
         text, label = str(row["text"]), str(row["label"])
-        if pid not in pairs:
-            order.append(pid)
         variants = pairs.setdefault(pid, {})
         if sub in variants:
             raise DataError(
@@ -155,8 +152,7 @@ def load_paired(path, fmt="csv"):
                 f"subgroup {sub!r}")
         variants[sub] = (text, label)
     records = []
-    for pid in order:
-        variants = pairs[pid]
+    for pid, variants in pairs.items():
         if len(variants) != 2:
             raise DataError(
                 f"{path}: pair {pid!r} has {len(variants)} variant(s), "

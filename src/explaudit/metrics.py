@@ -337,16 +337,24 @@ def write_scores_csv(samples, path, pair_ids=None):
 
 
 def read_scores_csv(path):
-    """The samples of a ``write_scores_csv`` table; DataError if its header
-    is not ``SCORE_HEADER``."""
+    """The samples of a ``write_scores_csv`` table; DataError, naming the
+    line, if its header is not ``SCORE_HEADER`` or a row is not five
+    fields with an empty (NaN) or finite value."""
     out = []
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != SCORE_HEADER:
+        reader = csv.reader(f)
+        if next(reader, None) != SCORE_HEADER:
             raise DataError(f"malformed report dir: {path} has no header "
                             + ",".join(SCORE_HEADER))
         for row in reader:
-            value = float(row["value"]) if row["value"] else float("nan")
-            out.append(ScoreSample(row["pair_id"], row["subgroup"],
-                                   row["method"], row["metric"], value))
+            try:
+                pair_id, subgroup, method, metric, value = row
+                value = float(value) if value else math.nan
+                if math.isinf(value):
+                    raise ValueError(value)
+            except ValueError:
+                raise DataError(
+                    f"malformed report dir: {path}:{reader.line_num} is not "
+                    "5 fields with an empty or finite value") from None
+            out.append(ScoreSample(pair_id, subgroup, method, metric, value))
     return out

@@ -159,6 +159,10 @@ def _read_json(report_dir, name):
                             f"{e}") from e
 
 
+def _names(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _load_summary(report_dir):
     """Check that every report file exists; return the method and metric
     lists and the aggregate."""
@@ -171,8 +175,8 @@ def _load_summary(report_dir):
     try:
         methods = config["config"]["methods"]
         metrics = config["config"]["metrics"]
-        if not (isinstance(methods, list) and isinstance(metrics, list)):
-            raise TypeError("not lists")
+        if not (_names(methods) and _names(metrics)):
+            raise TypeError("not lists of names")
     except (KeyError, TypeError) as e:
         raise DataError("malformed report dir: config.json has no "
                         "config.methods and config.metrics lists") from e
@@ -180,7 +184,8 @@ def _load_summary(report_dir):
     if not isinstance(aggregate, dict) or not isinstance(
             aggregate.get("cells"), list):
         raise DataError("malformed report dir: aggregate.json has no cells")
-    if len(aggregate.get("subgroups", ())) != 2:
+    labels = aggregate.get("subgroups")
+    if not (_names(labels) and len(labels) == 2):
         raise DataError("malformed report dir: aggregate.json has no "
                         "subgroup labels")
     if "n_runs" not in aggregate:

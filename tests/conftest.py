@@ -362,25 +362,6 @@ def reference_sampled_coalitions(n, samples, rng):
     return Z
 
 
-def reference_full_rows(method, model, X, target, cfg):
-    """LIME or sampled KernelSHAP scores from one query of every mask row
-    of the memoized design (for KernelSHAP: the full and the empty
-    coalition, then the sampled ones), then the design's map.
-    ``attrib.explain``, which queries each distinct row once, must agree
-    with it to rounding."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[-2]
-    if method == "LIME":
-        rows, inverse, W = attrib._lime_design(
-            n, cfg.lime_samples, cfg.lime_kernel_width, cfg.seed, cfg.ridge)
-    else:
-        rows, inverse, W = attrib._sampled_shap_design(
-            n, cfg.shap_samples, cfg.seed)
-    every = np.arange(len(inverse))
-    y = attrib._masked_probs(model, X, rows[inverse], target, every)
-    return np.matmul(W, y[..., None])[..., 0]
-
-
 def _reference_probs(model, X, masks, target):
     """Target-class probability of every mask row, per (n, d) slice."""
     return tm.forward_pooled(model, masks @ X / X.shape[-2])[0][..., target]

@@ -6,7 +6,7 @@ from conftest import (LinearPooledModel, ConstantModel, DeadInputModel,
                       clear_design_memos, exact_shapley, indicator_embeddings,
                       masked_prob, planted_token_model,
                       finite_diff_input_grad, random_tiny_model,
-                      all_coalition_probs, reference_full_rows,
+                      all_coalition_probs,
                       reference_sampled_coalitions, reference_surrogate,
                       shapley_from_values)
 from explaudit import attribution as attrib
@@ -218,8 +218,8 @@ class TestKernelShap:
         # (indexed by bit code) against the Shapley formula, token by token
         for n in range(1, 12):
             v = rng.uniform(0, 1, 2**n)
-            rows, inverse, W = attrib._exact_shap_design(n)
-            codes = (rows[inverse] @ 2 ** np.arange(n)).astype(int)
+            rows, W = attrib._exact_shap_design(n)
+            codes = (rows @ 2 ** np.arange(n)).astype(int)
             assert np.allclose(W @ v[codes], shapley_from_values(v, n),
                                rtol=0, atol=1e-14)
 
@@ -243,7 +243,7 @@ class TestKernelShap:
         for a in design:
             assert not a.flags.writeable
         with pytest.raises(ValueError):
-            design[2][0, 0] = 1.0
+            design[1][0, 0] = 1.0
 
     def test_sampled_rows_have_drawn_size(self):
         for n in (3, 12, 14, 18):
@@ -336,6 +336,7 @@ class TestWeightedRidge:
     @pytest.mark.parametrize("stacked", [False, True])
     @pytest.mark.parametrize("method, n, samples", [
         ("LIME", 1, 1000), ("LIME", 6, 1000), ("LIME", 13, 999),
+        ("LIME", 3, 1000), ("LIME", 8, 1000),  # most distinct rows repeat
         *[("SHAP", n, 2048) for n in range(1, 12)],
         ("SHAP", 12, 2048), ("SHAP", 15, 2047), ("SHAP", 6, 30)])
     def test_equals_per_input_solve(self, rng, method, n, samples,
@@ -435,7 +436,7 @@ class TestPreparedDesign:
 
 class TestDistinctRows:
     """LIME and sampled KernelSHAP query each distinct mask row once and
-    read the values back per mask row."""
+    fold each row's repeats into the fit's weights."""
 
     MODELS = {
         "tiny": lambda rng: random_tiny_model(rng),
@@ -457,17 +458,16 @@ class TestDistinctRows:
                                        shap_samples=samples, seed=5)
         X = rng.uniform(-1, 1, (3, n, d) if stacked else (n, d))
         got = attrib.explain(method, model, X, 1, cfg).scores
-        want = reference_full_rows(method, model, X, 1, cfg)
+        want = reference_surrogate(method, model, X, 1, cfg)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
         if method == "LIME":
-            rows, inverse, _ = attrib._lime_design(
+            rows, W = attrib._lime_design(
                 n, samples, cfg.lime_kernel_width, cfg.seed, cfg.ridge)
         else:
-            rows, inverse, _ = attrib._sampled_shap_design(
-                n, samples, cfg.seed)
-        assert len(rows) < len(inverse)
-        assert len(np.unique(rows[inverse], axis=0)) == len(rows)
+            rows, W = attrib._sampled_shap_design(n, samples, cfg.seed)
+        assert len(rows) < samples  # rows repeat at this length
         assert len(np.unique(rows, axis=0)) == len(rows)
+        assert W.shape == (n, len(rows))
 
     @pytest.mark.parametrize("samples, n", [
         (1000, 8), (1003, 8), (3, 5), (4, 1), (400, 60), (402, 60)])
@@ -476,11 +476,15 @@ class TestDistinctRows:
         Z = (rng.random((samples, n)) < 0.5).astype(float)
         Z[samples // 2:] = Z[:samples - samples // 2]
         Z[:, 10:50] = 1.0
-        rows, inverse = attrib._distinct_rows(Z)
-        assert np.array_equal(rows[inverse], Z)
+        rows, counts = attrib._distinct_rows(Z)
+        assert counts.sum() == len(Z) and np.all(counts >= 1)
         assert len(rows) == len(np.unique(Z, axis=0))
         assert len(np.unique(rows, axis=0)) == len(rows)
-        assert not rows.flags.writeable and not inverse.flags.writeable
+        # each row repeated by its count is Z up to the order of its rows
+        expanded = np.repeat(rows, counts, axis=0)
+        assert np.array_equal(expanded[np.lexsort(expanded.T)],
+                              Z[np.lexsort(Z.T)])
+        assert not rows.flags.writeable and not counts.flags.writeable
 
 
 class TestStackedInput:

@@ -385,6 +385,40 @@ class TestReportCommand:
                               fmt="svg")
         assert "pair_id,subgroup,method,metric,value" in err
 
+    @pytest.mark.parametrize("tail", [",high", "", ",inf"],
+                             ids=["non-numeric", "short", "infinite"])
+    def test_svg_scores_bad_row_exit_2(self, audit_dir, tmp_path, capsys,
+                                       tail):
+        def edit_line_2(text):  # the first row's value becomes ``tail``
+            header, row, rest = text.split("\n", 2)
+            return "\n".join([header, row.rsplit(",", 1)[0] + tail, rest])
+
+        err = self._malformed(audit_dir, tmp_path, "scores.csv", edit_line_2,
+                              capsys, fmt="svg")
+        assert "scores.csv:2 is not 5 fields with an empty or finite" in err
+
+    def test_aggregate_subgroups_string_exit_2(self, audit_dir, tmp_path,
+                                               capsys):
+        def subgroups_string(text):
+            aggregate = json.loads(text)
+            aggregate["subgroups"] = "AB"
+            return json.dumps(aggregate)
+
+        err = self._malformed(audit_dir, tmp_path, "aggregate.json",
+                              subgroups_string, capsys)
+        assert "aggregate.json has no subgroup labels" in err
+
+    def test_config_methods_not_names_exit_2(self, audit_dir, tmp_path,
+                                             capsys):
+        def methods_numbers(text):
+            config = json.loads(text)
+            config["config"]["methods"] = [1, 2]
+            return json.dumps(config)
+
+        err = self._malformed(audit_dir, tmp_path, "config.json",
+                              methods_numbers, capsys)
+        assert "config.methods" in err
+
     def test_svg_out_is_file_exit_1(self, audit_dir, tmp_path, capsys,
                                     monkeypatch):
         dest = tmp_path / "afile"
