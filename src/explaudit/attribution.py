@@ -14,11 +14,15 @@ over them: a least-squares fit over rows that repeat is the fit over the
 distinct rows (``_distinct_rows``) with each weight times the row's
 count. Both explain as ``W @ p(rows)`` through ``_surrogate``, with
 ``textmodel.masked_probs``, which folds the mean pool into the first
-layer and builds no pooled rows. All methods also accept raw (..., n, d)
-embeddings so that robustness search can re-explain a stack of perturbed
-inputs, each slice bit for bit as its own 2-D call (checked on the
-SkylakeX, Haswell, Sandybridge and Prescott kernels). ``degenerate``
-flags attributions that rank no token above another.
+layer and builds no pooled rows. Sibling gradient explainers share one
+model query: a slot per kind keeps the last gradient (GRAD and GXI) and
+the last IG path (IG and IGXI), and a call with the same bytes of X and
+of the model's weights, the same target and the same ``ig_steps`` reads
+it instead of asking the model again. All methods also accept raw
+(..., n, d) embeddings so that robustness search can re-explain a stack
+of perturbed inputs, each slice bit for bit as its own 2-D call (checked
+on the SkylakeX, Haswell, Sandybridge and Prescott kernels).
+``degenerate`` flags attributions that rank no token above another.
 """
 
 from __future__ import annotations
@@ -73,13 +77,38 @@ def resolve_input(model, seq):
     return X, [f"tok{i}" for i in range(X.shape[-2])]
 
 
+# The last query of each shared kind, "grad" and "ig", as (match, value);
+# a slot is replaced whole, so it never mixes two queries.
+_SHARED = {}
+
+
+def _shared(kind, query, model, X, target, *args):
+    """``query(model, X, target, *args)``, or its value from the last call
+    of ``kind`` if that call had the same target and ``args`` and the same
+    dtype, shape and bytes of X and of the model's weights, which are all
+    that a gradient query reads (compared as copies, so an array changed
+    in place never matches). A duck-typed model, whose state cannot be
+    compared, never shares; a query that raises stores nothing."""
+    if type(model) is not textmodel.ClassifierModel:
+        return query(model, X, target, *args)
+    match = (target, args) + tuple(
+        (a.dtype, a.shape, a.tobytes())
+        for a in (X, model.w1, model.b1, model.w2, model.b2))
+    slot = _SHARED.get(kind)
+    if slot is None or slot[0] != match:
+        slot = _SHARED[kind] = (match, query(model, X, target, *args))
+    return slot[1]
+
+
 def _grad(model, X, target, cfg):
-    g = textmodel.grad_wrt_embeddings_matrix(model, X, target)
+    g = _shared("grad", textmodel.grad_wrt_embeddings_matrix, model, X,
+                target)
     return np.linalg.norm(g, axis=-1)
 
 
 def _grad_x_input(model, X, target, cfg):
-    g = textmodel.grad_wrt_embeddings_matrix(model, X, target)
+    g = _shared("grad", textmodel.grad_wrt_embeddings_matrix, model, X,
+                target)
     return (g * X).sum(axis=-1)
 
 
@@ -98,11 +127,13 @@ def _ig_per_dim(model, X, target, steps):
 
 
 def _integrated_gradients(model, X, target, cfg):
-    return _ig_per_dim(model, X, target, cfg.ig_steps).sum(axis=-1)
+    return _shared("ig", _ig_per_dim, model, X, target, cfg.ig_steps) \
+        .sum(axis=-1)
 
 
 def _ig_x_input(model, X, target, cfg):
-    return (_ig_per_dim(model, X, target, cfg.ig_steps) * X).sum(axis=-1)
+    ig = _shared("ig", _ig_per_dim, model, X, target, cfg.ig_steps)
+    return (ig * X).sum(axis=-1)
 
 
 def _read_only(*arrays):

@@ -163,6 +163,21 @@ def _names(value):
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
+def _count(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _table_cell(cell):
+    """Whether an aggregate cell holds every value the table reads, each
+    of its type."""
+    return isinstance(cell, dict) and _names(
+        [cell.get("method"), cell.get("metric"), cell.get("cell")]) \
+        and "direction" in cell \
+        and isinstance(cell["direction"], (str, type(None))) \
+        and _count(cell.get("significant_runs")) \
+        and _count(cell.get("considerable_runs"))
+
+
 def _load_summary(report_dir):
     """Check that every report file exists; return the method and metric
     lists and the aggregate."""
@@ -188,14 +203,14 @@ def _load_summary(report_dir):
     if not (_names(labels) and len(labels) == 2):
         raise DataError("malformed report dir: aggregate.json has no "
                         "subgroup labels")
-    if "n_runs" not in aggregate:
-        raise DataError("malformed report dir: aggregate.json has no n_runs")
-    keys = {"method", "metric", "cell", "significant_runs",
-            "considerable_runs", "direction"}  # what the table reads
-    if not all(isinstance(c, dict) and keys <= c.keys()
-               for c in aggregate["cells"]):
+    if not _count(aggregate.get("n_runs")):
+        raise DataError("malformed report dir: aggregate.json has no n_runs "
+                        "count")
+    if not all(_table_cell(c) for c in aggregate["cells"]):
         raise DataError("malformed report dir: an aggregate.json cell is "
-                        "not an object with keys " + ", ".join(sorted(keys)))
+                        "not an object with string method, metric and cell, "
+                        "a string or null direction, and integer "
+                        "significant_runs and considerable_runs")
     return methods, metrics, aggregate
 
 

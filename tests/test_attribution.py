@@ -523,6 +523,91 @@ class TestStackedInput:
             assert np.array_equal(alone.scores, scores)
 
 
+class TestSharedQueries:
+    """Sibling gradient explainers share one model query per input: GRAD
+    and GXI one gradient, IG and IGXI one path. Every explain equals, bit
+    for bit, the explain of the same query with nothing shared."""
+
+    @staticmethod
+    def _model(seed):
+        # the classifier's sizes, with weights large enough that a
+        # product's last bits show in p
+        model = tm.init_model(
+            20, tm.ModelConfig(embed_dim=16, hidden_dim=32), seed=seed)
+        for name in ("w1", "b1", "w2", "b2"):
+            setattr(model, name, getattr(model, name) * 20)
+        return model
+
+    @staticmethod
+    def _alone(method, model, X, target, cfg):
+        attrib._SHARED.clear()
+        return attrib.explain(method, model, X, target, cfg).scores
+
+    @pytest.mark.parametrize("shape", [(), (3, 2)], ids=["2-D", "stack"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 11])
+    @pytest.mark.parametrize("order", [
+        attrib.METHODS, attrib.METHODS[::-1]], ids=["default", "reversed"])
+    def test_equals_explain_alone(self, rng, order, n, shape):
+        model = self._model(n)
+        X = rng.normal(size=shape + (n, 16))  # or (steps, restarts, n, d)
+        cfgs = {m: attrib.AttributionConfig(seed=seed)
+                for seed, m in enumerate(attrib.METHODS)}
+        attrib._SHARED.clear()
+        shared = {m: attrib.explain(m, model, X, 1, cfgs[m]).scores
+                  for m in order}
+        for m in order:
+            assert np.array_equal(shared[m],
+                                  self._alone(m, model, X, 1, cfgs[m]))
+
+    @pytest.mark.parametrize("change", [
+        "X in place", "weights in place", "other model", "other target",
+        "other ig_steps"])
+    @pytest.mark.parametrize("first, second", [
+        ("GRAD", "GXI"), ("IG", "IGXI")])
+    def test_changed_query_not_shared(self, rng, first, second, change):
+        model = self._model(1)
+        X = rng.normal(size=(8, 16))
+        cfg, target = attrib.AttributionConfig(), 1
+        attrib._SHARED.clear()
+        attrib.explain(first, model, X, target, cfg)
+        if change == "X in place":
+            X[2, 5] += 0.5
+        elif change == "weights in place":
+            model.w1[3, 7] += 0.5
+        elif change == "other model":
+            model = self._model(2)
+        elif change == "other target":
+            target = 0
+        else:
+            cfg = attrib.AttributionConfig(ig_steps=16)
+        shared = attrib.explain(second, model, X, target, cfg).scores
+        assert np.array_equal(shared,
+                              self._alone(second, model, X, target, cfg))
+
+    def test_one_query_per_sibling_pair(self, rng, monkeypatch):
+        calls = {"grad": 0, "pooled_grad": 0}
+
+        def count(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(tm, "grad_wrt_embeddings_matrix",
+                            count("grad", tm.grad_wrt_embeddings_matrix))
+        monkeypatch.setattr(tm, "pooled_grad",
+                            count("pooled_grad", tm.pooled_grad))
+        model, cfg = self._model(3), attrib.AttributionConfig()
+        X = rng.normal(size=(8, 16))
+        attrib._SHARED.clear()
+        for method in attrib.METHODS[2:4]:  # IG, IGXI
+            attrib.explain(method, model, X, 1, cfg)
+        assert calls == {"grad": 0, "pooled_grad": 1}
+        for method in attrib.METHODS[:2]:  # GRAD, GXI
+            attrib.explain(method, model, X, 1, cfg)
+        assert calls == {"grad": 1, "pooled_grad": 2}
+
+
 class TestDegenerate:
     def test_constant_or_zero_magnitudes(self):
         rows = ([0.0, 0.0, 0.0], [2.0, -2.0, 2.0], [1.0, 1.0 + 1e-12, 1.0],

@@ -356,6 +356,35 @@ class TestReportCommand:
                               drop_key, capsys)
         assert "aggregate.json cell is not an object" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("cell", 5), ("method", ["GRAD"]), ("direction", 1),
+        ("significant_runs", "7"), ("considerable_runs", 0.5),
+        ("significant_runs", True)])
+    def test_aggregate_cell_value_of_wrong_type_exit_2(
+            self, audit_dir, tmp_path, capsys, key, value):
+        def set_value(text):
+            aggregate = json.loads(text)
+            aggregate["cells"][-1][key] = value
+            return json.dumps(aggregate)
+
+        err = self._malformed(audit_dir, tmp_path, "aggregate.json",
+                              set_value, capsys)
+        assert "aggregate.json cell is not an object" in err
+
+    def test_aggregate_string_counts_exit_2(self, audit_dir, tmp_path,
+                                            capsys):
+        def string_counts(text):
+            aggregate = json.loads(text)
+            aggregate["n_runs"] = "x"
+            for cell in aggregate["cells"]:
+                cell["significant_runs"] = 7
+                cell["cell"] = "(7) 1.00±0.00"
+            return json.dumps(aggregate)
+
+        err = self._malformed(audit_dir, tmp_path, "aggregate.json",
+                              string_counts, capsys)
+        assert "aggregate.json has no n_runs count" in err
+
     def test_aggregate_cells_hold_non_object_exit_2(self, audit_dir,
                                                     tmp_path, capsys):
         def add_number(text):

@@ -36,7 +36,8 @@ def test_every_traced_boundary_resolves():
 def test_tracer_counts_every_explain(monkeypatch):
     # per test input: one explain per method, then six sensitivity cells,
     # each re-explaining its whole PGD path (every step and restart) in
-    # one call
+    # one call; GXI reads GRAD's gradient both times, so an input takes
+    # one gradient call per PGD step and two for the explains
     tracing = _load_tracing()
     for module, name, _ in tracing.BOUNDARIES:  # restored after the test
         monkeypatch.setattr(module, name, getattr(module, name))
@@ -57,3 +58,4 @@ def test_tracer_counts_every_explain(monkeypatch):
         assert counts[f"attribution.{method}_calls"] == inputs * 2
     assert counts["metrics.sensitivity_calls"] == inputs * 6
     assert counts["metrics.sensitivity_explain_calls"] == inputs * 6
+    assert counts["textmodel.grad_calls"] == inputs * (steps + 2)
