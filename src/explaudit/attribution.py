@@ -16,9 +16,9 @@ count. Both explain as ``W @ p(rows)`` through ``_surrogate``, with
 ``textmodel.masked_probs``, which folds the mean pool into the first
 layer and builds no pooled rows. Sibling gradient explainers share one
 model query: a slot per kind keeps the last gradient (GRAD and GXI) and
-the last IG path (IG and IGXI), and a call with the same bytes of X and
-of the model's weights, the same target and the same ``ig_steps`` reads
-it instead of asking the model again. All methods also accept raw
+the last IG path (IG and IGXI), and the next call with the same bytes of
+X and of the model's weights, the same target and the same ``ig_steps``
+takes it instead of asking the model again. All methods also accept raw
 (..., n, d) embeddings so that robustness search can re-explain a stack
 of perturbed inputs, each slice bit for bit as its own 2-D call (checked
 on the SkylakeX, Haswell, Sandybridge and Prescott kernels).
@@ -37,6 +37,7 @@ from . import textmodel
 from .errors import ConfigError, NumericalError
 
 METHODS = ("GRAD", "GXI", "IG", "IGXI", "LIME", "SHAP")
+GRADIENT_METHODS = METHODS[:4]  # read no seed: one call explains a stack
 TIE = 1e-9  # normalized scores closer than this rank as tied
 
 
@@ -77,24 +78,26 @@ def resolve_input(model, seq):
     return X, [f"tok{i}" for i in range(X.shape[-2])]
 
 
-# The last query of each shared kind, "grad" and "ig", as (match, value);
-# a slot is replaced whole, so it never mixes two queries.
+# The last query of each shared kind, "grad" and "ig", as (match, value),
+# until the next call of its kind takes it, so a slot holds no memory once
+# read; a slot is replaced whole, so it never mixes two queries.
 _SHARED = {}
 
 
 def _shared(kind, query, model, X, target, *args):
-    """``query(model, X, target, *args)``, or its value from the last call
-    of ``kind`` if that call had the same target and ``args`` and the same
-    dtype, shape and bytes of X and of the model's weights, which are all
-    that a gradient query reads (compared as copies, so an array changed
-    in place never matches). A duck-typed model, whose state cannot be
-    compared, never shares; a query that raises stores nothing."""
+    """``query(model, X, target, *args)``, or the value that the previous
+    call of ``kind`` queried, if that call had the same target and
+    ``args`` and the same dtype, shape and bytes of X and of the model's
+    weights, which are all that a gradient query reads (compared as
+    copies, so an array changed in place never matches). A value is taken
+    once. A duck-typed model, whose state cannot be compared, never
+    shares; a query that raises stores nothing."""
     if type(model) is not textmodel.ClassifierModel:
         return query(model, X, target, *args)
     match = (target, args) + tuple(
         (a.dtype, a.shape, a.tobytes())
         for a in (X, model.w1, model.b1, model.w2, model.b2))
-    slot = _SHARED.get(kind)
+    slot = _SHARED.pop(kind, None)
     if slot is None or slot[0] != match:
         slot = _SHARED[kind] = (match, query(model, X, target, *args))
     return slot[1]

@@ -8,14 +8,15 @@ class, and sensitivity also the method and config, from the attribution.
 
 Token "removal" is zero-embedding throughout, keeping sequence length
 fixed and matching the masking semantics of the surrogate explainers.
-``score_input`` scores every attribution of one input with every metric
-from one random draw per input: all soft cells share one uniform array,
-and all sensitivity cells one PGD search (one gradient call per step),
-each cell re-explaining the search's whole path in one call. p(X) and
-the masked queries of all faithfulness cells go into one forward call.
-``evaluate`` scores one attribution with one metric, with the bits of
-the same cell of ``score_input`` under the same seed (checked on the
-SkylakeX, Haswell, Sandybridge and Prescott kernels).
+``score_input`` scores every attribution of one input, or of each input
+of a same-length stack, with every metric from one random draw per
+input: its soft cells share one uniform array, and its sensitivity
+cells one PGD search (one gradient call per step), each cell
+re-explaining the search's whole path in one call. p(X) and the masked
+queries of all faithfulness cells go into one forward call. A cell has
+the bits of a one-cell ``evaluate`` under the same seed, whatever other
+cells and inputs are scored with it (checked on the SkylakeX, Haswell,
+Sandybridge and Prescott kernels).
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class MetricConfig:
             raise ConfigError("soft_samples must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class ScoreSample:
     pair_id: str
     subgroup: str
@@ -202,62 +203,86 @@ def _body(rows):
     SkylakeX, Haswell, Sandybridge and Prescott kernels. (On SkylakeX, where a
     product's output has 1 to 4 columns past a multiple of 8 and its
     inner size is 16 or more, the kernel also changes near 10^6
-    multiply-adds; the default 16 x 32 classifier has no such product.)"""
+    multiply-adds, as ``hidden @ w2`` of the default 16 x 32 classifier
+    does past about 15,600 rows. One input's rows stay far below that,
+    and a batch stacks its inputs rather than concatenating them, so no
+    product crosses the switch.)"""
     return rows + -rows % 4
 
 
-def score_input(model, seq, attrs, metrics, cfg=None, seed=None):
-    """Every metric in ``metrics`` of every attribution in ``attrs`` of one
-    input; returns ``values[k][i]`` for attribution k and metric i. All
-    attributions must explain the same class (else ConfigError).
+def scoring_rows(attributions, metrics, cfg):
+    """Rows of one input in ``score_input``'s forward call."""
+    aopc = sum(m in ("comprehensiveness", "sufficiency") for m in metrics)
+    soft = sum(m in SOFT_METRICS for m in metrics)
+    return _body(_body(1 + attributions * aopc * len(cfg.thresholds))
+                 + attributions * soft * cfg.soft_samples)
 
-    ``seed`` seeds the input's two random draws, in place of
-    ``cfg.soft_seed`` and ``cfg.pgd.seed``. The soft cells share one
-    (soft_samples, n, d) uniform draw: X' keeps each embedding element
+
+def score_input(model, seq, attrs, metrics, cfg=None, seed=None):
+    """Every metric in ``metrics`` of every attribution in ``attrs``, for
+    one input or a batch. One input (``seq`` a TokenSeq or (n, d)
+    embeddings, ``seed`` one seed) gives ``values[k][i]`` for attribution
+    k and metric i; a (b, n, d) stack, with one equally long list of
+    attributions and one seed (or None) per input, gives
+    ``values[p][k][i]`` for input p. All attributions must explain the
+    same class (else ConfigError).
+
+    ``seed`` seeds an input's two random draws, in place of
+    ``cfg.soft_seed`` and ``cfg.pgd.seed``. An input's soft cells share
+    one (soft_samples, n, d) uniform draw: X' keeps each embedding element
     whose draw lies below its token's retain probability
-    (comprehensiveness: 1 - normalized score; sufficiency: the
-    normalized score). The sensitivity cells share one PGD search
+    (comprehensiveness: 1 - normalized score; sufficiency: the normalized
+    score). An input's sensitivity cells share one PGD search
     (``_pgd_points``), and each is one ``evaluate`` call that re-explains
     the search's whole path in one call.
 
     The masked model queries of all faithfulness cells and p(X) go into
-    one forward call: the full input and each attribution's AOPC
-    threshold masks, pooled as ``mask @ X / n``, then the soft rows. Both
-    the pooling product and the forward are padded to a multiple of 4
-    rows, so every row goes through a BLAS product's 4-row body (see
-    ``_body``): a cell's bits depend only on the input, its attribution
-    and the seed, not on the cells scored with it (checked on the
-    SkylakeX, Haswell, Sandybridge and Prescott kernels). An AOPC mask
-    removes the tokens whose normalized score is within ``attrib.TIE``
-    of a threshold or above it, so tied top tokens go together.
+    one forward call over the (b, rows, d) stack of each input's rows: the
+    full input and each attribution's AOPC threshold masks, pooled as
+    ``mask @ X / n``, then the soft rows. Stacked products run BLAS once
+    per input with that input's own shapes, and each input's rows are
+    padded to a multiple of 4, so every row goes through a BLAS product's
+    4-row body (see ``_body``): a cell's bits depend neither on the other
+    cells nor on the other inputs of its batch (checked on the SkylakeX,
+    Haswell, Sandybridge and Prescott kernels). An AOPC mask removes the
+    tokens whose normalized score is within ``attrib.TIE`` of a threshold
+    or above it, so tied top tokens go together.
     """
     cfg = cfg or MetricConfig()
     unknown = set(metrics) - set(METRICS)
     if unknown:
         raise ConfigError(f"unknown metric: {sorted(unknown)}")
-    if len({attr.target_class for attr in attrs}) > 1:
-        raise ConfigError("attributions explain different classes")
-    column = {m: _row_scores(m, attrs, cfg) for m in ("sparsity", "gini")
-              if m in metrics and attrs}
-    values = [[column[m][k] if m in column else None for m in metrics]
-              for k in range(len(attrs))]
     X, _ = attrib.resolve_input(model, seq)
-    sens = [(k, i) for k in range(len(attrs))
+    lead, (n, d) = X.shape[:-2], X.shape[-2:]
+    rows, seeds = ([attrs], [seed]) if not lead else (
+        attrs, [None] * len(X) if seed is None else seed)
+    flat = [attr for row in rows for attr in row]
+    if len({attr.target_class for attr in flat}) > 1:
+        raise ConfigError("attributions explain different classes")
+    m = len(rows[0])
+    if any(len(row) != m for row in rows):
+        raise ConfigError("inputs have different numbers of attributions")
+    column = {metric: _row_scores(metric, flat, cfg)
+              for metric in ("sparsity", "gini") if metric in metrics and m}
+    values = [[[column[metric][p * m + k] if metric in column else None
+                for metric in metrics] for k in range(m)]
+              for p in range(len(rows))]
+    Xs = X.reshape(-1, n, d)
+    sens = [(k, i) for k in range(m)
             for i, metric in enumerate(metrics) if metric == "sensitivity"]
-    if sens:
-        path = _pgd_points(model, X, attrs[0].target_class, cfg.pgd,
-                           cfg.pgd.seed if seed is None else seed)
+    for p, s in enumerate(seeds if sens else ()):
+        path = _pgd_points(model, Xs[p], flat[0].target_class, cfg.pgd,
+                           cfg.pgd.seed if s is None else s)
         for k, i in sens:
-            values[k][i] = evaluate("sensitivity", model, seq, attrs[k], cfg,
-                                    points=path)
-    cells = [(k, i, metric) for k in range(len(attrs))
-             for i, metric in enumerate(metrics) if values[k][i] is None]
+            values[p][k][i] = evaluate("sensitivity", model, Xs[p],
+                                       rows[p][k], cfg, points=path)
+    cells = [(k, i, metric) for k in range(m)
+             for i, metric in enumerate(metrics) if values[0][k][i] is None]
     if not cells:
-        return values
+        return values if lead else values[0]
 
-    n, d = X.shape
-    j = attrs[0].target_class
-    norms = attrib.normalized(attrs)
+    j = flat[0].target_class
+    norms = attrib.normalized(flat).reshape(lead + (m, n))
     aopc = [(k, i) for k, i, metric in cells
             if metric in ("comprehensiveness", "sufficiency")]
     soft = [(k, i) for k, i, metric in cells if metric in SOFT_METRICS]
@@ -265,37 +290,43 @@ def score_input(model, seq, attrs, metrics, cfg=None, seed=None):
     aopc_end = 1 + len(aopc) * t  # row 0 is p(X), then the AOPC rows
     soft_start = _body(aopc_end)
     soft_end = soft_start + len(soft) * samples
-    masks = np.zeros((soft_start, n))
-    masks[0] = 1.0
+    masks = np.zeros(lead + (soft_start, n))
+    masks[..., 0, :] = 1.0
     if aopc:  # comprehensiveness keeps the tokens below each threshold
-        below = norms[:, None] < np.asarray(cfg.thresholds)[:, None] \
+        below = norms[..., None, :] < np.asarray(cfg.thresholds)[:, None] \
             - attrib.TIE
-        masks[1:aopc_end] = np.concatenate([
-            below[k] if metrics[i] == "comprehensiveness" else ~below[k]
-            for k, i in aopc])
-    pooled = np.zeros((_body(soft_end), d))
-    np.matmul(masks, X, out=pooled[:soft_start])
-    if soft:  # one draw, and two buffers that every cell reuses
-        u = np.random.default_rng(cfg.soft_seed if seed is None else seed) \
-            .random((samples, n, d))
+        masks[..., 1:aopc_end, :] = np.concatenate([
+            below[..., k, :, :] if metrics[i] == "comprehensiveness"
+            else ~below[..., k, :, :] for k, i in aopc], axis=-2)
+    pooled = np.zeros(lead + (scoring_rows(m, metrics, cfg), d))
+    np.matmul(masks, X, out=pooled[..., :soft_start, :])
+    if soft:  # one draw per input, and two buffers that every cell reuses
+        u = np.empty(lead + (samples, n, d))
+        for s, out in zip(seeds, u.reshape(-1, samples, n, d)):
+            np.random.default_rng(cfg.soft_seed if s is None else s) \
+                .random(out=out)
         kept = np.empty(u.shape, dtype=bool)
         masked = np.empty(u.shape)
-        for (k, i), out in zip(soft, pooled[soft_start:soft_end].reshape(
-                len(soft), samples, d)):
-            retain = norms[k] if metrics[i] == "soft_sufficiency" \
-                else 1.0 - norms[k]
-            np.less(u, retain[:, None], out=kept)
-            np.multiply(X, kept, out=masked)
-            np.add.reduce(masked, axis=1, out=out)
+        for c, (k, i) in enumerate(soft):
+            retain = norms[..., k, :] if metrics[i] == "soft_sufficiency" \
+                else 1.0 - norms[..., k, :]
+            np.less(u, retain[..., None, :, None], out=kept)
+            np.multiply(X[..., None, :, :], kept, out=masked)
+            start = soft_start + c * samples
+            np.add.reduce(masked, axis=-2,
+                          out=pooled[..., start:start + samples, :])
     pooled /= n
-    probs = textmodel.forward_pooled(model, pooled)[0][:, j]
-    drops = np.maximum(0.0, probs[0] - probs)
-    means = [*drops[1:aopc_end].reshape(len(aopc), t).mean(1),
-             *drops[soft_start:soft_end].reshape(len(soft), samples).mean(1)]
-    for (k, i), mean in zip(aopc + soft, means):
-        flip = metrics[i] == "soft_sufficiency"
-        values[k][i] = float(1.0 - mean if flip else mean)
-    return values
+    probs = textmodel.forward_pooled(model, pooled)[0][..., j]
+    drops = np.maximum(0.0, probs[..., :1] - probs)
+    means = np.concatenate([
+        drops[..., 1:aopc_end].reshape(lead + (len(aopc), t)).mean(-1),
+        drops[..., soft_start:soft_end].reshape(lead + (len(soft), samples))
+        .mean(-1)], axis=-1)
+    for row, row_means in zip(values, means.reshape(len(rows), -1).tolist()):
+        for (k, i), mean in zip(aopc + soft, row_means):
+            flip = metrics[i] == "soft_sufficiency"
+            row[k][i] = float(1.0 - mean if flip else mean)
+    return values if lead else values[0]
 
 
 def evaluate(metric, model, seq, attr, cfg=None, points=None):

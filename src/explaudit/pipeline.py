@@ -3,7 +3,9 @@
 One audit runs R independent repetitions. Each repetition splits the
 data, trains a fresh classifier, explains every test input once per
 attribution method, scores every explanation with every metric, and runs
-the subgroup disparity test per (method, metric) cell. A degenerate
+the subgroup disparity test per (method, metric) cell. Test inputs are
+explained and scored in batches of one length and one predicted class
+(``_score_batch``), with the bits of a per-input audit. A degenerate
 attribution (``attrib.degenerate``) keeps its scores but enters no test,
 and a cell where a subgroup keeps fewer than 2 scores is ``deg``, not
 tested. Aggregation reports, per cell, how many runs were significant,
@@ -33,6 +35,9 @@ from . import textmodel as tm
 from .errors import ConfigError, DataError
 
 DEFAULT_METRICS = met.METRICS[:-1]  # all but the PGD sensitivity search
+# Most scoring rows (``met.scoring_rows``) a batch of test inputs holds:
+# the rows of the exact-SHAP query at n = 11, the explainers' largest.
+BATCH_ROWS = 2**11
 
 
 @dataclass
@@ -205,32 +210,28 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
     model = tm.init_model(len(prep.vocab), cfg.model_cfg, seed=run_seed)
     model, train_log = tm.train(model, prep.train_data, train_cfg)
 
-    predictions = []
-    correct = 0
-    samples, tested = [], []
-    for pair_id, sub, text, lab in test_items:
+    predictions, correct, groups = [], 0, {}
+    for i, (pair_id, sub, text, lab) in enumerate(test_items):
         seq = tm.tokenize(prep.vocab, text)
-        X = tm.embed(model, seq)
-        pred = tm.forward(model, X)
+        pred = tm.forward(model, tm.embed(model, seq))
         correct += int(pred.predicted_class == label_idx[lab])
         predictions.append(stats.LabeledPrediction(
             subgroup=sub, true_label=label_idx[lab],
             predicted_label=pred.predicted_class, probs=pred.probs,
             pair_id=pair_id))
-        attrs = [attrib.explain(method, model, seq, pred.predicted_class,
-                                replace(cfg.attr_cfg, seed=_derive_seed(
-                                    run_seed, pair_id, sub, method)))
-                 for method in cfg.methods]
-        values = met.score_input(model, X, attrs, cfg.metrics,
-                                 cfg.metric_cfg,
-                                 _derive_seed(run_seed, pair_id, sub))
-        for method, row, flat in zip(cfg.methods, values,
-                                     attrib.degenerate(attrs)):
-            for metric, value in zip(cfg.metrics, row):
-                samples.append(met.ScoreSample(pair_id, sub, method, metric,
-                                               float(value)))
-                if not flat:
-                    tested.append(samples[-1])
+        groups.setdefault((seq.n, pred.predicted_class), []).append(i)
+    size = max(1, BATCH_ROWS // met.scoring_rows(
+        len(cfg.methods), cfg.metrics, cfg.metric_cfg))
+    scored = [None] * len(test_items)  # per item: samples, tested samples
+    # batches in the order of their first test item
+    for batch in sorted(g[s:s + size] for g in groups.values()
+                        for s in range(0, len(g), size)):
+        for i, result in zip(batch, _score_batch(
+                model, prep.vocab, [test_items[i] for i in batch],
+                predictions[batch[0]].predicted_label, cfg, run_seed)):
+            scored[i] = result
+    samples = [s for some, _ in scored for s in some]
+    tested = [s for _, some in scored for s in some]
     test_accuracy = correct / len(test_items)
 
     # label convention for TPR/TNR: subgroup A's own label when the task is
@@ -255,6 +256,50 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
                      disparity=disparity, bias=bias,
                      test_accuracy=test_accuracy, train_log=train_log,
                      subgroups=(sub_a, sub_b))
+
+
+def _score_batch(model, vocab, batch, target, cfg, run_seed):
+    """Explain and score test items ``(pair_id, subgroup, text, label)``
+    of one token length, predicted as class ``target``: per item, its
+    score samples and those of them that enter the disparity tests. Each
+    gradient explainer explains the (b, n, d) stack in one call, LIME and
+    KernelSHAP each input with its own seed. An input's sensitivity cells
+    are scored right after its explains, while its LIME and KernelSHAP
+    designs are still memoized; every other metric in one batch call."""
+    seqs = [tm.tokenize(vocab, text) for _, _, text, _ in batch]
+    X = model.emb[np.stack([seq.ids for seq in seqs])]
+    stacked = {m: attrib.explain(m, model, X, target, cfg.attr_cfg).scores
+               for m in cfg.methods if m in attrib.GRADIENT_METHODS}
+    sens = [m for m in cfg.metrics if m == "sensitivity"]
+    rest = [m for m in cfg.metrics if m != "sensitivity"]
+    attrs, seeds, sens_values = [], [], []
+    for p, ((pair_id, sub, _, _), seq) in enumerate(zip(batch, seqs)):
+        cfgs = [replace(cfg.attr_cfg, seed=_derive_seed(
+            run_seed, pair_id, sub, method)) for method in cfg.methods]
+        # scores copied out of the stack, aligned as a per-input explain's:
+        # Prescott's BLAS dot (sensitivity's norms) rounds by alignment
+        attrs.append([attrib.Attribution(method, list(seq.tokens),
+                                         stacked[method][p].copy(), target, c)
+                      if method in stacked else
+                      attrib.explain(method, model, seq, target, c)
+                      for method, c in zip(cfg.methods, cfgs)])
+        seeds.append(_derive_seed(run_seed, pair_id, sub))
+        sens_values.append(met.score_input(model, X[p], attrs[-1], sens,
+                                           cfg.metric_cfg, seeds[-1])
+                           if sens else [[]] * len(cfg.methods))
+    out = []
+    for (pair_id, sub, _, _), row, sv, rv in zip(batch, attrs, sens_values, (
+            met.score_input(model, X, attrs, rest, cfg.metric_cfg, seeds))):
+        samples, tested = [], []
+        for attr, flat, s, r in zip(row, attrib.degenerate(row), sv, rv):
+            cell = dict(zip(sens + rest, s + r))
+            for metric in cfg.metrics:
+                samples.append(met.ScoreSample(pair_id, sub, attr.method,
+                                               metric, cell[metric]))
+                if not flat:
+                    tested.append(samples[-1])
+        out.append((samples, tested))
+    return out
 
 
 def _subgroup_class(sub, labels, label_idx, fallback):

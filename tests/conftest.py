@@ -26,6 +26,16 @@ def random_tiny_model(rng, vocab_size=6, d=3, h=3):
     return model
 
 
+def scaled_classifier(seed):
+    """The classifier at its default sizes (d = 16, h = 32), with weights
+    scaled by 20 so that a product's last bits show in p."""
+    model = tm.init_model(
+        20, tm.ModelConfig(embed_dim=16, hidden_dim=32), seed=seed)
+    for name in ("w1", "b1", "w2", "b2"):
+        setattr(model, name, getattr(model, name) * 20)
+    return model
+
+
 def finite_diff_input_grad(model, X, target, h=1e-4):
     """Central-difference gradient of p(target) w.r.t. each embedding
     element. Independent of the reverse-mode path."""

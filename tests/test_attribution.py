@@ -6,7 +6,7 @@ from conftest import (LinearPooledModel, ConstantModel, DeadInputModel,
                       clear_design_memos, exact_shapley, indicator_embeddings,
                       masked_prob, planted_token_model,
                       finite_diff_input_grad, random_tiny_model,
-                      all_coalition_probs,
+                      scaled_classifier, all_coalition_probs,
                       reference_sampled_coalitions, reference_surrogate,
                       shapley_from_values)
 from explaudit import attribution as attrib
@@ -529,16 +529,6 @@ class TestSharedQueries:
     for bit, the explain of the same query with nothing shared."""
 
     @staticmethod
-    def _model(seed):
-        # the classifier's sizes, with weights large enough that a
-        # product's last bits show in p
-        model = tm.init_model(
-            20, tm.ModelConfig(embed_dim=16, hidden_dim=32), seed=seed)
-        for name in ("w1", "b1", "w2", "b2"):
-            setattr(model, name, getattr(model, name) * 20)
-        return model
-
-    @staticmethod
     def _alone(method, model, X, target, cfg):
         attrib._SHARED.clear()
         return attrib.explain(method, model, X, target, cfg).scores
@@ -548,7 +538,7 @@ class TestSharedQueries:
     @pytest.mark.parametrize("order", [
         attrib.METHODS, attrib.METHODS[::-1]], ids=["default", "reversed"])
     def test_equals_explain_alone(self, rng, order, n, shape):
-        model = self._model(n)
+        model = scaled_classifier(n)
         X = rng.normal(size=shape + (n, 16))  # or (steps, restarts, n, d)
         cfgs = {m: attrib.AttributionConfig(seed=seed)
                 for seed, m in enumerate(attrib.METHODS)}
@@ -565,7 +555,7 @@ class TestSharedQueries:
     @pytest.mark.parametrize("first, second", [
         ("GRAD", "GXI"), ("IG", "IGXI")])
     def test_changed_query_not_shared(self, rng, first, second, change):
-        model = self._model(1)
+        model = scaled_classifier(1)
         X = rng.normal(size=(8, 16))
         cfg, target = attrib.AttributionConfig(), 1
         attrib._SHARED.clear()
@@ -575,7 +565,7 @@ class TestSharedQueries:
         elif change == "weights in place":
             model.w1[3, 7] += 0.5
         elif change == "other model":
-            model = self._model(2)
+            model = scaled_classifier(2)
         elif change == "other target":
             target = 0
         else:
@@ -597,7 +587,7 @@ class TestSharedQueries:
                             count("grad", tm.grad_wrt_embeddings_matrix))
         monkeypatch.setattr(tm, "pooled_grad",
                             count("pooled_grad", tm.pooled_grad))
-        model, cfg = self._model(3), attrib.AttributionConfig()
+        model, cfg = scaled_classifier(3), attrib.AttributionConfig()
         X = rng.normal(size=(8, 16))
         attrib._SHARED.clear()
         for method in attrib.METHODS[2:4]:  # IG, IGXI
@@ -606,6 +596,18 @@ class TestSharedQueries:
         for method in attrib.METHODS[:2]:  # GRAD, GXI
             attrib.explain(method, model, X, 1, cfg)
         assert calls == {"grad": 1, "pooled_grad": 2}
+
+    @pytest.mark.parametrize("first, second, kind", [
+        ("GRAD", "GXI", "grad"), ("IG", "IGXI", "ig")])
+    def test_slot_empty_once_read(self, rng, first, second, kind):
+        # the sibling takes the shared query, so no slot holds a stack
+        # (a PGD path) past its pair of explains
+        model, X = scaled_classifier(4), rng.normal(size=(3, 2, 5, 16))
+        attrib._SHARED.clear()
+        attrib.explain(first, model, X, 1)
+        assert kind in attrib._SHARED
+        attrib.explain(second, model, X, 1)
+        assert kind not in attrib._SHARED
 
 
 class TestDegenerate:

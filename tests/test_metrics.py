@@ -247,6 +247,15 @@ class TestScoreInput:
         with pytest.raises(ConfigError, match="different classes"):
             met.score_input(model, X, attrs, ("gini",))
 
+    def test_batch_rows_of_different_lengths_rejected(self, rng):
+        model = random_tiny_model(rng)
+        X = rng.uniform(-1, 1, (3, 4, 3))
+        attrs = [[attrib.explain(m, model, x, 1) for m in methods]
+                 for x, methods in zip(X, (["GXI", "IG"], ["GXI"],
+                                           ["GXI", "IG", "IGXI"]))]
+        with pytest.raises(ConfigError, match="numbers of attributions"):
+            met.score_input(model, X, attrs, ("gini",))
+
 
 class TestExplainedClass:
     """Metrics score the class an attribution explains, also when the

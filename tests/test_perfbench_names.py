@@ -6,6 +6,7 @@ would go uncounted, so a traced audit must count every call."""
 
 import importlib.util
 import os
+from dataclasses import replace
 
 from explaudit import attribution as attrib
 from explaudit import dataset as ds
@@ -34,10 +35,13 @@ def test_every_traced_boundary_resolves():
 
 
 def test_tracer_counts_every_explain(monkeypatch):
-    # per test input: one explain per method, then six sensitivity cells,
-    # each re-explaining its whole PGD path (every step and restart) in
-    # one call; GXI reads GRAD's gradient both times, so an input takes
-    # one gradient call per PGD step and two for the explains
+    # each batch of test inputs of one length and one predicted class
+    # takes one explain call per gradient method over its stack, and each
+    # input one LIME and one KernelSHAP explain; then six sensitivity
+    # cells per input, each re-explaining its whole PGD path (every step
+    # and restart) in one call. GXI reads GRAD's gradient both times, so a
+    # batch takes one gradient call and an input one per PGD step and one
+    # for the re-explain
     tracing = _load_tracing()
     for module, name, _ in tracing.BOUNDARIES:  # restored after the test
         monkeypatch.setattr(module, name, getattr(module, name))
@@ -49,13 +53,27 @@ def test_tracer_counts_every_explain(monkeypatch):
         metric_cfg=met.MetricConfig(pgd=met.PGDConfig(steps=steps)),
         train_cfg=tm.TrainConfig(epochs=2, warmup_steps=5),
         model_cfg=tm.ModelConfig(embed_dim=8, hidden_dim=8))
-    report = pipeline.run_audit(
-        ds.generate_synthetic_paired(10, "LENGTH", seed=1), cfg)
+    records = ds.generate_synthetic_paired(10, "NONE", seed=0)
+    report = pipeline.run_audit(records, cfg)
     inputs = len({(s.pair_id, s.subgroup) for s in report.runs[0].samples})
     counts = tracing.summarize(tracer.spans)
-    assert inputs == 4
+    monkeypatch.undo()
+
+    prep = pipeline.prepare_run(records, 0, cfg.split_ratio)
+    model = tm.init_model(len(prep.vocab), cfg.model_cfg, seed=0)
+    model, _ = tm.train(model, prep.train_data,
+                        replace(cfg.train_cfg, seed=0))
+    batches = set()
+    for _, _, text, _ in prep.test_items:
+        seq = tm.tokenize(prep.vocab, text)
+        batches.add((seq.n, tm.forward(model, tm.embed(model, seq))
+                     .predicted_class))
+    assert (inputs, len(batches)) == (4, 2)
     for method in attrib.METHODS:
-        assert counts[f"attribution.{method}_calls"] == inputs * 2
+        explains = len(batches) if method in attrib.GRADIENT_METHODS \
+            else inputs
+        assert counts[f"attribution.{method}_calls"] == explains + inputs
     assert counts["metrics.sensitivity_calls"] == inputs * 6
     assert counts["metrics.sensitivity_explain_calls"] == inputs * 6
-    assert counts["textmodel.grad_calls"] == inputs * (steps + 2)
+    assert counts["textmodel.grad_calls"] == \
+        len(batches) + inputs * (steps + 1)

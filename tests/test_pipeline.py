@@ -2,11 +2,14 @@ import filecmp
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from conftest import scaled_classifier
 from explaudit import attribution as attrib
 from explaudit import dataset as ds
 from explaudit import metrics as met
@@ -63,19 +66,32 @@ class TestRunSingleAudit:
         assert ("GRAD", "gini") in run.disparity
 
     def test_one_explanation_per_method_and_input(self, monkeypatch):
-        calls = []
+        # gradient explainers explain a stack of inputs in one call: every
+        # test input (as predicted) is explained exactly once per method,
+        # as a 2-D input or as one slice of a stack
+        explained = {"GRAD": [], "IG": []}
+        predicted = []
 
-        def counting_explain(method, *args, **kwargs):
-            calls.append(method)
-            return explain(method, *args, **kwargs)
+        def counting_explain(method, model, seq, *args, **kwargs):
+            X, _ = attrib.resolve_input(model, seq)
+            explained[method] += [x.tobytes() for x in X.reshape(
+                -1, *X.shape[-2:])]
+            return explain(method, model, seq, *args, **kwargs)
 
-        explain = attrib.explain
+        def counting_forward(model, X):
+            predicted.append(X.tobytes())
+            return forward(model, X)
+
+        explain, forward = attrib.explain, tm.forward
         monkeypatch.setattr(attrib, "explain", counting_explain)
+        monkeypatch.setattr(tm, "forward", counting_forward)
         records = ds.generate_synthetic_paired(10, seed=0)
         cfg = _fast_cfg(methods=("GRAD", "IG"), metrics=("gini", "sparsity"))
         run = pipeline.run_single_audit(records, cfg, run_seed=2)
         n_test_inputs = len({(s.pair_id, s.subgroup) for s in run.samples})
-        assert calls == ["GRAD", "IG"] * n_test_inputs
+        assert len(predicted) == n_test_inputs
+        for method, slices in explained.items():
+            assert Counter(slices) == Counter(predicted), method
         assert len(run.samples) == 4 * n_test_inputs
 
     def test_batched_scores_match_single_cell_evaluate(self):
@@ -192,6 +208,101 @@ class TestRunSingleAudit:
                     for i in range(10)]
         with pytest.raises(DataError, match="labels"):
             pipeline.run_single_audit(records, _fast_cfg(), run_seed=0)
+
+
+class TestBatchedScoring:
+    """The audit explains and scores its test inputs in batches of one
+    length and one predicted class: a stacked explain or ``score_input``
+    gives each input the bits of its own call, so the report does not
+    depend on the batches."""
+
+    @pytest.mark.parametrize("target", [0, 1])
+    @pytest.mark.parametrize("n", [1, 2, 7, 13])
+    def test_stacked_score_input_equals_per_input_calls(self, target, n):
+        rng = np.random.default_rng(n)
+        model = scaled_classifier(n)
+        X = rng.normal(size=(9, n, 16))
+        attrs = [[attrib.explain(m, model, X[p], target,
+                                 attrib.AttributionConfig(
+                                     ig_steps=4, lime_samples=64,
+                                     shap_samples=64, seed=10 * p + q))
+                  for q, m in enumerate(attrib.METHODS)] for p in range(9)]
+        seeds = [100 + p for p in range(9)]
+        cfg = met.MetricConfig(soft_samples=8, pgd=met.PGDConfig(steps=2))
+        alone = [met.score_input(model, X[p], attrs[p], met.METRICS, cfg,
+                                 seeds[p]) for p in range(9)]
+        for k in range(1, 10):
+            got = met.score_input(model, X[:k], attrs[:k], met.METRICS, cfg,
+                                  seeds[:k])
+            assert np.array(got).tobytes() == np.array(alone[:k]).tobytes()
+        unseeded = met.score_input(model, X[:3], attrs[:3], met.METRICS, cfg)
+        assert np.array(unseeded).tobytes() == np.array([
+            met.score_input(model, X[p], attrs[p], met.METRICS, cfg)
+            for p in range(3)]).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 5, 9])
+    @pytest.mark.parametrize("n", [1, 2, 7, 13])
+    @pytest.mark.parametrize("method", attrib.GRADIENT_METHODS)
+    def test_stacked_gradient_explain_equals_per_input(self, method, n, k):
+        rng = np.random.default_rng(k * n)
+        model = scaled_classifier(k)
+        X = rng.normal(size=(k, n, 16))
+        for target in (0, 1):
+            stacked = attrib.explain(method, model, X, target).scores
+            for x, scores in zip(X, stacked):
+                attrib._SHARED.clear()
+                alone = attrib.explain(method, model, x, target).scores
+                assert scores.tobytes() == alone.tobytes()
+
+    @staticmethod
+    def _records(n_pairs):
+        # inputs of one length, so that batches fill up
+        rng = np.random.default_rng(3)
+        words = ("quietly", "river", "garden", "lamp", "north", "winter",
+                 "bread", "music", "stone", "letter")
+        records = []
+        for i in range(n_pairs):
+            tail = " ".join(rng.choice(words, 5))
+            records.append(ds.PairedRecord(f"pair{i:05d}", f"he {tail}",
+                                           f"she {tail}", "male", "female"))
+        return records
+
+    @pytest.mark.parametrize("bound, soft_samples, min_rows", [
+        (pipeline.BATCH_ROWS, 16, 0), (10**9, 200, 16000)],
+        ids=["default", "stack-not-concatenate"])
+    def test_report_independent_of_batches(self, tmp_path, monkeypatch,
+                                           bound, soft_samples, min_rows):
+        # past about 15,600 rows a (rows, 32) @ (32, 2) product switches
+        # kernels on SkylakeX, so a batch forward of concatenated inputs
+        # would move bits; a stack keeps each input's own product
+        cfg = pipeline.AuditConfig(
+            metrics=met.METRICS, runs=1,
+            metric_cfg=met.MetricConfig(soft_samples=soft_samples,
+                                        pgd=met.PGDConfig(steps=2)),
+            attr_cfg=attrib.AttributionConfig(lime_samples=200,
+                                              shap_samples=64),
+            train_cfg=tm.TrainConfig(epochs=2, warmup_steps=5))
+        records = self._records(60)
+        forward_pooled, rows = tm.forward_pooled, []
+
+        def spy(model, pooled):
+            rows.append(math.prod(pooled.shape[:-1]))
+            return forward_pooled(model, pooled)
+
+        dirs = []
+        for batch_rows in (1, bound):
+            monkeypatch.setattr(pipeline, "BATCH_ROWS", batch_rows)
+            monkeypatch.setattr(tm, "forward_pooled", spy)
+            rows.clear()
+            report = pipeline.run_audit(records, cfg)
+            monkeypatch.undo()
+            dirs.append(str(tmp_path / f"bound{batch_rows}"))
+            pipeline.save_report(report, dirs[-1])
+        batch = met.scoring_rows(6, met.METRICS, cfg.metric_cfg)
+        assert max(rows) > max(batch, min_rows)  # a batch of 2 or more
+        names = sorted(os.listdir(dirs[0]))
+        assert names == sorted(os.listdir(dirs[1]))
+        assert filecmp.cmpfiles(*dirs, names, shallow=False)[0] == names
 
 
 class TestRunAudit:
