@@ -23,7 +23,8 @@ def main():
     model, _ = textmodel.train(model, data, textmodel.TrainConfig(epochs=20, warmup_steps=50))
 
     correct = sum(
-        textmodel.predict(model, vocab, text).predicted_class
+        textmodel.predict(model, textmodel.tokenize(vocab, text))
+        .predicted_class
         == labels.index(lab) for _, text, lab in test_items)
     print(f"labels: {labels}   "
           f"test accuracy: {correct / len(test_items):.3f}\n")

@@ -101,7 +101,7 @@ def _complete(path, lineno, row):
 
 
 def _rows_from_csv(path):
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file")
@@ -113,7 +113,7 @@ def _rows_from_csv(path):
 
 
 def _rows_from_jsonl(path):
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue

@@ -120,19 +120,18 @@ def _row_scores(metric, attrs, cfg=None):
 
 
 def _norms(a):
-    """``np.linalg.norm`` of each a[r], bit for bit: a stacked matmul of
-    contiguous copies reaches its BLAS dot (``np.einsum`` sums otherwise).
-    Checked on the SkylakeX, Haswell and Sandybridge kernels; Prescott's
-    dot rounds by the operands' 16-byte alignment."""
-    f = np.ascontiguousarray(a.reshape(len(a), math.prod(a.shape[1:])))
-    return np.sqrt(np.matmul(f[:, None, :], f[:, :, None]))[:, 0, 0]
+    """L2 norm of each flattened a[r], the root of numpy's pairwise sum of
+    its squares: no BLAS dot, so no bit depends on the other slices or on
+    operand alignment (Prescott's ``ddot`` rounds by the latter)."""
+    f = a.reshape(len(a), math.prod(a.shape[1:]))
+    return np.sqrt(np.add.reduce(f * f, axis=-1))
 
 
 def _pgd_scale(X, pgd):
     """(radius, step size) of the PGD search around X."""
     radius = pgd.radius
     if radius is None:
-        radius = 0.1 * float(np.mean(np.linalg.norm(X, axis=1)))
+        radius = 0.1 * float(np.mean(_norms(X)))
     return radius, pgd.step_size if pgd.step_size is not None else radius / 5
 
 
@@ -181,7 +180,7 @@ def sensitivity(model, seq, attr, cfg=None, points=None):
     X, _ = attrib.resolve_input(model, seq)
     j = attr.target_class
     base = np.asarray(attr.scores, dtype=float)
-    base_norm = np.linalg.norm(base)
+    base_norm = _norms(base[None])[0]
     if base_norm == 0:
         return float("nan")
     if _pgd_scale(X, cfg.pgd)[0] == 0:

@@ -210,10 +210,10 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
     model = tm.init_model(len(prep.vocab), cfg.model_cfg, seed=run_seed)
     model, train_log = tm.train(model, prep.train_data, train_cfg)
 
+    seqs = [tm.tokenize(prep.vocab, text) for _, _, text, _ in test_items]
     predictions, correct, groups = [], 0, {}
-    for i, (pair_id, sub, text, lab) in enumerate(test_items):
-        seq = tm.tokenize(prep.vocab, text)
-        pred = tm.forward(model, tm.embed(model, seq))
+    for i, ((pair_id, sub, _, lab), seq) in enumerate(zip(test_items, seqs)):
+        pred = tm.predict(model, seq)
         correct += int(pred.predicted_class == label_idx[lab])
         predictions.append(stats.LabeledPrediction(
             subgroup=sub, true_label=label_idx[lab],
@@ -227,7 +227,7 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
     for batch in sorted(g[s:s + size] for g in groups.values()
                         for s in range(0, len(g), size)):
         for i, result in zip(batch, _score_batch(
-                model, prep.vocab, [test_items[i] for i in batch],
+                model, [(*test_items[i][:2], seqs[i]) for i in batch],
                 predictions[batch[0]].predicted_label, cfg, run_seed)):
             scored[i] = result
     samples = [s for some, _ in scored for s in some]
@@ -258,28 +258,25 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
                      subgroups=(sub_a, sub_b))
 
 
-def _score_batch(model, vocab, batch, target, cfg, run_seed):
-    """Explain and score test items ``(pair_id, subgroup, text, label)``
-    of one token length, predicted as class ``target``: per item, its
-    score samples and those of them that enter the disparity tests. Each
+def _score_batch(model, batch, target, cfg, run_seed):
+    """Explain and score test inputs ``(pair_id, subgroup, TokenSeq)`` of
+    one token length, predicted as class ``target``: per input, its score
+    samples and those of them that enter the disparity tests. Each
     gradient explainer explains the (b, n, d) stack in one call, LIME and
     KernelSHAP each input with its own seed. An input's sensitivity cells
     are scored right after its explains, while its LIME and KernelSHAP
     designs are still memoized; every other metric in one batch call."""
-    seqs = [tm.tokenize(vocab, text) for _, _, text, _ in batch]
-    X = model.emb[np.stack([seq.ids for seq in seqs])]
+    X = model.emb[np.stack([seq.ids for _, _, seq in batch])]
     stacked = {m: attrib.explain(m, model, X, target, cfg.attr_cfg).scores
                for m in cfg.methods if m in attrib.GRADIENT_METHODS}
     sens = [m for m in cfg.metrics if m == "sensitivity"]
     rest = [m for m in cfg.metrics if m != "sensitivity"]
     attrs, seeds, sens_values = [], [], []
-    for p, ((pair_id, sub, _, _), seq) in enumerate(zip(batch, seqs)):
+    for p, (pair_id, sub, seq) in enumerate(batch):
         cfgs = [replace(cfg.attr_cfg, seed=_derive_seed(
             run_seed, pair_id, sub, method)) for method in cfg.methods]
-        # scores copied out of the stack, aligned as a per-input explain's:
-        # Prescott's BLAS dot (sensitivity's norms) rounds by alignment
         attrs.append([attrib.Attribution(method, list(seq.tokens),
-                                         stacked[method][p].copy(), target, c)
+                                         stacked[method][p], target, c)
                       if method in stacked else
                       attrib.explain(method, model, seq, target, c)
                       for method, c in zip(cfg.methods, cfgs)])
@@ -288,7 +285,7 @@ def _score_batch(model, vocab, batch, target, cfg, run_seed):
                                            cfg.metric_cfg, seeds[-1])
                            if sens else [[]] * len(cfg.methods))
     out = []
-    for (pair_id, sub, _, _), row, sv, rv in zip(batch, attrs, sens_values, (
+    for (pair_id, sub, _), row, sv, rv in zip(batch, attrs, sens_values, (
             met.score_input(model, X, attrs, rest, cfg.metric_cfg, seeds))):
         samples, tested = [], []
         for attr, flat, s, r in zip(row, attrib.degenerate(row), sv, rv):

@@ -99,12 +99,15 @@ def boxplot_svg(groups, title=""):
         frac = (v - v_min) / (v_max - v_min)
         return bottom - frac * (bottom - top)
 
+    def text(s):  # as XML character data
+        return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_SVG_W}" height="{_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
         f'<text x="{(left + right) / 2:.1f}" y="14" font-size="12" '
-        f'text-anchor="middle">{title}</text>',
+        f'text-anchor="middle">{text(title)}</text>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" '
         'stroke="black"/>',
     ]
@@ -137,7 +140,7 @@ def boxplot_svg(groups, title=""):
             f'<line x1="{x0:.1f}" y1="{y(q2):.1f}" x2="{x1:.1f}" '
             f'y2="{y(q2):.1f}" stroke="black" stroke-width="2"/>',
             f'<text x="{cx:.1f}" y="{bottom + 14}" font-size="10" '
-            f'text-anchor="middle">{lab}</text>',
+            f'text-anchor="middle">{text(lab)}</text>',
         ]
         for out in outliers:
             parts.append(f'<circle cx="{cx:.1f}" cy="{y(out):.1f}" r="2.5" '

@@ -276,8 +276,9 @@ def grad_wrt_embeddings_matrix(model, embeddings, target_class):
     return np.broadcast_to(g / X.shape[-2], X.shape)
 
 
-def predict(model, vocab, text):
-    return forward(model, embed(model, tokenize(vocab, text)))
+def predict(model, seq):
+    """``forward`` of a token sequence's embeddings."""
+    return forward(model, embed(model, seq))
 
 
 def _lr_at(step, total_steps, cfg):

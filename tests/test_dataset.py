@@ -41,6 +41,20 @@ class TestLoadPaired:
         with pytest.raises(DataError, match=":3"):
             ds.load_paired(path)
 
+    @pytest.mark.parametrize("fmt, text", [
+        ("csv", CSV_HEADER + "1,MALE,he runs,male\n"
+         "1,FEMALE,she runs,female\n"),
+        ("jsonl", '{"pair_id": "1", "subgroup": "MALE", "text": '
+         '"he runs", "label": "male"}\n{"pair_id": "1", "subgroup": '
+         '"FEMALE", "text": "she runs", "label": "female"}\n'),
+    ], ids=["csv", "jsonl"])
+    def test_byte_order_mark(self, tmp_path, fmt, text):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark
+        path = tmp_path / f"bom.{fmt}"
+        path.write_text(text, encoding="utf-8-sig")
+        assert ds.load_paired(str(path), fmt) == \
+            ds.load_paired(_write(tmp_path / f"plain.{fmt}", text), fmt)
+
     def test_missing_column(self, tmp_path):
         path = _write(tmp_path / "d.csv",
                       "pair_id,subgroup,text\n1,MALE,he runs\n")

@@ -12,7 +12,7 @@ from conftest import (BoundaryModel, ConstantModel, LinearPooledModel,
                       reference_gini,
                       reference_normalize, reference_sensitivity,
                       reference_soft_rows, reference_sparsity,
-                      random_tiny_model)
+                      random_tiny_model, scaled_classifier)
 from explaudit import attribution as attrib
 from explaudit import metrics as met
 from explaudit import textmodel as tm
@@ -469,21 +469,52 @@ class TestSensitivityEdgeStacks:
         assert 0 < want < math.inf
 
 
+def _copy_at(a, offset):
+    """A contiguous copy of ``a`` whose data starts ``offset`` bytes past
+    a 16-byte boundary."""
+    buf = np.empty(a.nbytes + 16 + offset, dtype=np.uint8)
+    start = -buf.ctypes.data % 16 + offset
+    out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
+
+
 class TestNorms:
+    """Every L2 norm of the PGD search and of ``sensitivity`` sums its
+    squares in numpy, with no BLAS dot, so its bits do not depend on where
+    its operand lies in memory (Prescott's BLAS ``ddot`` rounds by the
+    operands' 16-byte alignment)."""
+
     @settings(max_examples=200, deadline=None)
     @given(shape=st.tuples(st.integers(1, 8), st.integers(1, 30),
                            st.integers(1, 20)),
            broadcast=st.booleans(), exp=st.integers(-150, 150),
            seed=st.integers(0, 2**32 - 1))
-    def test_equal_per_slice_linalg_norm(self, shape, broadcast, exp, seed):
+    def test_equal_per_slice_sum(self, shape, broadcast, exp, seed):
         # a gradient is a broadcast (R, 1, d) -> (R, n, d) view; with
-        # d == 1 its flat rows would have stride 0 if not copied
+        # d == 1 its flat rows have stride 0
         rng = np.random.default_rng(seed)
         r, n, d = shape
         a = rng.standard_normal((r, 1 if broadcast else n, d)) * 10.0**exp
         a = np.broadcast_to(a, shape)
-        want = [np.linalg.norm(x) for x in a]
-        assert _same_bits(met._norms(a), want)
+        want = [np.sqrt(np.sum(x * x)) for x in np.ascontiguousarray(a)]
+        for b in (a, _copy_at(a, 0), _copy_at(a, 8)):
+            assert _same_bits(met._norms(b), want)
+
+    @pytest.mark.parametrize("method", attrib.GRADIENT_METHODS)
+    def test_sensitivity_of_a_stacked_row(self, method):
+        # the audit scores a gradient attribution as a row of its stacked
+        # explain; rows of 13 scores alternate between 16-byte-aligned and
+        # 8-byte-offset starts, and a fresh copy of either gives the bits
+        rng = np.random.default_rng(7)
+        model = scaled_classifier(7)
+        X = rng.normal(size=(4, 13, 16))
+        stacked = attrib.explain(method, model, X, 1).scores
+        cfg = met.MetricConfig(pgd=met.PGDConfig(steps=3, seed=5))
+        for x, row in zip(X, stacked):
+            got = [met.sensitivity(model, x, _attr(scores, method), cfg)
+                   for scores in (row, _copy_at(row, 0), _copy_at(row, 8))]
+            assert got[0] > 0 and _same_bits(got[1:], got[:1] * 2)
 
 
 @st.composite

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shutil
+from xml.dom import minidom
 
 import pytest
 
@@ -122,6 +123,16 @@ class TestBoxplotSvg:
     def test_constant_data_does_not_crash(self):
         s = report.boxplot_svg({"MALE": [0.5, 0.5], "FEMALE": [0.5, 0.5]})
         assert "</svg>" in s
+
+    def test_markup_in_labels_is_escaped(self):
+        # subgroup labels come from the dataset as they are
+        labels = ["M&<x>", 'F"]]>']
+        svg = report.boxplot_svg({lab: [0.1, 0.2] for lab in labels},
+                                 "GXI & <sparsity>")
+        texts = [node.firstChild.data for node in
+                 minidom.parseString(svg).getElementsByTagName("text")]
+        assert texts[0] == "GXI & <sparsity>"
+        assert texts[-2:] == labels
 
 
 class TestRender:

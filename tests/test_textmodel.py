@@ -383,8 +383,8 @@ class TestPredictAndPersistence:
     def test_predict_deterministic(self, rng):
         v = tm.build_vocab(["the cat sat"])
         model = random_tiny_model(rng, vocab_size=len(v))
-        p1 = tm.predict(model, v, "the cat sat")
-        p2 = tm.predict(model, v, "the cat sat")
+        p1 = tm.predict(model, tm.tokenize(v, "the cat sat"))
+        p2 = tm.predict(model, tm.tokenize(v, "the cat sat"))
         assert np.array_equal(p1.probs, p2.probs)
 
 
