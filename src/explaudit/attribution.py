@@ -9,16 +9,13 @@ the mean of ``g`` over the path (one batched ``pooled_grad`` call). LIME
 and KernelSHAP are linear in the model outputs they fit: each design
 (LIME's masks, KernelSHAP's sampled coalitions with f(x) and f(empty),
 or all 2^n coalitions for exact Shapley values in closed form) is built
-once per (n, config) as its distinct rows and one read-only map ``W``
-over them: a least-squares fit over rows that repeat is the fit over the
-distinct rows (``_distinct_rows``) with each weight times the row's
-count. Both explain as ``W @ p(rows)`` through ``_surrogate``, with
-``textmodel.masked_probs``, which folds the mean pool into the first
-layer and builds no pooled rows. Sibling gradient explainers share one
-model query: a slot per kind keeps the last gradient (GRAD and GXI) and
-the last IG path (IG and IGXI), and the next call with the same bytes of
-X and of the model's weights, the same target and the same ``ig_steps``
-takes it instead of asking the model again. All methods also accept raw
+per (n, config) as its distinct rows, their ``[rows | 1]`` and one
+read-only map ``W``, and explains as ``W @ p(rows)``. Sibling explainers
+share one model query per input in a query map that the caller owns:
+GRAD and GXI one gradient, IG and IGXI one path, and LIME and KernelSHAP,
+where KernelSHAP is exact, one all-coalitions query, which LIME reads
+even when explained alone. The map also keeps the seeded designs for the
+input's PGD path (``designs_of``). All methods also accept raw
 (..., n, d) embeddings so that robustness search can re-explain a stack
 of perturbed inputs, each slice bit for bit as its own 2-D call (checked
 on the SkylakeX, Haswell, Sandybridge and Prescott kernels).
@@ -78,41 +75,33 @@ def resolve_input(model, seq):
     return X, [f"tok{i}" for i in range(X.shape[-2])]
 
 
-# The last query of each shared kind, "grad" and "ig", as (match, value),
-# until the next call of its kind takes it, so a slot holds no memory once
-# read; a slot is replaced whole, so it never mixes two queries.
-_SHARED = {}
+def _query(queries, key, query, *args):
+    """``query(*args)``, kept in the caller's map ``queries`` (if any)
+    under ``key`` for the next explain of the same input."""
+    if queries is None:
+        return query(*args)
+    if key not in queries:
+        queries[key] = query(*args)
+    return queries[key]
 
 
-def _shared(kind, query, model, X, target, *args):
-    """``query(model, X, target, *args)``, or the value that the previous
-    call of ``kind`` queried, if that call had the same target and
-    ``args`` and the same dtype, shape and bytes of X and of the model's
-    weights, which are all that a gradient query reads (compared as
-    copies, so an array changed in place never matches). A value is taken
-    once. A duck-typed model, whose state cannot be compared, never
-    shares; a query that raises stores nothing."""
-    if type(model) is not textmodel.ClassifierModel:
-        return query(model, X, target, *args)
-    match = (target, args) + tuple(
-        (a.dtype, a.shape, a.tobytes())
-        for a in (X, model.w1, model.b1, model.w2, model.b2))
-    slot = _SHARED.pop(kind, None)
-    if slot is None or slot[0] != match:
-        slot = _SHARED[kind] = (match, query(model, X, target, *args))
-    return slot[1]
+def designs_of(queries):
+    """A new query map, for an input's PGD path, with the designs (which
+    depend on no input) but none of the model queries of ``queries``."""
+    return {k: v for k, v in (queries or {}).items() if k[0] == "design"}
 
 
-def _grad(model, X, target, cfg):
-    g = _shared("grad", textmodel.grad_wrt_embeddings_matrix, model, X,
-                target)
-    return np.linalg.norm(g, axis=-1)
+def _gradient(model, X, target, queries):
+    return _query(queries, ("grad", target),
+                  textmodel.grad_wrt_embeddings_matrix, model, X, target)
 
 
-def _grad_x_input(model, X, target, cfg):
-    g = _shared("grad", textmodel.grad_wrt_embeddings_matrix, model, X,
-                target)
-    return (g * X).sum(axis=-1)
+def _grad(model, X, target, cfg, queries):
+    return np.linalg.norm(_gradient(model, X, target, queries), axis=-1)
+
+
+def _grad_x_input(model, X, target, cfg, queries):
+    return (_gradient(model, X, target, queries) * X).sum(axis=-1)
 
 
 def _ig_per_dim(model, X, target, steps):
@@ -129,14 +118,17 @@ def _ig_per_dim(model, X, target, steps):
     return X * (g.sum(axis=-2, keepdims=True) / X.shape[-2]) / steps
 
 
-def _integrated_gradients(model, X, target, cfg):
-    return _shared("ig", _ig_per_dim, model, X, target, cfg.ig_steps) \
-        .sum(axis=-1)
+def _ig(model, X, target, cfg, queries):
+    return _query(queries, ("ig", target, cfg.ig_steps), _ig_per_dim,
+                  model, X, target, cfg.ig_steps)
 
 
-def _ig_x_input(model, X, target, cfg):
-    ig = _shared("ig", _ig_per_dim, model, X, target, cfg.ig_steps)
-    return (ig * X).sum(axis=-1)
+def _integrated_gradients(model, X, target, cfg, queries):
+    return _ig(model, X, target, cfg, queries).sum(axis=-1)
+
+
+def _ig_x_input(model, X, target, cfg, queries):
+    return (_ig(model, X, target, cfg, queries) * X).sum(axis=-1)
 
 
 def _read_only(*arrays):
@@ -158,18 +150,32 @@ def _fit_map(system, rhs):
     return _read_only(W)[0]
 
 
-def _surrogate(model, X, target, design):
-    """Scores ``W @ p(rows)`` of a LIME or KernelSHAP design ``(rows, W)``,
-    querying X one (R, n, d) block at a time, so that a query holds no
-    more rows than one (R, n, d) explain; a non-finite model output raises
-    NumericalError."""
-    rows, W = design
-    y = np.empty(X.shape[:-2] + (len(rows),))
+def _probs(model, X, target, rows1):
+    """p(target) of X under each row of ``[rows | 1]``, one (R, n, d)
+    block at a time, so a query holds no more rows than such an explain."""
+    y = np.empty(X.shape[:-2] + (len(rows1),))
     for idx in np.ndindex(X.shape[:-3]):
-        y[idx] = textmodel.masked_probs(model, X[idx], rows, target)
+        y[idx] = textmodel.masked_probs(model, X[idx], rows1, target)
+    return y
+
+
+def _fit(W, y):
+    """Scores ``W @ y``; a non-finite value in ``y`` raises NumericalError."""
     if not np.all(np.isfinite(y)):
         raise NumericalError("non-finite model output in surrogate fit")
     return np.matmul(W, y[..., None])[..., 0]
+
+
+def _exact(n, cfg):
+    """Whether KernelSHAP is exact (its budget covers all 2^n - 2 proper
+    coalitions), and LIME and KernelSHAP read one all-coalitions query."""
+    return 2**n - 2 <= cfg.shap_samples
+
+
+def _coalition_probs(model, X, target, queries):
+    """p(target) of X under all 2^n coalitions in bit-code order."""
+    return _query(queries, ("coalitions", target), _probs, model, X, target,
+                  _exact_shap_design(X.shape[-2])[1])
 
 
 def _distinct_rows(Z):
@@ -190,14 +196,19 @@ def _distinct_rows(Z):
     return _read_only(Z.take(distinct, axis=0), np.bincount(inverse))
 
 
-@functools.lru_cache(maxsize=1)
+def _with_ones(rows):
+    """``rows`` as a view of ``[rows | 1]``, and ``[rows | 1]``, read-only:
+    one copy of the rows, which no ``masked_probs`` query rebuilds."""
+    rows1 = np.column_stack([rows, np.ones(len(rows))])
+    return _read_only(rows1[:, :-1], rows1)
+
+
 def _lime_design(n, samples, width, seed, ridge):
-    """LIME's masks as their distinct ``rows`` and the map of the
-    kernel-weighted ridge fit, ``inv(A.T * w @ A + ridge * P) @ (A.T * w)``
-    without the intercept row, where ``A = [1 | rows]``, ``w`` is the
-    kernel times each row's count and ``P`` leaves the intercept
-    unpenalized; read-only. One slot: the PGD search re-explains one
-    (n, config) at every step."""
+    """LIME's masks as their distinct ``rows``, ``[rows | 1]`` and the map
+    of the kernel-weighted ridge fit, ``inv(A.T * w @ A + ridge * P) @
+    (A.T * w)`` without the intercept row, where ``A = [1 | rows]``, ``w``
+    is the kernel times each row's count and ``P`` leaves the intercept
+    unpenalized; read-only."""
     Z = np.random.default_rng(seed).random((samples, n)) < 0.5
     rows, counts = _distinct_rows(Z.astype(float))
     width = width or 0.75 * math.sqrt(n)
@@ -206,17 +217,24 @@ def _lime_design(n, samples, width, seed, ridge):
     A = np.column_stack([np.ones(len(rows)), rows])
     AtW = A.T * w
     system = AtW @ A + ridge * np.diag([0.0] + [1.0] * n)
-    return rows, _fit_map(system, AtW)[1:]
+    return (*_with_ones(rows), _fit_map(system, AtW)[1:])
 
 
-def _lime(model, X, target, cfg):
+def _lime(model, X, target, cfg, queries):
     """LIME with Bernoulli(0.5) token masks and an exponential kernel.
 
     Mask distance is the Hamming distance to the all-ones mask; masked
-    tokens have their embedding rows zeroed."""
-    return _surrogate(model, X, target, _lime_design(
-        X.shape[-2], cfg.lime_samples, cfg.lime_kernel_width, cfg.seed,
-        cfg.ridge))
+    tokens have their embedding rows zeroed. Where KernelSHAP is exact, the
+    mask rows' values are read by bit code from the all-coalitions query,
+    even with no KernelSHAP explain to share it (then up to 2.6x the rows)."""
+    n = X.shape[-2]
+    key = (n, cfg.lime_samples, cfg.lime_kernel_width, cfg.seed, cfg.ridge)
+    rows, rows1, W = _query(queries, ("design", "LIME") + key,
+                            _lime_design, *key)
+    if not _exact(n, cfg):
+        return _fit(W, _probs(model, X, target, rows1))
+    codes = (rows @ 2.0 ** np.arange(n)).astype(np.intp)
+    return _fit(W, _coalition_probs(model, X, target, queries)[..., codes])
 
 
 def _shap_kernel_weight(n, k):
@@ -249,8 +267,8 @@ def _size_weights(n):
 @functools.lru_cache(maxsize=None)
 def _exact_shap_design(n):
     """The Shapley formula as a design: all 2^n coalitions T in bit-code
-    order (token i is bit i), each queried once, and the map
-    ``W[i, T] = w(|T| - 1)`` if i is in T, else ``-w(|T|)``, with the
+    order (token i is bit i), each queried once, ``[rows | 1]``, and the
+    map ``W[i, T] = w(|T| - 1)`` if i is in T, else ``-w(|T|)``, with the
     Shapley weights ``w(k) = k! (n - k - 1)! / n!`` and ``w(n) = 0``. It
     depends on n alone (at most log2 of the sample budget), so every input
     of that length shares it."""
@@ -258,18 +276,17 @@ def _exact_shap_design(n):
     size = bits.sum(axis=0)
     w = np.append([1 / (n * math.comb(n - 1, k)) for k in range(n)], 0.0)
     W = np.where(bits, w[size - 1], -w[size])
-    return _read_only(bits.T.astype(float, order="C"), W)
+    return (*_with_ones(bits.T), *_read_only(W))
 
 
-@functools.lru_cache(maxsize=1)
 def _sampled_shap_design(n, samples, seed):
     """The design of ``samples`` sampled unit-weight coalitions ``Z``: its
-    queries (full, empty, then the distinct rows of ``Z``) and the first n
-    rows of ``inv(K) @ B``, with K the KKT matrix of the least squares
-    ``Z @ phi ~ f(Z) - f(empty)`` subject to ``sum(phi) = f(x) -
-    f(empty)`` and B the operator that builds its right-hand side from
-    the values. Each distinct row enters both by its integer count, so K
-    is ``Z.T @ Z`` bit for bit. One slot."""
+    queries (full, empty, then the distinct rows of ``Z``), their
+    ``[rows | 1]``, and the first n rows of ``inv(K) @ B``, with K the KKT
+    matrix of the least squares ``Z @ phi ~ f(Z) - f(empty)`` subject to
+    ``sum(phi) = f(x) - f(empty)`` and B the operator that builds its
+    right-hand side from the values. Each distinct row enters both by its
+    integer count, so K is ``Z.T @ Z`` bit for bit."""
     rows, counts = _distinct_rows(
         _sampled_coalitions(n, samples, np.random.default_rng(seed)))
     Zc = rows.T * counts
@@ -281,11 +298,11 @@ def _sampled_shap_design(n, samples, seed):
     B[:n, 1] = -Zc.sum(axis=1)
     B[:n, 2:] = Zc
     B[n, :2] = 1.0, -1.0
-    queries = np.concatenate([np.ones((1, n)), np.zeros((1, n)), rows])
-    return _read_only(queries, _fit_map(K, B)[:n])
+    coalitions = np.concatenate([np.ones((1, n)), np.zeros((1, n)), rows])
+    return (*_with_ones(coalitions), _fit_map(K, B)[:n])
 
 
-def _kernel_shap(model, X, target, cfg):
+def _kernel_shap(model, X, target, cfg, queries):
     """KernelSHAP with the efficiency constraint enforced exactly.
 
     When the sampling budget covers all 2^n - 2 proper coalitions, the
@@ -297,9 +314,13 @@ def _kernel_shap(model, X, target, cfg):
     f(empty) are rows of the same model query as the coalitions, and
     sum(scores) = f(x) - f(empty) holds by construction of the map."""
     n = X.shape[-2]
-    design = _exact_shap_design(n) if 2**n - 2 <= cfg.shap_samples \
-        else _sampled_shap_design(n, cfg.shap_samples, cfg.seed)
-    return _surrogate(model, X, target, design)
+    if _exact(n, cfg):
+        return _fit(_exact_shap_design(n)[2],
+                    _coalition_probs(model, X, target, queries))
+    key = (n, cfg.shap_samples, cfg.seed)
+    _, rows1, W = _query(queries, ("design", "SHAP") + key,
+                         _sampled_shap_design, *key)
+    return _fit(W, _probs(model, X, target, rows1))
 
 
 def normalize_scores(attr):
@@ -328,13 +349,14 @@ _EXPLAINERS = {"GRAD": _grad, "GXI": _grad_x_input,
                "LIME": _lime, "SHAP": _kernel_shap}
 
 
-def explain(method, model, seq, target, cfg=None):
+def explain(method, model, seq, target, cfg=None, queries=None):
     """Attribution of ``seq`` (a TokenSeq or raw (..., n, d) embeddings)
-    for class ``target`` by method tag, under ``cfg`` or the defaults."""
+    for class ``target`` by method tag, under ``cfg`` or the defaults, with
+    the caller's query map ``queries`` (a dict for one model and input)."""
     fn = _EXPLAINERS.get(method.upper())
     if fn is None:
         raise ConfigError(f"unknown attribution method: {method}")
     cfg = cfg or AttributionConfig()
     X, tokens = resolve_input(model, seq)
-    return Attribution(method.upper(), tokens, fn(model, X, target, cfg),
-                       target, cfg)
+    return Attribution(method.upper(), tokens,
+                       fn(model, X, target, cfg, queries), target, cfg)

@@ -12,11 +12,11 @@ fixed and matching the masking semantics of the surrogate explainers.
 of a same-length stack, with every metric from one random draw per
 input: its soft cells share one uniform array, and its sensitivity
 cells one PGD search (one gradient call per step), each cell
-re-explaining the search's whole path in one call. p(X) and the masked
-queries of all faithfulness cells go into one forward call. A cell has
-the bits of a one-cell ``evaluate`` under the same seed, whatever other
-cells and inputs are scored with it (checked on the SkylakeX, Haswell,
-Sandybridge and Prescott kernels).
+re-explaining the search's whole path in one call with the path's query
+map. p(X) and the masked queries of all faithfulness cells go into one
+forward call. A cell has the bits of a one-cell ``evaluate`` under the
+same seed, whatever other cells and inputs are scored with it (checked
+on the SkylakeX, Haswell, Sandybridge and Prescott kernels).
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def _pgd_points(model, X, j, pgd, seed):
     return points
 
 
-def sensitivity(model, seq, attr, cfg=None, points=None):
+def sensitivity(model, seq, attr, cfg=None, points=None, queries=None):
     """Worst-case relative explanation change under an L2-bounded
     perturbation of the input embeddings, searched with PGD.
 
@@ -172,9 +172,10 @@ def sensitivity(model, seq, attr, cfg=None, points=None):
     the search (``_pgd_points``, seeded by ``cfg.pgd.seed``) in one
     explain call over its (steps, restarts, n, d) stack; LIME and
     KernelSHAP query the model one step's (restarts, n, d) block at a
-    time. ``points`` passes a search already run, as ``score_input`` does
-    for all sensitivity cells of one input. NaN changes are skipped.
-    Returns NaN when the reference explanation has zero norm.
+    time. ``points`` passes a search already run and ``queries`` its
+    path's query map, as ``score_input`` does for the sensitivity cells of
+    one input. NaN changes are skipped. Returns NaN when the reference
+    explanation has zero norm.
     """
     cfg = cfg or MetricConfig()
     X, _ = attrib.resolve_input(model, seq)
@@ -187,7 +188,8 @@ def sensitivity(model, seq, attr, cfg=None, points=None):
         return 0.0
     if points is None:
         points = _pgd_points(model, X, j, cfg.pgd, cfg.pgd.seed)
-    perturbed = attrib.explain(attr.method, model, points, j, attr.cfg)
+    perturbed = attrib.explain(attr.method, model, points, j, attr.cfg,
+                               queries=queries)
     change = _norms(np.asarray(perturbed.scores, dtype=float).reshape(
         -1, base.size) - base) / base_norm
     return float(np.fmax.reduce(change, initial=0.0))  # NaN changes skipped
@@ -217,14 +219,15 @@ def scoring_rows(attributions, metrics, cfg):
                  + attributions * soft * cfg.soft_samples)
 
 
-def score_input(model, seq, attrs, metrics, cfg=None, seed=None):
+def score_input(model, seq, attrs, metrics, cfg=None, seed=None,
+                queries=None):
     """Every metric in ``metrics`` of every attribution in ``attrs``, for
     one input or a batch. One input (``seq`` a TokenSeq or (n, d)
-    embeddings, ``seed`` one seed) gives ``values[k][i]`` for attribution
-    k and metric i; a (b, n, d) stack, with one equally long list of
-    attributions and one seed (or None) per input, gives
-    ``values[p][k][i]`` for input p. All attributions must explain the
-    same class (else ConfigError).
+    embeddings, one ``seed``, one query map ``queries``) gives
+    ``values[k][i]`` for attribution k and metric i; a (b, n, d) stack,
+    with one equally long list of attributions, one seed and one map (or
+    None) per input, gives ``values[p][k][i]`` for input p. All
+    attributions must explain the same class (else ConfigError).
 
     ``seed`` seeds an input's two random draws, in place of
     ``cfg.soft_seed`` and ``cfg.pgd.seed``. An input's soft cells share
@@ -232,20 +235,19 @@ def score_input(model, seq, attrs, metrics, cfg=None, seed=None):
     whose draw lies below its token's retain probability
     (comprehensiveness: 1 - normalized score; sufficiency: the normalized
     score). An input's sensitivity cells share one PGD search
-    (``_pgd_points``), and each is one ``evaluate`` call that re-explains
-    the search's whole path in one call.
+    (``_pgd_points``) and one query map for its path, which starts with
+    the designs of the input's map (``attrib.designs_of``); each is one
+    ``evaluate`` call that re-explains the whole path in one call.
 
     The masked model queries of all faithfulness cells and p(X) go into
     one forward call over the (b, rows, d) stack of each input's rows: the
     full input and each attribution's AOPC threshold masks, pooled as
     ``mask @ X / n``, then the soft rows. Stacked products run BLAS once
-    per input with that input's own shapes, and each input's rows are
-    padded to a multiple of 4, so every row goes through a BLAS product's
-    4-row body (see ``_body``): a cell's bits depend neither on the other
-    cells nor on the other inputs of its batch (checked on the SkylakeX,
-    Haswell, Sandybridge and Prescott kernels). An AOPC mask removes the
-    tokens whose normalized score is within ``attrib.TIE`` of a threshold
-    or above it, so tied top tokens go together.
+    per input, and each input's rows are padded to a multiple of 4
+    (``_body``), so a cell's bits depend neither on the other cells nor
+    on the other inputs of its batch. An AOPC mask removes the tokens
+    whose normalized score is within ``attrib.TIE`` of a threshold or
+    above it, so tied top tokens go together.
     """
     cfg = cfg or MetricConfig()
     unknown = set(metrics) - set(METRICS)
@@ -255,6 +257,7 @@ def score_input(model, seq, attrs, metrics, cfg=None, seed=None):
     lead, (n, d) = X.shape[:-2], X.shape[-2:]
     rows, seeds = ([attrs], [seed]) if not lead else (
         attrs, [None] * len(X) if seed is None else seed)
+    maps = [queries] if not lead else queries or [None] * len(X)
     flat = [attr for row in rows for attr in row]
     if len({attr.target_class for attr in flat}) > 1:
         raise ConfigError("attributions explain different classes")
@@ -272,9 +275,11 @@ def score_input(model, seq, attrs, metrics, cfg=None, seed=None):
     for p, s in enumerate(seeds if sens else ()):
         path = _pgd_points(model, Xs[p], flat[0].target_class, cfg.pgd,
                            cfg.pgd.seed if s is None else s)
+        path_map = attrib.designs_of(maps[p])
         for k, i in sens:
             values[p][k][i] = evaluate("sensitivity", model, Xs[p],
-                                       rows[p][k], cfg, points=path)
+                                       rows[p][k], cfg, points=path,
+                                       queries=path_map)
     cells = [(k, i, metric) for k in range(m)
              for i, metric in enumerate(metrics) if values[0][k][i] is None]
     if not cells:
@@ -328,12 +333,13 @@ def score_input(model, seq, attrs, metrics, cfg=None, seed=None):
     return values if lead else values[0]
 
 
-def evaluate(metric, model, seq, attr, cfg=None, points=None):
+def evaluate(metric, model, seq, attr, cfg=None, points=None,
+             queries=None):
     """One metric of one attribution, by name: ``sensitivity`` (on the
-    search ``points`` if given; ``score_input`` calls it for each
-    sensitivity cell), otherwise a one-cell ``score_input``."""
+    search ``points`` and its ``queries``, if given; ``score_input`` calls
+    it for each sensitivity cell), otherwise a one-cell ``score_input``."""
     if metric == "sensitivity":
-        return sensitivity(model, seq, attr, cfg, points)
+        return sensitivity(model, seq, attr, cfg, points, queries)
     return score_input(model, seq, [attr], (metric,), cfg)[0][0]
 
 

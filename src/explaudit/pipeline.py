@@ -229,7 +229,7 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
         for i, result in zip(batch, _score_batch(
                 model, [(*test_items[i][:2], seqs[i]) for i in batch],
                 predictions[batch[0]].predicted_label, cfg, run_seed)):
-            scored[i] = result
+            scored[i], seqs[i] = result, None  # free the scored TokenSeq
     samples = [s for some, _ in scored for s in some]
     tested = [s for _, some in scored for s in some]
     test_accuracy = correct / len(test_items)
@@ -262,12 +262,15 @@ def _score_batch(model, batch, target, cfg, run_seed):
     """Explain and score test inputs ``(pair_id, subgroup, TokenSeq)`` of
     one token length, predicted as class ``target``: per input, its score
     samples and those of them that enter the disparity tests. Each
-    gradient explainer explains the (b, n, d) stack in one call, LIME and
-    KernelSHAP each input with its own seed. An input's sensitivity cells
-    are scored right after its explains, while its LIME and KernelSHAP
-    designs are still memoized; every other metric in one batch call."""
+    gradient explainer explains the (b, n, d) stack in one call with the
+    stack's query map, LIME and KernelSHAP each input with its own seed
+    and map. An input's sensitivity cells reuse its map's designs right
+    away, so a batch holds one input's designs at a time; every other
+    metric in one batch call."""
     X = model.emb[np.stack([seq.ids for _, _, seq in batch])]
-    stacked = {m: attrib.explain(m, model, X, target, cfg.attr_cfg).scores
+    stack = {}
+    stacked = {m: attrib.explain(m, model, X, target, cfg.attr_cfg,
+                                 queries=stack).scores
                for m in cfg.methods if m in attrib.GRADIENT_METHODS}
     sens = [m for m in cfg.metrics if m == "sensitivity"]
     rest = [m for m in cfg.metrics if m != "sensitivity"]
@@ -275,14 +278,17 @@ def _score_batch(model, batch, target, cfg, run_seed):
     for p, (pair_id, sub, seq) in enumerate(batch):
         cfgs = [replace(cfg.attr_cfg, seed=_derive_seed(
             run_seed, pair_id, sub, method)) for method in cfg.methods]
+        queries = {}
         attrs.append([attrib.Attribution(method, list(seq.tokens),
                                          stacked[method][p], target, c)
                       if method in stacked else
-                      attrib.explain(method, model, seq, target, c)
+                      attrib.explain(method, model, seq, target, c,
+                                     queries=queries)
                       for method, c in zip(cfg.methods, cfgs)])
         seeds.append(_derive_seed(run_seed, pair_id, sub))
         sens_values.append(met.score_input(model, X[p], attrs[-1], sens,
-                                           cfg.metric_cfg, seeds[-1])
+                                           cfg.metric_cfg, seeds[-1],
+                                           queries)
                            if sens else [[]] * len(cfg.methods))
     out = []
     for (pair_id, sub, _), row, sv, rv in zip(batch, attrs, sens_values, (

@@ -198,9 +198,10 @@ def forward_pooled(model, pooled):
     return _softmax(logits), logits
 
 
-def masked_probs(model, X, masks, target):
+def masked_probs(model, X, masks1, target):
     """p(target) of X (..., n, d) under each binary token mask row of
-    ``masks`` (rows, n), shape (..., rows), without pooled rows.
+    ``masks``, shape (..., rows), without pooled rows, from ``masks1 =
+    [masks | 1]`` (rows, n + 1), which a design keeps beside its rows.
 
     Pooling is linear, so the first layer folds into one product,
     ``[masks | 1] @ [X @ w1 / n ; b1]``; then ``tanh`` in place, and
@@ -212,16 +213,13 @@ def masked_probs(model, X, masks, target):
     n = X.shape[-2]
     custom = getattr(model, "pooled_forward", None)
     if custom is not None:
-        pooled = masks @ X
+        pooled = masks1[:, :n] @ X
         pooled /= n
         return custom(pooled)[0][..., target]
     first = np.empty(X.shape[:-2] + (n + 1, len(model.b1)))
     np.matmul(X, model.w1, out=first[..., :n, :])
     first[..., :n, :] /= n
     first[..., n, :] = model.b1
-    masks1 = np.empty((len(masks), n + 1))  # [masks | 1]
-    masks1[:, :n] = masks
-    masks1[:, n] = 1.0
     hidden = masks1 @ first
     np.tanh(hidden, out=hidden)
     gaps = hidden @ (model.w2 - model.w2[:, target, None])

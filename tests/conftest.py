@@ -350,12 +350,10 @@ def reference_train(model, data, cfg):
 
 
 def clear_design_memos():
-    """Forget every memoized LIME and KernelSHAP design and every shared
-    model query, so the next explain builds and queries its own."""
-    for cache in (attrib._lime_design, attrib._sampled_shap_design,
-                  attrib._exact_shap_design):
-        cache.cache_clear()
-    attrib._SHARED.clear()
+    """Forget the memoized exact KernelSHAP designs, so the next explain
+    builds its own (an explain with no query map builds every other
+    design and makes every model query itself)."""
+    attrib._exact_shap_design.cache_clear()
 
 
 def reference_sampled_coalitions(n, samples, rng):

@@ -10,6 +10,7 @@ from conftest import (LinearPooledModel, ConstantModel, DeadInputModel,
                       reference_sampled_coalitions, reference_surrogate,
                       shapley_from_values)
 from explaudit import attribution as attrib
+from explaudit import metrics as met
 from explaudit import textmodel as tm
 from explaudit.errors import ConfigError, NumericalError
 
@@ -218,7 +219,7 @@ class TestKernelShap:
         # (indexed by bit code) against the Shapley formula, token by token
         for n in range(1, 12):
             v = rng.uniform(0, 1, 2**n)
-            rows, W = attrib._exact_shap_design(n)
+            rows, _, W = attrib._exact_shap_design(n)
             codes = (rows @ 2 ** np.arange(n)).astype(int)
             assert np.allclose(W @ v[codes], shapley_from_values(v, n),
                                rtol=0, atol=1e-14)
@@ -243,7 +244,7 @@ class TestKernelShap:
         for a in design:
             assert not a.flags.writeable
         with pytest.raises(ValueError):
-            design[1][0, 0] = 1.0
+            design[-1][0, 0] = 1.0
 
     def test_sampled_rows_have_drawn_size(self):
         for n in (3, 12, 14, 18):
@@ -365,8 +366,9 @@ class TestWeightedRidge:
 
 
 class TestPreparedDesign:
-    """LIME and KernelSHAP derive their design from (n, config) and
-    memoize it; reuse never changes a score."""
+    """LIME and KernelSHAP derive their design from (n, config); a query
+    map keeps LIME's and sampled KernelSHAP's for the next explain, and
+    reuse never changes a score."""
 
     # n = 6: KernelSHAP enumerates all coalitions; n = 13: it samples them
     @pytest.mark.parametrize("n", [6, 13])
@@ -374,12 +376,14 @@ class TestPreparedDesign:
     def test_same_scores_with_and_without(self, rng, method, n):
         model = random_tiny_model(rng)
         cfg = attrib.AttributionConfig(seed=9)
+        queries = {}
         for _ in range(3):
             X = rng.uniform(-1, 1, (n, 3))
-            clear_design_memos()
             fresh = attrib.explain(method, model, X, 1, cfg)
+            queries = attrib.designs_of(queries)  # a new X's map
             for _ in range(2):
-                reused = attrib.explain(method, model, X, 1, cfg)
+                reused = attrib.explain(method, model, X, 1, cfg,
+                                        queries=queries)
                 assert np.array_equal(fresh.scores, reused.scores)
 
     @pytest.mark.parametrize("method", ["LIME", "SHAP"])
@@ -387,16 +391,15 @@ class TestPreparedDesign:
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (13, 3))  # sampled KernelSHAP
         cfgs = [attrib.AttributionConfig(seed=s) for s in (1, 2)]
-        fresh = []
-        for cfg in cfgs:
-            clear_design_memos()
-            fresh.append(attrib.explain(method, model, X, 1, cfg).scores)
+        fresh = [attrib.explain(method, model, X, 1, cfg).scores
+                 for cfg in cfgs]
         assert not np.array_equal(*fresh)
-        # each explain follows one under the other seed, so a memo that
-        # ignored the seed would hand it the other seed's design
+        # each explain follows one under the other seed in the same map,
+        # so a map that ignored the seed would hand it the other's design
+        queries = {}
         for cfg, scores in zip(cfgs * 2, fresh * 2):
-            assert np.array_equal(
-                attrib.explain(method, model, X, 1, cfg).scores, scores)
+            assert np.array_equal(attrib.explain(
+                method, model, X, 1, cfg, queries=queries).scores, scores)
 
     def test_exact_shap_design_shared_across_seeds(self, rng):
         model = random_tiny_model(rng)
@@ -409,26 +412,30 @@ class TestPreparedDesign:
 
     @pytest.mark.parametrize("n", [6, 13])
     @pytest.mark.parametrize("method", ["LIME", "SHAP"])
-    def test_arrays_read_only_and_unchanged_by_fits(self, rng, method, n):
+    def test_arrays_read_only_and_unchanged_by_fits(self, rng, monkeypatch,
+                                                    method, n):
+        builds = []
+        for name in ("_lime_design", "_sampled_shap_design"):
+            build = getattr(attrib, name)
+            monkeypatch.setattr(attrib, name, lambda *a, build=build: (
+                builds.append(a), build(*a))[1])
         model = random_tiny_model(rng)
-        cfg = attrib.AttributionConfig()
-        if method == "LIME":
-            memo, key = attrib._lime_design, (
-                n, cfg.lime_samples, cfg.lime_kernel_width, cfg.seed,
-                cfg.ridge)
-        elif n == 6:
-            memo, key = attrib._exact_shap_design, (n,)
+        queries = {}
+        attrib.explain(method, model, rng.uniform(-1, 1, (n, 3)), 1,
+                       queries=queries)
+        if method == "SHAP" and n == 6:  # the exact design, one per n
+            arrays = attrib._exact_shap_design(n)
         else:
-            memo, key = attrib._sampled_shap_design, (
-                n, cfg.shap_samples, cfg.seed)
-        clear_design_memos()
-        attrib.explain(method, model, rng.uniform(-1, 1, (n, 3)), 1)
-        arrays = memo(*key)
+            (key,) = [key for key in queries if key[0] == "design"]
+            arrays = queries[key]
         before = [a.copy() for a in arrays]
         for _ in range(20):
-            attrib.explain(method, model, rng.uniform(-1, 1, (n, 3)), 1)
-        assert memo.cache_info().misses == 1  # one build for all 21 fits
-        assert memo(*key) is arrays
+            queries = attrib.designs_of(queries)
+            attrib.explain(method, model, rng.uniform(-1, 1, (n, 3)), 1,
+                           queries=queries)
+        assert len(builds) == (method == "LIME" or n == 13)
+        assert arrays is (attrib._exact_shap_design(n) if not builds
+                          else queries[key])
         for a, b in zip(arrays, before):
             assert not a.flags.writeable
             assert np.array_equal(a, b)
@@ -461,10 +468,10 @@ class TestDistinctRows:
         want = reference_surrogate(method, model, X, 1, cfg)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
         if method == "LIME":
-            rows, W = attrib._lime_design(
+            rows, _, W = attrib._lime_design(
                 n, samples, cfg.lime_kernel_width, cfg.seed, cfg.ridge)
         else:
-            rows, W = attrib._sampled_shap_design(n, samples, cfg.seed)
+            rows, _, W = attrib._sampled_shap_design(n, samples, cfg.seed)
         assert len(rows) < samples  # rows repeat at this length
         assert len(np.unique(rows, axis=0)) == len(rows)
         assert W.shape == (n, len(rows))
@@ -524,14 +531,11 @@ class TestStackedInput:
 
 
 class TestSharedQueries:
-    """Sibling gradient explainers share one model query per input: GRAD
-    and GXI one gradient, IG and IGXI one path. Every explain equals, bit
-    for bit, the explain of the same query with nothing shared."""
-
-    @staticmethod
-    def _alone(method, model, X, target, cfg):
-        attrib._SHARED.clear()
-        return attrib.explain(method, model, X, target, cfg).scores
+    """Sibling explainers share one model query per input through the
+    caller's query map: GRAD and GXI one gradient, IG and IGXI one path,
+    and LIME and KernelSHAP one all-coalitions query where KernelSHAP is
+    exact. Every explain equals, bit for bit, the same method explained
+    alone with no map."""
 
     @pytest.mark.parametrize("shape", [(), (3, 2)], ids=["2-D", "stack"])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 11])
@@ -542,40 +546,33 @@ class TestSharedQueries:
         X = rng.normal(size=shape + (n, 16))  # or (steps, restarts, n, d)
         cfgs = {m: attrib.AttributionConfig(seed=seed)
                 for seed, m in enumerate(attrib.METHODS)}
-        attrib._SHARED.clear()
-        shared = {m: attrib.explain(m, model, X, 1, cfgs[m]).scores
-                  for m in order}
+        queries = {}
+        shared = {m: attrib.explain(m, model, X, 1, cfgs[m],
+                                    queries=queries).scores for m in order}
         for m in order:
-            assert np.array_equal(shared[m],
-                                  self._alone(m, model, X, 1, cfgs[m]))
+            assert np.array_equal(
+                shared[m], attrib.explain(m, model, X, 1, cfgs[m]).scores)
 
-    @pytest.mark.parametrize("change", [
-        "X in place", "weights in place", "other model", "other target",
-        "other ig_steps"])
+    @pytest.mark.parametrize("change", ["other target", "other ig_steps"])
     @pytest.mark.parametrize("first, second", [
         ("GRAD", "GXI"), ("IG", "IGXI")])
     def test_changed_query_not_shared(self, rng, first, second, change):
+        # a map keys each query on the target and the query's config
         model = scaled_classifier(1)
         X = rng.normal(size=(8, 16))
-        cfg, target = attrib.AttributionConfig(), 1
-        attrib._SHARED.clear()
-        attrib.explain(first, model, X, target, cfg)
-        if change == "X in place":
-            X[2, 5] += 0.5
-        elif change == "weights in place":
-            model.w1[3, 7] += 0.5
-        elif change == "other model":
-            model = scaled_classifier(2)
-        elif change == "other target":
+        cfg, target, queries = attrib.AttributionConfig(), 1, {}
+        attrib.explain(first, model, X, target, cfg, queries=queries)
+        if change == "other target":
             target = 0
         else:
             cfg = attrib.AttributionConfig(ig_steps=16)
-        shared = attrib.explain(second, model, X, target, cfg).scores
-        assert np.array_equal(shared,
-                              self._alone(second, model, X, target, cfg))
+        shared = attrib.explain(second, model, X, target, cfg,
+                                queries=queries).scores
+        assert np.array_equal(
+            shared, attrib.explain(second, model, X, target, cfg).scores)
 
     def test_one_query_per_sibling_pair(self, rng, monkeypatch):
-        calls = {"grad": 0, "pooled_grad": 0}
+        calls = {"grad": 0, "pooled_grad": 0, "masked_probs": 0}
 
         def count(name, fn):
             def wrapped(*args):
@@ -587,27 +584,95 @@ class TestSharedQueries:
                             count("grad", tm.grad_wrt_embeddings_matrix))
         monkeypatch.setattr(tm, "pooled_grad",
                             count("pooled_grad", tm.pooled_grad))
+        monkeypatch.setattr(tm, "masked_probs",
+                            count("masked_probs", tm.masked_probs))
         model, cfg = scaled_classifier(3), attrib.AttributionConfig()
-        X = rng.normal(size=(8, 16))
-        attrib._SHARED.clear()
+        X, queries = rng.normal(size=(8, 16)), {}
         for method in attrib.METHODS[2:4]:  # IG, IGXI
-            attrib.explain(method, model, X, 1, cfg)
-        assert calls == {"grad": 0, "pooled_grad": 1}
+            attrib.explain(method, model, X, 1, cfg, queries=queries)
+        assert calls == {"grad": 0, "pooled_grad": 1, "masked_probs": 0}
         for method in attrib.METHODS[:2]:  # GRAD, GXI
-            attrib.explain(method, model, X, 1, cfg)
-        assert calls == {"grad": 1, "pooled_grad": 2}
+            attrib.explain(method, model, X, 1, cfg, queries=queries)
+        assert calls == {"grad": 1, "pooled_grad": 2, "masked_probs": 0}
+        for method in attrib.METHODS[4:]:  # LIME, SHAP at exact n = 8
+            attrib.explain(method, model, X, 1, cfg, queries=queries)
+        assert calls["masked_probs"] == 1
+        # a (steps, restarts, n, d) path: one query per (restarts, n, d)
+        # block for both
+        path, queries = rng.normal(size=(4, 2, 8, 16)), {}
+        for method in attrib.METHODS[:0:-1]:  # all but GRAD, SHAP first
+            attrib.explain(method, model, path, 1, cfg, queries=queries)
+        assert calls == {"grad": 2, "pooled_grad": 4, "masked_probs": 5}
 
-    @pytest.mark.parametrize("first, second, kind", [
-        ("GRAD", "GXI", "grad"), ("IG", "IGXI", "ig")])
-    def test_slot_empty_once_read(self, rng, first, second, kind):
-        # the sibling takes the shared query, so no slot holds a stack
-        # (a PGD path) past its pair of explains
-        model, X = scaled_classifier(4), rng.normal(size=(3, 2, 5, 16))
-        attrib._SHARED.clear()
-        attrib.explain(first, model, X, 1)
-        assert kind in attrib._SHARED
-        attrib.explain(second, model, X, 1)
-        assert kind not in attrib._SHARED
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_lime_matches_reference_fit(self, rng, shared, stacked):
+        # at n <= 11 LIME reads its rows from the all-coalitions query
+        cfg = attrib.AttributionConfig(seed=7)
+        for n in range(1, 13):
+            model = random_tiny_model(rng)
+            X = rng.uniform(-1, 1, (2, 3, n, 3) if stacked else (n, 3))
+            queries = {}
+            if shared:
+                attrib.explain("SHAP", model, X, 1, cfg, queries=queries)
+            got = attrib.explain("LIME", model, X, 1, cfg, queries=queries)
+            assert np.allclose(got.scores, reference_surrogate(
+                "LIME", model, X, 1, cfg), rtol=0, atol=1e-12)
+
+    def test_non_finite_values_raise_where_read(self, rng):
+        # a coalition that LIME's masks leave out is non-finite: KernelSHAP
+        # reads it and raises, LIME does not read it, shared or not
+        n, cfg = 6, attrib.AttributionConfig(lime_samples=5, seed=2)
+        rows = attrib._lime_design(n, 5, 0.0, 2, cfg.ridge)[0]
+        missing = sorted(set(range(2**n))
+                         - set((rows @ 2 ** np.arange(n)).astype(int)))[0]
+        X = indicator_embeddings(n)
+        pooled_gap = (missing >> np.arange(n)) & 1
+
+        class HoleModel(LinearPooledModel):
+            def pooled_forward(self, pooled):
+                probs, logits = super().pooled_forward(pooled)
+                hole = np.all(pooled * n == pooled_gap, axis=-1)
+                probs[hole] = np.nan
+                return probs, logits
+
+        model = HoleModel(np.full(n, 0.01))
+        alone = attrib.explain("LIME", model, X, 1, cfg).scores
+        assert np.all(np.isfinite(alone))
+        for order in (("LIME", "SHAP"), ("SHAP", "LIME")):
+            queries = {}
+            for method in order:
+                if method == "SHAP":
+                    with pytest.raises(NumericalError, match="non-finite"):
+                        attrib.explain("SHAP", model, X, 1, cfg,
+                                       queries=queries)
+                else:
+                    assert np.array_equal(alone, attrib.explain(
+                        "LIME", model, X, 1, cfg, queries=queries).scores)
+
+    @pytest.mark.parametrize("n", [6, 11, 13])  # SHAP exact / sampled
+    def test_pgd_re_explain_builds_no_second_design(self, rng, monkeypatch,
+                                                    n):
+        builds = []
+        for name in ("_lime_design", "_sampled_shap_design"):
+            build = getattr(attrib, name)
+            monkeypatch.setattr(attrib, name, lambda *a, build=build: (
+                builds.append(a), build(*a))[1])
+        model = random_tiny_model(rng)
+        X = rng.uniform(-1, 1, (n, 3))
+        cfg = met.MetricConfig(pgd=met.PGDConfig(steps=2))
+        queries = {}
+        attrs = [attrib.explain(m, model, X, 1, attrib.AttributionConfig(
+            seed=s), queries=queries) for s, m in enumerate(attrib.METHODS)]
+        built = len(builds)
+        assert built == 1 + (n == 13)
+        shared = met.score_input(model, X, attrs, ("sensitivity",), cfg, 5,
+                                 queries)
+        assert len(builds) == built
+        # without the input's map, the path builds the designs again
+        assert met.score_input(model, X, attrs, ("sensitivity",), cfg,
+                               5) == shared
+        assert len(builds) == 2 * built
 
 
 class TestDegenerate:

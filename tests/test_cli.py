@@ -1,6 +1,9 @@
+import filecmp
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -461,6 +464,39 @@ class TestReportCommand:
         assert "not a directory" in err
         assert renders == []
         assert dest.read_text() == "data"
+
+
+class TestNoStateBetweenAudits:
+    def test_second_audit_equals_fresh_process(self, tmp_path, capsys):
+        # two datasets audited back to back in one process: the second
+        # report equals, byte for byte, the one a fresh process writes,
+        # so no state of the first audit outlives its run
+        paths = [str(tmp_path / f"d{k}.csv") for k in range(2)]
+        for k, injection in enumerate(("none", "length")):
+            assert run_cli(["gen-data", "--pairs", "14", "--seed", str(k),
+                            "--injection", injection, "--out", paths[k]],
+                           capsys)[0] == 0
+        args = ["--runs", "1", "--epochs", "3", "--with-sensitivity",
+                "--metrics", "comprehensiveness,gini"]
+        for k, path in enumerate(paths):
+            assert run_cli(["audit", "--dataset", path,
+                            "--out", str(tmp_path / f"in{k}"), *args],
+                           capsys)[0] == 0
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(root, "src")]
+            + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ
+               else [])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from explaudit import cli; "
+             "sys.exit(cli.main(sys.argv[1:]))", "audit", "--dataset",
+             paths[1], "--out", str(tmp_path / "fresh"), *args],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        names = sorted(os.listdir(tmp_path / "fresh"))
+        assert names == sorted(os.listdir(tmp_path / "in1"))
+        assert filecmp.cmpfiles(tmp_path / "in1", tmp_path / "fresh", names,
+                                shallow=False)[0] == names
 
 
 class TestDatasetOptions:

@@ -250,7 +250,6 @@ class TestBatchedScoring:
         for target in (0, 1):
             stacked = attrib.explain(method, model, X, target).scores
             for x, scores in zip(X, stacked):
-                attrib._SHARED.clear()
                 alone = attrib.explain(method, model, x, target).scores
                 assert scores.tobytes() == alone.tobytes()
 

@@ -336,6 +336,10 @@ class TestMaskedProbs:
     def _masks(rng, n):
         return (rng.random((37, n)) < 0.5).astype(float)
 
+    @staticmethod
+    def _ones(masks):
+        return np.column_stack([masks, np.ones(len(masks))])
+
     @pytest.mark.parametrize("stacked", [False, True])
     @pytest.mark.parametrize("n_classes", [2, 3])
     def test_agrees_with_forward_pooled(self, rng, stacked, n_classes):
@@ -347,7 +351,7 @@ class TestMaskedProbs:
         masks = self._masks(rng, n)
         probs = tm.forward_pooled(model, masks @ X / n)[0]
         for target in range(n_classes):
-            got = tm.masked_probs(model, X, masks, target)
+            got = tm.masked_probs(model, X, self._ones(masks), target)
             assert got.shape == X.shape[:-2] + (len(masks),)
             assert np.allclose(got, probs[..., target], atol=0,
                                rtol=16 * np.finfo(float).eps)
@@ -362,7 +366,7 @@ class TestMaskedProbs:
         probs = tm.forward_pooled(model, masks @ X / n)[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = np.array([tm.masked_probs(model, X, masks, t)
+            got = np.array([tm.masked_probs(model, X, self._ones(masks), t)
                             for t in range(n_classes)]).T
         assert np.all(np.isfinite(got))
         assert np.any(got == 0.0) and np.any(got == 1.0)
@@ -375,8 +379,8 @@ class TestMaskedProbs:
         masks = self._masks(rng, n)
         for target in (0, 1):
             want = model.pooled_forward(masks @ X / n)[0][..., target]
-            assert np.array_equal(tm.masked_probs(model, X, masks, target),
-                                  want)
+            assert np.array_equal(
+                tm.masked_probs(model, X, self._ones(masks), target), want)
 
 
 class TestPredictAndPersistence:
