@@ -237,16 +237,15 @@ def _lime(model, X, target, cfg, queries):
     return _fit(W, _coalition_probs(model, X, target, queries)[..., codes])
 
 
-def _shap_kernel_weight(n, k):
-    return (n - 1) / (math.comb(n, k) * k * (n - k))
-
-
 def _sampled_coalitions(n, samples, rng):
-    """``samples`` coalitions: sizes drawn from the Shapley kernel's size
-    distribution, then a uniform subset of each size (the row's k tokens
-    with the smallest uniform keys: those at or below its k-th smallest
-    key, or by a row-wise ``argsort`` where that key is tied)."""
-    drawn = rng.choice(np.arange(1, n), size=samples, p=_size_weights(n))
+    """``samples`` coalitions: sizes k = 1 .. n - 1 drawn in proportion to
+    ``(n - 1) / (k (n - k))``, the Shapley kernel weight times the C(n, k)
+    coalitions of size k, then a uniform subset of each size (the row's k
+    tokens with the smallest uniform keys: those at or below its k-th
+    smallest key, or by a row-wise ``argsort`` where that key is tied)."""
+    k = np.arange(1, n)
+    p = (n - 1) / (k * (n - k))
+    drawn = rng.choice(k, size=samples, p=p / p.sum())
     keys = rng.random((samples, n))
     srt = np.sort(keys, axis=1)
     kth = np.take_along_axis(srt, drawn[:, None] - 1, 1)
@@ -254,14 +253,6 @@ def _sampled_coalitions(n, samples, rng):
     for row in np.flatnonzero(srt[np.arange(samples), drawn] == kth[:, 0]):
         Z[row, keys[row].argsort()] = np.arange(n) < drawn[row]
     return Z
-
-
-@functools.lru_cache(maxsize=None)
-def _size_weights(n):
-    """The Shapley kernel's distribution of coalition sizes 1 .. n - 1."""
-    p = np.array([_shap_kernel_weight(n, k) * math.comb(n, k)
-                  for k in range(1, n)])
-    return _read_only(p / p.sum())[0]
 
 
 @functools.lru_cache(maxsize=None)

@@ -91,7 +91,7 @@ def _check_parent(out):
 
 
 def cmd_gen_data(args):
-    if os.path.isdir(args.out):
+    if os.path.isdir(args.out) or args.out.endswith(os.sep):
         raise ConfigError(f"--out is a directory: {args.out}")
     _check_parent(args.out)
     records = ds.generate_synthetic_paired(args.pairs, args.injection.upper(),

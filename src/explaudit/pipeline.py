@@ -262,11 +262,12 @@ def _score_batch(model, batch, target, cfg, run_seed):
     """Explain and score test inputs ``(pair_id, subgroup, TokenSeq)`` of
     one token length, predicted as class ``target``: per input, its score
     samples and those of them that enter the disparity tests. Each
-    gradient explainer explains the (b, n, d) stack in one call with the
-    stack's query map, LIME and KernelSHAP each input with its own seed
-    and map. An input's sensitivity cells reuse its map's designs right
-    away, so a batch holds one input's designs at a time; every other
-    metric in one batch call."""
+    gradient explainer (which reads no seed) explains the (b, n, d) stack
+    in one call under ``cfg.attr_cfg`` with the stack's query map, LIME
+    and KernelSHAP each input with its own seed and map. An input's
+    sensitivity cells reuse its map's designs right away, so a batch
+    holds one input's designs at a time; every other metric in one batch
+    call."""
     X = model.emb[np.stack([seq.ids for _, _, seq in batch])]
     stack = {}
     stacked = {m: attrib.explain(m, model, X, target, cfg.attr_cfg,
@@ -276,15 +277,14 @@ def _score_batch(model, batch, target, cfg, run_seed):
     rest = [m for m in cfg.metrics if m != "sensitivity"]
     attrs, seeds, sens_values = [], [], []
     for p, (pair_id, sub, seq) in enumerate(batch):
-        cfgs = [replace(cfg.attr_cfg, seed=_derive_seed(
-            run_seed, pair_id, sub, method)) for method in cfg.methods]
         queries = {}
-        attrs.append([attrib.Attribution(method, list(seq.tokens),
-                                         stacked[method][p], target, c)
-                      if method in stacked else
-                      attrib.explain(method, model, seq, target, c,
-                                     queries=queries)
-                      for method, c in zip(cfg.methods, cfgs)])
+        attrs.append([attrib.Attribution(m, list(seq.tokens), stacked[m][p],
+                                         target, cfg.attr_cfg)
+                      if m in stacked else
+                      attrib.explain(m, model, seq, target, replace(
+                          cfg.attr_cfg, seed=_derive_seed(
+                              run_seed, pair_id, sub, m)), queries=queries)
+                      for m in cfg.methods])
         seeds.append(_derive_seed(run_seed, pair_id, sub))
         sens_values.append(met.score_input(model, X[p], attrs[-1], sens,
                                            cfg.metric_cfg, seeds[-1],

@@ -358,11 +358,13 @@ def clear_design_memos():
 
 def reference_sampled_coalitions(n, samples, rng):
     """KernelSHAP's coalition sampler as first written: each row's drawn
-    size, then its tokens by a row-wise ``argsort`` of uniform keys.
-    ``attrib._sampled_coalitions`` must reproduce it bit for bit."""
+    size, with the probability of size k the textbook Shapley kernel
+    weight ``(n - 1) / (C(n, k) k (n - k))`` times the C(n, k) coalitions
+    of that size, then its tokens by a row-wise ``argsort`` of uniform
+    keys. ``attrib._sampled_coalitions`` must reproduce it bit for bit."""
     sizes = np.arange(1, n)
-    size_p = np.array([attrib._shap_kernel_weight(n, k) * math.comb(n, k)
-                       for k in sizes])
+    size_p = np.array([(n - 1) / (math.comb(n, k) * k * (n - k))
+                       * math.comb(n, k) for k in sizes])
     size_p /= size_p.sum()
     drawn = rng.choice(sizes, size=samples, p=size_p)
     order = rng.random((samples, n)).argsort(axis=1)

@@ -187,12 +187,15 @@ class TestKernelShap:
         assert a.scores.sum() == pytest.approx(delta, abs=1e-6)
 
     def test_local_accuracy_sampled_branch(self, rng):
-        model = random_tiny_model(rng)
-        X = rng.uniform(-1, 1, (15, 3))
-        cfg = attrib.AttributionConfig(shap_samples=256)
-        a = attrib.explain("SHAP", model, X, 1, cfg)
-        delta = masked_prob(model, X, range(15)) - masked_prob(model, X, [])
-        assert a.scores.sum() == pytest.approx(delta, abs=1e-6)
+        # n = 1100: C(n, k) of the middle sizes overflows a float
+        for n, samples in ((15, 256), (1100, 2048)):
+            model = random_tiny_model(rng)
+            X = rng.uniform(-1, 1, (n, 3))
+            cfg = attrib.AttributionConfig(shap_samples=samples)
+            a = attrib.explain("SHAP", model, X, 1, cfg)
+            delta = masked_prob(model, X, range(n)) - masked_prob(model, X, [])
+            assert np.all(np.isfinite(a.scores))
+            assert a.scores.sum() == pytest.approx(delta, abs=1e-9)
 
     def test_additive_planted_model(self):
         c = [0.1, -0.05, 0.2, 0.0, 0.08]
@@ -247,7 +250,7 @@ class TestKernelShap:
             design[-1][0, 0] = 1.0
 
     def test_sampled_rows_have_drawn_size(self):
-        for n in (3, 12, 14, 18):
+        for n in (3, 12, 14, 18, 1030):  # C(1030, 515) overflows a float
             Z = attrib._sampled_coalitions(n, 2048,
                                            np.random.default_rng(n))
             sizes = np.arange(1, n)

@@ -65,6 +65,11 @@ class TestGenData:
         code, _, err = run_cli(["gen-data", "--out", str(tmp_path)], capsys)
         assert code == 1 and "is a directory" in err
         assert os.listdir(tmp_path) == []
+        # a path that does not exist yet but names a directory
+        code, _, err = run_cli(["gen-data", "--out",
+                                str(tmp_path / "newdir") + os.sep], capsys)
+        assert code == 1 and "is a directory" in err
+        assert os.listdir(tmp_path) == []
 
     def test_out_creates_missing_parents(self, tmp_path, capsys):
         path = tmp_path / "data" / "sets" / "d.csv"
