@@ -22,10 +22,10 @@ def main():
             for _, text, lab in train_items]
     model, _ = textmodel.train(model, data, textmodel.TrainConfig(epochs=20, warmup_steps=50))
 
-    correct = sum(
-        textmodel.predict(model, textmodel.tokenize(vocab, text))
-        .predicted_class
-        == labels.index(lab) for _, text, lab in test_items)
+    preds = textmodel.predict(model, [textmodel.tokenize(vocab, text)
+                                      for _, text, _ in test_items])
+    correct = sum(pred.predicted_class == labels.index(lab)
+                  for pred, (_, _, lab) in zip(preds, test_items))
     print(f"labels: {labels}   "
           f"test accuracy: {correct / len(test_items):.3f}\n")
 

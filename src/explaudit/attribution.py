@@ -6,15 +6,15 @@ mean-pools its input, so the gradient methods need only the model's
 pooled gradient ``g``, which every token shares as ``g / n``: GRAD is
 ``||g|| / n`` for every token, GXI is ``x_i . g / n``, and IG and IGXI use
 the mean of ``g`` over the path (one batched ``pooled_grad`` call). LIME
-and KernelSHAP are linear in the model outputs they fit: each design
-(LIME's masks, KernelSHAP's sampled coalitions with f(x) and f(empty),
-or all 2^n coalitions for exact Shapley values in closed form) is built
-per (n, config) as its distinct rows, their ``[rows | 1]`` and one
+and KernelSHAP are linear in the model outputs they fit. Where KernelSHAP's
+budget covers all 2^n coalitions, both read one all-coalitions query and no
+seed: exact Shapley values in closed form, and LIME's population fit by one
+cached solve per (n, config). Past that, each draws a seeded design built
+per (n, config) as its distinct mask rows, their ``[rows | 1]`` and one
 read-only map ``W``, and explains as ``W @ p(rows)``. Sibling explainers
-share one model query per input in a query map that the caller owns:
-GRAD and GXI one gradient, IG and IGXI one path, and LIME and KernelSHAP,
-where KernelSHAP is exact, one all-coalitions query, which LIME reads
-even when explained alone. The map also keeps the seeded designs for the
+share one model query per input in a query map that the caller owns: GRAD
+and GXI one gradient, IG and IGXI one path, LIME and exact KernelSHAP the
+all-coalitions query. The map also keeps the seeded designs for the
 input's PGD path (``designs_of``). All methods also accept raw
 (..., n, d) embeddings so that robustness search can re-explain a stack
 of perturbed inputs, each slice bit for bit as its own 2-D call (checked
@@ -203,6 +203,13 @@ def _with_ones(rows):
     return _read_only(rows1[:, :-1], rows1)
 
 
+def _lime_kernel(rows, width):
+    """LIME's kernel of each mask row by its distance to the all-ones mask."""
+    n = rows.shape[1]
+    dist = n - rows @ np.ones(n)  # exact integers, like rows.sum(axis=1)
+    return np.exp(-(dist**2) / (width or 0.75 * math.sqrt(n))**2)
+
+
 def _lime_design(n, samples, width, seed, ridge):
     """LIME's masks as their distinct ``rows``, ``[rows | 1]`` and the map
     of the kernel-weighted ridge fit, ``inv(A.T * w @ A + ridge * P) @
@@ -211,30 +218,41 @@ def _lime_design(n, samples, width, seed, ridge):
     unpenalized; read-only."""
     Z = np.random.default_rng(seed).random((samples, n)) < 0.5
     rows, counts = _distinct_rows(Z.astype(float))
-    width = width or 0.75 * math.sqrt(n)
-    dist = n - rows @ np.ones(n)  # exact integers, like rows.sum(axis=1)
-    w = counts * np.exp(-(dist**2) / width**2)
+    w = counts * _lime_kernel(rows, width)
     A = np.column_stack([np.ones(len(rows)), rows])
     AtW = A.T * w
     system = AtW @ A + ridge * np.diag([0.0] + [1.0] * n)
     return (*_with_ones(rows), _fit_map(system, AtW)[1:])
 
 
+@functools.lru_cache(maxsize=32)  # its key holds config values
+def _population_lime_design(n, samples, width, ridge):
+    """LIME's fit over all 2^n masks, each by its expected count ``samples /
+    2^n``: the masks' weights and the coefficient rows of the inverse ridge
+    system over ``[masks | 1]``, read-only."""
+    rows1 = _exact_shap_design(n)[1]
+    w = _lime_kernel(rows1[:, :n], width) * (samples / 2**n)
+    system = rows1.T * w @ rows1 + ridge * np.diag([1.0] * n + [0.0])
+    return (*_read_only(w), _fit_map(system, np.eye(n + 1))[:n])
+
+
 def _lime(model, X, target, cfg, queries):
     """LIME with Bernoulli(0.5) token masks and an exponential kernel.
 
     Mask distance is the Hamming distance to the all-ones mask; masked
-    tokens have their embedding rows zeroed. Where KernelSHAP is exact, the
-    mask rows' values are read by bit code from the all-coalitions query,
-    even with no KernelSHAP explain to share it (then up to 2.6x the rows)."""
+    tokens have their embedding rows zeroed. Where KernelSHAP is exact,
+    the fit is over all 2^n masks, each by its expected count, from the
+    all-coalitions query and with no seed."""
     n = X.shape[-2]
+    if _exact(n, cfg):
+        w, W = _population_lime_design(n, cfg.lime_samples,
+                                       cfg.lime_kernel_width, cfg.ridge)
+        y = _coalition_probs(model, X, target, queries)
+        return _fit(W, _fit(_exact_shap_design(n)[1].T, y * w))
     key = (n, cfg.lime_samples, cfg.lime_kernel_width, cfg.seed, cfg.ridge)
-    rows, rows1, W = _query(queries, ("design", "LIME") + key,
-                            _lime_design, *key)
-    if not _exact(n, cfg):
-        return _fit(W, _probs(model, X, target, rows1))
-    codes = (rows @ 2.0 ** np.arange(n)).astype(np.intp)
-    return _fit(W, _coalition_probs(model, X, target, queries)[..., codes])
+    _, rows1, W = _query(queries, ("design", "LIME") + key,
+                         _lime_design, *key)
+    return _fit(W, _probs(model, X, target, rows1))
 
 
 def _sampled_coalitions(n, samples, rng):

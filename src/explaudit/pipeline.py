@@ -212,8 +212,8 @@ def run_single_audit(records, cfg, run_seed, run_index=0):
 
     seqs = [tm.tokenize(prep.vocab, text) for _, _, text, _ in test_items]
     predictions, correct, groups = [], 0, {}
-    for i, ((pair_id, sub, _, lab), seq) in enumerate(zip(test_items, seqs)):
-        pred = tm.predict(model, seq)
+    for i, ((pair_id, sub, _, lab), seq, pred) in enumerate(
+            zip(test_items, seqs, tm.predict(model, seqs))):
         correct += int(pred.predicted_class == label_idx[lab])
         predictions.append(stats.LabeledPrediction(
             subgroup=sub, true_label=label_idx[lab],

@@ -231,18 +231,20 @@ def masked_probs(model, X, masks1, target):
 
 
 def forward(model, embeddings):
-    """Predict from an (n, d) embedding matrix for one input; raises
-    NumericalError when the model's probabilities are not finite."""
+    """Predict one input from its (n, d) embeddings, or a list of inputs
+    from a (b, n, d) stack of one length; raises DataError on empty or
+    non-finite embeddings, NumericalError on non-finite probabilities."""
     embeddings = np.asarray(embeddings, dtype=float)
-    if embeddings.ndim != 2 or embeddings.shape[0] < 1:
-        raise DataError("embeddings must be a non-empty (n, d) matrix")
+    if embeddings.ndim not in (2, 3) or embeddings.shape[-2] < 1:
+        raise DataError("embeddings must be a non-empty (n, d) matrix "
+                        "or a (b, n, d) stack")
     if not np.all(np.isfinite(embeddings)):
         raise DataError("non-finite values in input embeddings")
-    pooled = embeddings.mean(axis=0)
-    probs, _ = forward_pooled(model, pooled)
+    probs, _ = forward_pooled(model, embeddings.mean(axis=-2))
     if not np.all(np.isfinite(probs)):
         raise NumericalError("non-finite model output")
-    return Prediction(probs=probs, predicted_class=int(np.argmax(probs)))
+    preds = [Prediction(p, int(np.argmax(p))) for p in np.atleast_2d(probs)]
+    return preds if embeddings.ndim == 3 else preds[0]
 
 
 def pooled_grad(model, pooled, target_class):
@@ -274,9 +276,19 @@ def grad_wrt_embeddings_matrix(model, embeddings, target_class):
     return np.broadcast_to(g / X.shape[-2], X.shape)
 
 
-def predict(model, seq):
-    """``forward`` of a token sequence's embeddings."""
-    return forward(model, embed(model, seq))
+def predict(model, seqs):
+    """A Prediction of each token sequence, in order: one ``forward`` of
+    each token length's stacked embeddings, padded with copies of the last
+    to a multiple of 4 rows, so that every row is in the products' 4-row
+    body and its bits depend on no other sequence."""
+    preds = [None] * len(seqs)
+    for n in dict.fromkeys(seq.n for seq in seqs):
+        idx = [i for i, seq in enumerate(seqs) if seq.n == n]
+        ids = np.pad([seqs[i].ids for i in idx], ((0, -len(idx) % 4), (0, 0)),
+                     "edge")
+        for i, pred in zip(idx, forward(model, model.emb[ids])):
+            preds[i] = pred
+    return preds
 
 
 def _lr_at(step, total_steps, cfg):

@@ -350,10 +350,11 @@ def reference_train(model, data, cfg):
 
 
 def clear_design_memos():
-    """Forget the memoized exact KernelSHAP designs, so the next explain
-    builds its own (an explain with no query map builds every other
-    design and makes every model query itself)."""
+    """Forget the memoized exact KernelSHAP and population LIME designs,
+    so the next explain builds its own (an explain with no query map
+    builds every other design and makes every model query itself)."""
     attrib._exact_shap_design.cache_clear()
+    attrib._population_lime_design.cache_clear()
 
 
 def reference_sampled_coalitions(n, samples, rng):
@@ -378,22 +379,40 @@ def _reference_probs(model, X, masks, target):
     return tm.forward_pooled(model, masks @ X / X.shape[-2])[0][..., target]
 
 
+def _reference_lime_fit(model, X, target, cfg, Z, counts):
+    """LIME's kernel-weighted ridge fit over mask rows ``Z``, each row's
+    kernel weight times its count, by one ``np.linalg.solve`` per input."""
+    n = Z.shape[1]
+    width = cfg.lime_kernel_width or 0.75 * math.sqrt(n)
+    w = counts * np.exp(-((n - Z.sum(axis=1)) ** 2) / width**2)
+    A = np.column_stack([np.ones(len(Z)), Z])
+    system = A.T * w @ A + cfg.ridge * np.diag([0.0] + [1.0] * n)
+    y = _reference_probs(model, X, Z, target)
+    return np.linalg.solve(system, (A.T * w @ y[..., None]))[..., 1:, 0]
+
+
+def reference_population_lime(model, X, target, cfg):
+    """LIME's population fit, solved directly: the ridge fit over all 2^n
+    masks, each counted ``lime_samples / 2^n`` times (its expected count
+    among ``lime_samples`` Bernoulli(0.5) draws)."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[-2]
+    Z = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(float)
+    return _reference_lime_fit(model, X, target, cfg, Z,
+                               cfg.lime_samples / 2**n)
+
+
 def reference_surrogate(method, model, X, target, cfg):
-    """LIME or sampled KernelSHAP scores as first written: every mask row
-    queried, then one ``np.linalg.solve`` per input of LIME's ridge
-    normal equations or of KernelSHAP's KKT system. ``attrib.explain``'s
-    fitted map must agree with it to rounding."""
+    """LIME (past KernelSHAP's exact limit) or sampled KernelSHAP scores as
+    first written: every mask row queried, then one ``np.linalg.solve`` per
+    input of LIME's ridge normal equations or of KernelSHAP's KKT system.
+    ``attrib.explain``'s fitted map must agree with it to rounding."""
     X = np.asarray(X, dtype=float)
     n = X.shape[-2]
     if method == "LIME":
         rng = np.random.default_rng(cfg.seed)
         Z = (rng.random((cfg.lime_samples, n)) < 0.5).astype(float)
-        width = cfg.lime_kernel_width or 0.75 * math.sqrt(n)
-        w = np.exp(-((n - Z.sum(axis=1)) ** 2) / width**2)
-        A = np.column_stack([np.ones(len(Z)), Z])
-        system = A.T * w @ A + cfg.ridge * np.diag([0.0] + [1.0] * n)
-        y = _reference_probs(model, X, Z, target)
-        return np.linalg.solve(system, (A.T * w @ y[..., None]))[..., 1:, 0]
+        return _reference_lime_fit(model, X, target, cfg, Z, 1.0)
     full = _reference_probs(model, X, np.ones((1, n)), target)[..., 0]
     empty = _reference_probs(model, X, np.zeros((1, n)), target)[..., 0]
     Z = attrib._sampled_coalitions(n, cfg.shap_samples,

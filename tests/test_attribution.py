@@ -7,6 +7,7 @@ from conftest import (LinearPooledModel, ConstantModel, DeadInputModel,
                       masked_prob, planted_token_model,
                       finite_diff_input_grad, random_tiny_model,
                       scaled_classifier, all_coalition_probs,
+                      reference_population_lime,
                       reference_sampled_coalitions, reference_surrogate,
                       shapley_from_values)
 from explaudit import attribution as attrib
@@ -170,12 +171,89 @@ class TestLime:
         assert np.array_equal(a.scores, b.scores)
 
     def test_seed_changes_samples(self, rng):
+        # past KernelSHAP's exact limit LIME draws its masks under the seed
         model = random_tiny_model(rng)
-        X = rng.uniform(-1, 1, (5, 3))
+        X = rng.uniform(-1, 1, (13, 3))
         a, b = (attrib.explain("LIME", model, X, 1,
                                attrib.AttributionConfig(seed=s))
                 for s in (1, 2))
         assert not np.array_equal(a.scores, b.scores)
+
+    @pytest.mark.parametrize("n", [1, 5, 11])
+    def test_exact_n_reads_no_seed(self, rng, n):
+        model = random_tiny_model(rng)
+        X = rng.uniform(-1, 1, (n, 3))
+        a, b = (attrib.explain("LIME", model, X, 1,
+                               attrib.AttributionConfig(seed=s))
+                for s in (1, 2))
+        assert np.array_equal(a.scores, b.scores)
+
+
+class TestPopulationLime:
+    """Where KernelSHAP is exact, LIME is its population fit: the ridge
+    fit over all 2^n masks of the all-coalitions query, each weighted by
+    its kernel times its expected count ``lime_samples / 2^n``."""
+
+    CFGS = [attrib.AttributionConfig(),
+            attrib.AttributionConfig(lime_samples=37, lime_kernel_width=1.3,
+                                     ridge=0.5)]
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_equals_direct_weighted_ridge_solve(self, rng, n, stacked):
+        model = random_tiny_model(rng)
+        X = rng.uniform(-1, 1, (2, 3, n, 3) if stacked else (n, 3))
+        for cfg in self.CFGS:
+            got = attrib.explain("LIME", model, X, 1, cfg).scores
+            want = reference_population_lime(model, X, 1, cfg)
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_linear_model_recovered_without_ridge(self, rng, n):
+        # p is linear in the masks, so the unpenalized fit is exact
+        coeffs = rng.uniform(-0.04, 0.04, n)
+        cfg = attrib.AttributionConfig(ridge=0.0)
+        got = attrib.explain("LIME", planted_token_model(coeffs),
+                             indicator_embeddings(n), 1, cfg).scores
+        assert np.allclose(got, coeffs, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("code", range(8))
+    def test_any_non_finite_coalition_raises(self, code, shared):
+        n = 3
+        hole = (code >> np.arange(n)) & 1
+
+        class HoleModel(LinearPooledModel):
+            def pooled_forward(self, pooled):
+                probs, logits = super().pooled_forward(pooled)
+                probs[np.all(pooled == hole, axis=-1)] = np.inf
+                return probs, logits
+
+        model, queries = HoleModel(np.full(n, 0.01)), {}
+        if shared:
+            with pytest.raises(NumericalError, match="non-finite"):
+                attrib.explain("SHAP", model, indicator_embeddings(n), 1,
+                               queries=queries)
+        with pytest.raises(NumericalError, match="non-finite"):
+            attrib.explain("LIME", model, indicator_embeddings(n), 1,
+                           queries=queries)
+
+    def test_one_read_only_solve_per_length_and_config(self, rng):
+        clear_design_memos()
+        model = random_tiny_model(rng)
+        for cfg in self.CFGS:
+            for shape in [(6, 3), (6, 3), (4, 6, 3)]:
+                attrib.explain("LIME", model, rng.uniform(-1, 1, shape), 1,
+                               cfg)
+        assert attrib._population_lime_design.cache_info().misses == 2
+        arrays = attrib._population_lime_design(6, 1000, 0.0, 1e-3)
+        before = [a.copy() for a in arrays]
+        attrib.explain("LIME", model, rng.uniform(-1, 1, (6, 3)), 1)
+        assert [a.shape for a in arrays] == [(64,), (6, 7)]
+        for a, b in zip(arrays, before):
+            assert not a.flags.writeable
+            assert np.array_equal(a, b)
 
 
 class TestKernelShap:
@@ -346,8 +424,10 @@ class TestWeightedRidge:
     def test_equals_per_input_solve(self, rng, method, n, samples,
                                     stacked):
         model = random_tiny_model(rng)
-        cfg = attrib.AttributionConfig(lime_samples=samples,
-                                       shap_samples=samples, seed=4)
+        # LIME past KernelSHAP's exact limit (every n but 1) draws its masks
+        cfg = attrib.AttributionConfig(
+            lime_samples=samples, seed=4,
+            shap_samples=samples if method == "SHAP" else 1)
         X = rng.uniform(-1, 1, (3, n, 3) if stacked else (n, 3))
         got = attrib.explain(method, model, X, 1, cfg).scores
         if method == "SHAP" and 2**n - 2 <= samples:  # exact Shapley values
@@ -356,7 +436,10 @@ class TestWeightedRidge:
                 for x in X.reshape(-1, n, 3)])
             assert np.allclose(got.reshape(-1, n), want, rtol=0, atol=1e-14)
             return
-        want = reference_surrogate(method, model, X, 1, cfg)
+        if n == 1:  # LIME's population fit: no budget samples one token
+            want = reference_population_lime(model, X, 1, cfg)
+        else:
+            want = reference_surrogate(method, model, X, 1, cfg)
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
@@ -423,8 +506,11 @@ class TestPreparedDesign:
             monkeypatch.setattr(attrib, name, lambda *a, build=build: (
                 builds.append(a), build(*a))[1])
         model = random_tiny_model(rng)
+        # LIME past KernelSHAP's exact limit, where it draws its masks
+        cfg = attrib.AttributionConfig(
+            shap_samples=30 if method == "LIME" else 2048)
         queries = {}
-        attrib.explain(method, model, rng.uniform(-1, 1, (n, 3)), 1,
+        attrib.explain(method, model, rng.uniform(-1, 1, (n, 3)), 1, cfg,
                        queries=queries)
         if method == "SHAP" and n == 6:  # the exact design, one per n
             arrays = attrib._exact_shap_design(n)
@@ -435,7 +521,7 @@ class TestPreparedDesign:
         for _ in range(20):
             queries = attrib.designs_of(queries)
             attrib.explain(method, model, rng.uniform(-1, 1, (n, 3)), 1,
-                           queries=queries)
+                           cfg, queries=queries)
         assert len(builds) == (method == "LIME" or n == 13)
         assert arrays is (attrib._exact_shap_design(n) if not builds
                           else queries[key])
@@ -610,9 +696,10 @@ class TestSharedQueries:
     @pytest.mark.parametrize("stacked", [False, True])
     @pytest.mark.parametrize("shared", [False, True])
     def test_lime_matches_reference_fit(self, rng, shared, stacked):
-        # at n <= 11 LIME reads its rows from the all-coalitions query
-        cfg = attrib.AttributionConfig(seed=7)
-        for n in range(1, 13):
+        # one coalition short of KernelSHAP's exact budget, LIME draws its
+        # masks, whether or not KernelSHAP explained the input first
+        for n in range(2, 13):
+            cfg = attrib.AttributionConfig(seed=7, shap_samples=2**n - 3)
             model = random_tiny_model(rng)
             X = rng.uniform(-1, 1, (2, 3, n, 3) if stacked else (n, 3))
             queries = {}
@@ -623,19 +710,28 @@ class TestSharedQueries:
                 "LIME", model, X, 1, cfg), rtol=0, atol=1e-12)
 
     def test_non_finite_values_raise_where_read(self, rng):
-        # a coalition that LIME's masks leave out is non-finite: KernelSHAP
-        # reads it and raises, LIME does not read it, shared or not
-        n, cfg = 6, attrib.AttributionConfig(lime_samples=5, seed=2)
-        rows = attrib._lime_design(n, 5, 0.0, 2, cfg.ridge)[0]
-        missing = sorted(set(range(2**n))
-                         - set((rows @ 2 ** np.arange(n)).astype(int)))[0]
-        X = indicator_embeddings(n)
+        # past the exact limit, a coalition that sampled KernelSHAP queries
+        # and LIME's masks leave out is non-finite: KernelSHAP reads it and
+        # raises, LIME does not read it, in one map or not
+        n = 6
+        cfg = attrib.AttributionConfig(lime_samples=5, shap_samples=30,
+                                       seed=2)
+
+        def codes(rows):
+            return set((rows @ 2 ** np.arange(n)).astype(int))
+
+        # a sampled coalition, neither the full nor the empty input
+        missing = sorted(
+            codes(attrib._sampled_shap_design(n, 30, 2)[0])
+            - codes(attrib._lime_design(n, 5, 0.0, 2, cfg.ridge)[0])
+            - {0, 2**n - 1})[0]
+        X = indicator_embeddings(n)  # pooled rows are the masks
         pooled_gap = (missing >> np.arange(n)) & 1
 
         class HoleModel(LinearPooledModel):
             def pooled_forward(self, pooled):
                 probs, logits = super().pooled_forward(pooled)
-                hole = np.all(pooled * n == pooled_gap, axis=-1)
+                hole = np.all(pooled == pooled_gap, axis=-1)
                 probs[hole] = np.nan
                 return probs, logits
 
@@ -653,22 +749,29 @@ class TestSharedQueries:
                     assert np.array_equal(alone, attrib.explain(
                         "LIME", model, X, 1, cfg, queries=queries).scores)
 
-    @pytest.mark.parametrize("n", [6, 11, 13])  # SHAP exact / sampled
-    def test_pgd_re_explain_builds_no_second_design(self, rng, monkeypatch,
-                                                    n):
+    @staticmethod
+    def _count_builds(monkeypatch):
         builds = []
         for name in ("_lime_design", "_sampled_shap_design"):
             build = getattr(attrib, name)
             monkeypatch.setattr(attrib, name, lambda *a, build=build: (
                 builds.append(a), build(*a))[1])
+        return builds
+
+    @pytest.mark.parametrize("n", [6, 11, 13])
+    def test_pgd_re_explain_builds_no_second_design(self, rng, monkeypatch,
+                                                    n):
+        # past the exact limit at every n: LIME and KernelSHAP both sample
+        builds = self._count_builds(monkeypatch)
         model = random_tiny_model(rng)
         X = rng.uniform(-1, 1, (n, 3))
         cfg = met.MetricConfig(pgd=met.PGDConfig(steps=2))
         queries = {}
         attrs = [attrib.explain(m, model, X, 1, attrib.AttributionConfig(
-            seed=s), queries=queries) for s, m in enumerate(attrib.METHODS)]
+            seed=s, shap_samples=30), queries=queries)
+            for s, m in enumerate(attrib.METHODS)]
         built = len(builds)
-        assert built == 1 + (n == 13)
+        assert built == 2
         shared = met.score_input(model, X, attrs, ("sensitivity",), cfg, 5,
                                  queries)
         assert len(builds) == built
@@ -676,6 +779,24 @@ class TestSharedQueries:
         assert met.score_input(model, X, attrs, ("sensitivity",), cfg,
                                5) == shared
         assert len(builds) == 2 * built
+
+    @pytest.mark.parametrize("n", [1, 6, 11])
+    def test_pgd_path_builds_no_lime_design_at_exact_n(self, rng,
+                                                       monkeypatch, n):
+        # LIME's population fit and exact KernelSHAP: one cached solve and
+        # one exact design per length, for the input and its PGD path
+        builds = self._count_builds(monkeypatch)
+        clear_design_memos()
+        model = random_tiny_model(rng)
+        X = rng.uniform(-1, 1, (n, 3))
+        queries = {}
+        attrs = [attrib.explain(m, model, X, 1, attrib.AttributionConfig(
+            seed=s), queries=queries) for s, m in enumerate(attrib.METHODS)]
+        cfg = met.MetricConfig(pgd=met.PGDConfig(steps=2))
+        met.score_input(model, X, attrs, ("sensitivity",), cfg, 5, queries)
+        assert builds == []
+        assert attrib._population_lime_design.cache_info().misses == 1
+        assert attrib._exact_shap_design.cache_info().misses == 1
 
 
 class TestDegenerate:

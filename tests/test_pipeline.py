@@ -78,13 +78,13 @@ class TestRunSingleAudit:
                 -1, *X.shape[-2:])]
             return explain(method, model, seq, *args, **kwargs)
 
-        def counting_forward(model, X):
-            predicted.append(X.tobytes())
-            return forward(model, X)
+        def counting_predict(model, seqs):
+            predicted.extend(tm.embed(model, s).tobytes() for s in seqs)
+            return predict(model, seqs)
 
-        explain, forward = attrib.explain, tm.forward
+        explain, predict = attrib.explain, tm.predict
         monkeypatch.setattr(attrib, "explain", counting_explain)
-        monkeypatch.setattr(tm, "forward", counting_forward)
+        monkeypatch.setattr(tm, "predict", counting_predict)
         records = ds.generate_synthetic_paired(10, seed=0)
         cfg = _fast_cfg(methods=("GRAD", "IG"), metrics=("gini", "sparsity"))
         run = pipeline.run_single_audit(records, cfg, run_seed=2)

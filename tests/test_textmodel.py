@@ -9,7 +9,7 @@ from conftest import (BoundaryModel, ConstantModel, DeadInputModel,
                       LinearPooledModel, finite_diff_input_grad,
                       finite_diff_pooled_grad, random_tiny_model,
                       reference_forward_pooled, reference_pooled_grad,
-                      reference_train)
+                      reference_train, scaled_classifier)
 from explaudit import dataset as ds
 from explaudit import textmodel as tm
 from explaudit.errors import ConfigError, DataError, NumericalError
@@ -108,6 +108,32 @@ class TestForward:
         X = np.full((2, 3), np.nan)
         with pytest.raises(DataError):
             tm.forward(model, X)
+
+    def test_stack_gives_one_prediction_per_input(self, rng):
+        model = random_tiny_model(rng)
+        X = rng.uniform(-2, 2, (5, 4, 3))
+        preds = tm.forward(model, X)
+        assert len(preds) == 5
+        for x, pred in zip(X, preds):
+            alone = tm.forward(model, x)
+            assert pred.predicted_class == alone.predicted_class
+            assert np.allclose(pred.probs, alone.probs, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0, 3), (3,),
+                                       (1, 2, 2, 3)])
+    def test_rejects_empty_or_misshaped(self, rng, shape):
+        with pytest.raises(DataError):
+            tm.forward(random_tiny_model(rng), np.zeros(shape))
+
+    def test_stack_checks_every_input(self, rng):
+        model = random_tiny_model(rng)
+        X = rng.uniform(-1, 1, (3, 2, 3))
+        X[2, 1, 0] = np.inf
+        with pytest.raises(DataError):
+            tm.forward(model, X)
+        model.w2 = np.full_like(model.w2, np.nan)
+        with pytest.raises(NumericalError):
+            tm.forward(model, X[:2])
 
     def test_pooling_permutation_symmetry(self, rng):
         model = random_tiny_model(rng)
@@ -387,9 +413,40 @@ class TestPredictAndPersistence:
     def test_predict_deterministic(self, rng):
         v = tm.build_vocab(["the cat sat"])
         model = random_tiny_model(rng, vocab_size=len(v))
-        p1 = tm.predict(model, tm.tokenize(v, "the cat sat"))
-        p2 = tm.predict(model, tm.tokenize(v, "the cat sat"))
+        (p1,) = tm.predict(model, [tm.tokenize(v, "the cat sat")])
+        (p2,) = tm.predict(model, [tm.tokenize(v, "the cat sat")])
         assert np.array_equal(p1.probs, p2.probs)
+
+    def test_predict_stacks_each_length_in_order(self, rng, monkeypatch):
+        v = tm.build_vocab(["the cat sat on a mat today"])
+        model = random_tiny_model(rng, vocab_size=len(v))
+        texts = ["the cat", "a mat", "the cat sat", "on", "mat today",
+                 "sat on a"]
+        seqs = [tm.tokenize(v, t) for t in texts]
+        calls = []
+        forward = tm.forward
+        monkeypatch.setattr(tm, "forward", lambda model, X: (
+            calls.append(X.shape), forward(model, X))[1])
+        preds = tm.predict(model, seqs)
+        # one stack per length, padded to a multiple of 4 rows
+        assert sorted(calls) == [(4, 1, 3), (4, 2, 3), (4, 3, 3)]
+        for seq, pred in zip(seqs, preds):
+            alone = forward(model, tm.embed(model, seq))
+            assert pred.predicted_class == alone.predicted_class
+            assert np.allclose(pred.probs, alone.probs, rtol=0, atol=1e-15)
+        assert tm.predict(model, []) == []
+
+    def test_bits_independent_of_other_sequences(self):
+        # the weights scaled by 20 show a product's last bits in p
+        model = scaled_classifier(2)
+        rng = np.random.default_rng(2)
+        seqs = [tm.TokenSeq(rng.integers(0, 20, 7), ["t"] * 7)
+                for _ in range(11)]
+        full = tm.predict(model, seqs)
+        for b in range(1, 11):
+            for part, want in ((seqs[:b], full[:b]), (seqs[b:], full[b:])):
+                for pred, alone in zip(tm.predict(model, part), want):
+                    assert np.array_equal(pred.probs, alone.probs)
 
 
 @settings(max_examples=50, deadline=None)
