@@ -9,16 +9,18 @@ the mean of ``g`` over the path (one batched ``pooled_grad`` call). LIME
 and KernelSHAP are linear in the model outputs they fit. Where KernelSHAP's
 budget covers all 2^n coalitions, both read one all-coalitions query and no
 seed: exact Shapley values in closed form, and LIME's population fit by one
-cached solve per (n, config). Past that, each draws a seeded design built
-per (n, config) as its distinct mask rows, their ``[rows | 1]`` and one
-read-only map ``W``, and explains as ``W @ p(rows)``. Sibling explainers
-share one model query per input in a query map that the caller owns: GRAD
-and GXI one gradient, IG and IGXI one path, LIME and exact KernelSHAP the
-all-coalitions query. The map also keeps the seeded designs for the
-input's PGD path (``designs_of``). All methods also accept raw
-(..., n, d) embeddings so that robustness search can re-explain a stack
-of perturbed inputs, each slice bit for bit as its own 2-D call (checked
-on the SkylakeX, Haswell, Sandybridge and Prescott kernels).
+cached solve per (n, config). Past that, each draws a seeded design per
+(n, config): the ``[rows | 1]`` of its distinct mask rows and read-only
+coefficient rows ``W``. KernelSHAP explains as ``W @ p(rows)``, and LIME,
+sampled or not, by one ridge fit, ``W @ [rows | 1].T @ (w * p(rows))``.
+Sibling explainers share one model query per input in a query map that
+the caller owns: GRAD and GXI one gradient, IG and IGXI one path, LIME
+and exact KernelSHAP the all-coalitions query. The map also keeps the
+seeded designs for the input's PGD path (``designs_of``). All methods
+also accept raw (..., n, d) embeddings so that robustness search can
+re-explain a stack of perturbed inputs, each slice bit for bit as its own
+2-D call (checked on the SkylakeX, Haswell, Sandybridge and Prescott
+kernels).
 ``degenerate`` flags attributions that rank no token above another.
 """
 
@@ -175,7 +177,7 @@ def _exact(n, cfg):
 def _coalition_probs(model, X, target, queries):
     """p(target) of X under all 2^n coalitions in bit-code order."""
     return _query(queries, ("coalitions", target), _probs, model, X, target,
-                  _exact_shap_design(X.shape[-2])[1])
+                  _exact_shap_design(X.shape[-2])[0])
 
 
 def _distinct_rows(Z):
@@ -197,10 +199,8 @@ def _distinct_rows(Z):
 
 
 def _with_ones(rows):
-    """``rows`` as a view of ``[rows | 1]``, and ``[rows | 1]``, read-only:
-    one copy of the rows, which no ``masked_probs`` query rebuilds."""
-    rows1 = np.column_stack([rows, np.ones(len(rows))])
-    return _read_only(rows1[:, :-1], rows1)
+    """``[rows | 1]``, read-only, which no ``masked_probs`` query rebuilds."""
+    return _read_only(np.column_stack([rows, np.ones(len(rows))]))[0]
 
 
 def _lime_kernel(rows, width):
@@ -210,30 +210,29 @@ def _lime_kernel(rows, width):
     return np.exp(-(dist**2) / (width or 0.75 * math.sqrt(n))**2)
 
 
+def _lime_fit(rows1, counts, width, ridge):
+    """LIME's kernel-weighted ridge fit over ``rows1 = [rows | 1]``, each row
+    by its (expected) count: ``rows1``, its kernel times its count ``w``, and
+    the n coefficient rows ``W`` of ``inv(rows1.T * w @ rows1 + ridge * P)``,
+    where ``P`` leaves the intercept unpenalized; read-only."""
+    n = rows1.shape[1] - 1
+    w = _lime_kernel(rows1[:, :n], width) * counts
+    system = rows1.T * w @ rows1 + ridge * np.diag([1.0] * n + [0.0])
+    return rows1, *_read_only(w), _fit_map(system, np.eye(n + 1))[:n]
+
+
 def _lime_design(n, samples, width, seed, ridge):
-    """LIME's masks as their distinct ``rows``, ``[rows | 1]`` and the map
-    of the kernel-weighted ridge fit, ``inv(A.T * w @ A + ridge * P) @
-    (A.T * w)`` without the intercept row, where ``A = [1 | rows]``, ``w``
-    is the kernel times each row's count and ``P`` leaves the intercept
-    unpenalized; read-only."""
+    """LIME's fit over ``samples`` seeded Bernoulli(0.5) masks: their
+    distinct rows, each by its count in the draw."""
     Z = np.random.default_rng(seed).random((samples, n)) < 0.5
     rows, counts = _distinct_rows(Z.astype(float))
-    w = counts * _lime_kernel(rows, width)
-    A = np.column_stack([np.ones(len(rows)), rows])
-    AtW = A.T * w
-    system = AtW @ A + ridge * np.diag([0.0] + [1.0] * n)
-    return (*_with_ones(rows), _fit_map(system, AtW)[1:])
+    return _lime_fit(_with_ones(rows), counts, width, ridge)
 
 
 @functools.lru_cache(maxsize=32)  # its key holds config values
 def _population_lime_design(n, samples, width, ridge):
-    """LIME's fit over all 2^n masks, each by its expected count ``samples /
-    2^n``: the masks' weights and the coefficient rows of the inverse ridge
-    system over ``[masks | 1]``, read-only."""
-    rows1 = _exact_shap_design(n)[1]
-    w = _lime_kernel(rows1[:, :n], width) * (samples / 2**n)
-    system = rows1.T * w @ rows1 + ridge * np.diag([1.0] * n + [0.0])
-    return (*_read_only(w), _fit_map(system, np.eye(n + 1))[:n])
+    """LIME's fit over all 2^n masks, by expected count ``samples / 2^n``."""
+    return _lime_fit(_exact_shap_design(n)[0], samples / 2**n, width, ridge)
 
 
 def _lime(model, X, target, cfg, queries):
@@ -244,15 +243,15 @@ def _lime(model, X, target, cfg, queries):
     the fit is over all 2^n masks, each by its expected count, from the
     all-coalitions query and with no seed."""
     n = X.shape[-2]
-    if _exact(n, cfg):
-        w, W = _population_lime_design(n, cfg.lime_samples,
-                                       cfg.lime_kernel_width, cfg.ridge)
-        y = _coalition_probs(model, X, target, queries)
-        return _fit(W, _fit(_exact_shap_design(n)[1].T, y * w))
     key = (n, cfg.lime_samples, cfg.lime_kernel_width, cfg.seed, cfg.ridge)
-    _, rows1, W = _query(queries, ("design", "LIME") + key,
-                         _lime_design, *key)
-    return _fit(W, _probs(model, X, target, rows1))
+    if _exact(n, cfg):
+        rows1, w, W = _population_lime_design(*key[:3], cfg.ridge)
+        y = _coalition_probs(model, X, target, queries)
+    else:
+        rows1, w, W = _query(queries, ("design", "LIME") + key,
+                             _lime_design, *key)
+        y = _probs(model, X, target, rows1)
+    return _fit(W, _fit(rows1.T, y * w))
 
 
 def _sampled_coalitions(n, samples, rng):
@@ -285,7 +284,7 @@ def _exact_shap_design(n):
     size = bits.sum(axis=0)
     w = np.append([1 / (n * math.comb(n - 1, k)) for k in range(n)], 0.0)
     W = np.where(bits, w[size - 1], -w[size])
-    return (*_with_ones(bits.T), *_read_only(W))
+    return (_with_ones(bits.T), *_read_only(W))
 
 
 def _sampled_shap_design(n, samples, seed):
@@ -308,7 +307,7 @@ def _sampled_shap_design(n, samples, seed):
     B[:n, 2:] = Zc
     B[n, :2] = 1.0, -1.0
     coalitions = np.concatenate([np.ones((1, n)), np.zeros((1, n)), rows])
-    return (*_with_ones(coalitions), _fit_map(K, B)[:n])
+    return _with_ones(coalitions), _fit_map(K, B)[:n]
 
 
 def _kernel_shap(model, X, target, cfg, queries):
@@ -324,11 +323,11 @@ def _kernel_shap(model, X, target, cfg, queries):
     sum(scores) = f(x) - f(empty) holds by construction of the map."""
     n = X.shape[-2]
     if _exact(n, cfg):
-        return _fit(_exact_shap_design(n)[2],
+        return _fit(_exact_shap_design(n)[1],
                     _coalition_probs(model, X, target, queries))
     key = (n, cfg.shap_samples, cfg.seed)
-    _, rows1, W = _query(queries, ("design", "SHAP") + key,
-                         _sampled_shap_design, *key)
+    rows1, W = _query(queries, ("design", "SHAP") + key,
+                      _sampled_shap_design, *key)
     return _fit(W, _probs(model, X, target, rows1))
 
 

@@ -384,10 +384,10 @@ def read_scores_csv(path):
                             + ",".join(SCORE_HEADER))
         for row in reader:
             try:
-                pair_id, subgroup, method, metric, value = row
-                value = float(value) if value else math.nan
-                if math.isinf(value):
-                    raise ValueError(value)
+                pair_id, subgroup, method, metric, text = row
+                value = float(text) if text else math.nan
+                if text and not math.isfinite(value):  # "nan" is not empty
+                    raise ValueError(text)
             except ValueError:
                 raise DataError(
                     f"malformed report dir: {path}:{reader.line_num} is not "

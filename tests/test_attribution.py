@@ -250,7 +250,7 @@ class TestPopulationLime:
         arrays = attrib._population_lime_design(6, 1000, 0.0, 1e-3)
         before = [a.copy() for a in arrays]
         attrib.explain("LIME", model, rng.uniform(-1, 1, (6, 3)), 1)
-        assert [a.shape for a in arrays] == [(64,), (6, 7)]
+        assert [a.shape for a in arrays] == [(64, 7), (64,), (6, 7)]
         for a, b in zip(arrays, before):
             assert not a.flags.writeable
             assert np.array_equal(a, b)
@@ -300,8 +300,8 @@ class TestKernelShap:
         # (indexed by bit code) against the Shapley formula, token by token
         for n in range(1, 12):
             v = rng.uniform(0, 1, 2**n)
-            rows, _, W = attrib._exact_shap_design(n)
-            codes = (rows @ 2 ** np.arange(n)).astype(int)
+            rows1, W = attrib._exact_shap_design(n)
+            codes = (rows1[:, :-1] @ 2 ** np.arange(n)).astype(int)
             assert np.allclose(W @ v[codes], shapley_from_values(v, n),
                                rtol=0, atol=1e-14)
 
@@ -402,8 +402,9 @@ class TestKernelShap:
 
 
 class TestWeightedRidge:
-    """The fitted map that LIME's ridge fit and KernelSHAP's constrained
-    fit share, built once per design."""
+    """LIME's ridge fit (its coefficient rows, sampled masks or all 2^n)
+    and KernelSHAP's constrained fit (its map from the query values), each
+    built once per design, against a direct solve per input."""
 
     def test_unsolvable_system_gives_up(self):
         # a kernel this narrow gives every mask but the all-ones one zero
@@ -518,6 +519,9 @@ class TestPreparedDesign:
             (key,) = [key for key in queries if key[0] == "design"]
             arrays = queries[key]
         before = [a.copy() for a in arrays]
+        rows1 = arrays[0]  # every design's [rows | 1], queried as it is
+        assert not rows1.flags.writeable
+        assert rows1.shape[1] == n + 1 and np.all(rows1[:, -1] == 1.0)
         for _ in range(20):
             queries = attrib.designs_of(queries)
             attrib.explain(method, model, rng.uniform(-1, 1, (n, 3)), 1,
@@ -557,13 +561,15 @@ class TestDistinctRows:
         want = reference_surrogate(method, model, X, 1, cfg)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
         if method == "LIME":
-            rows, _, W = attrib._lime_design(
+            rows1, _, W = attrib._lime_design(
                 n, samples, cfg.lime_kernel_width, cfg.seed, cfg.ridge)
         else:
-            rows, _, W = attrib._sampled_shap_design(n, samples, cfg.seed)
+            rows1, W = attrib._sampled_shap_design(n, samples, cfg.seed)
+        rows = rows1[:, :-1]
         assert len(rows) < samples  # rows repeat at this length
         assert len(np.unique(rows, axis=0)) == len(rows)
-        assert W.shape == (n, len(rows))
+        # LIME's coefficient rows, KernelSHAP's map from the query values
+        assert W.shape == (n, n + 1 if method == "LIME" else len(rows))
 
     @pytest.mark.parametrize("samples, n", [
         (1000, 8), (1003, 8), (3, 5), (4, 1), (400, 60), (402, 60)])
@@ -717,13 +723,13 @@ class TestSharedQueries:
         cfg = attrib.AttributionConfig(lime_samples=5, shap_samples=30,
                                        seed=2)
 
-        def codes(rows):
-            return set((rows @ 2 ** np.arange(n)).astype(int))
+        def codes(design):
+            return set((design[0][:, :-1] @ 2 ** np.arange(n)).astype(int))
 
         # a sampled coalition, neither the full nor the empty input
         missing = sorted(
-            codes(attrib._sampled_shap_design(n, 30, 2)[0])
-            - codes(attrib._lime_design(n, 5, 0.0, 2, cfg.ridge)[0])
+            codes(attrib._sampled_shap_design(n, 30, 2))
+            - codes(attrib._lime_design(n, 5, 0.0, 2, cfg.ridge))
             - {0, 2**n - 1})[0]
         X = indicator_embeddings(n)  # pooled rows are the masks
         pooled_gap = (missing >> np.arange(n)) & 1

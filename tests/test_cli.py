@@ -36,7 +36,8 @@ class TestGenData:
                                capsys)
         assert code == 0
         assert "20 rows (10 pairs)" in out
-        lines = open(path).read().splitlines()
+        with open(path) as f:
+            lines = f.read().splitlines()
         assert len(lines) == 21  # header + 20 rows
         pair_ids = {line.split(",")[0] for line in lines[1:]}
         assert len(pair_ids) == 10
@@ -46,7 +47,8 @@ class TestGenData:
         for p in (p1, p2):
             assert run_cli(["gen-data", "--pairs", "8", "--seed", "5",
                             "--out", p], capsys)[0] == 0
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        with open(p1, "rb") as f1, open(p2, "rb") as f2:
+            assert f1.read() == f2.read()
 
     def test_length_injection_token_counts(self, tmp_path, capsys):
         path = str(tmp_path / "d.jsonl")
@@ -55,9 +57,10 @@ class TestGenData:
                              capsys)
         assert code == 0
         counts = {"MALE": 0, "FEMALE": 0}
-        for line in open(path):
-            row = json.loads(line)
-            counts[row["subgroup"]] += len(row["text"].split())
+        with open(path) as f:
+            for line in f:
+                row = json.loads(line)
+                counts[row["subgroup"]] += len(row["text"].split())
         assert counts["FEMALE"] > counts["MALE"]
 
 
@@ -422,8 +425,8 @@ class TestReportCommand:
                               fmt="svg")
         assert "pair_id,subgroup,method,metric,value" in err
 
-    @pytest.mark.parametrize("tail", [",high", "", ",inf"],
-                             ids=["non-numeric", "short", "infinite"])
+    @pytest.mark.parametrize("tail", [",high", "", ",inf", ",nan"],
+                             ids=["non-numeric", "short", "infinite", "nan"])
     def test_svg_scores_bad_row_exit_2(self, audit_dir, tmp_path, capsys,
                                        tail):
         def edit_line_2(text):  # the first row's value becomes ``tail``

@@ -479,7 +479,7 @@ class TestSaveReport:
         pipeline.save_report(report, str(out))
         (tmp_path / "rep.tmp").mkdir()
         (tmp_path / "rep.tmp" / "notes.txt").write_text("keep")
-        before = {p: open(out / p).read() for p in os.listdir(out)}
+        before = {p: (out / p).read_text() for p in os.listdir(out)}
 
         def disk_full(*args):
             raise OSError("disk full")
@@ -488,7 +488,7 @@ class TestSaveReport:
         with pytest.raises(OSError, match="disk full"):
             pipeline.save_report(report, str(out))
         assert sorted(os.listdir(tmp_path)) == ["rep", "rep.tmp"]
-        assert {p: open(out / p).read() for p in os.listdir(out)} == before
+        assert {p: (out / p).read_text() for p in os.listdir(out)} == before
         assert (tmp_path / "rep.tmp" / "notes.txt").read_text() == "keep"
 
     def test_creates_missing_parent_dirs(self, tmp_path):
